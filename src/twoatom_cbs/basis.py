@@ -107,6 +107,24 @@ def expectation(op, state, order=None):
     return val
 
 
+def _coefficient_table(products, basis):
+    """T[n, m] = Tr(b_m^dag products[n]) on a trace-orthonormal basis b."""
+    n = len(basis)
+    return products.reshape(n, -1) @ basis.reshape(n, -1).conj().T
+
+
+def single_atom_tables(op):
+    """Left and right multiplication tables of a 4x4 operator.
+
+    L[n, m] = Tr(q_m^dag op q_n) and R[n, m] = Tr(q_m^dag q_n op), so that
+    op @ q_n = sum_m L[n, m] q_m and q_n @ op = sum_m R[n, m] q_m.  The
+    coefficient matrix of Q -> X Q Y is then L_X @ R_Y.
+    """
+    q = single_atom_basis()
+    op = np.asarray(op, dtype=complex)
+    return _coefficient_table(op @ q, q), _coefficient_table(q @ op, q)
+
+
 def left_multiplication_table(op):
     """Coefficient table T of left multiplication by a 16x16 operator.
 
@@ -114,11 +132,5 @@ def left_multiplication_table(op):
     Used to turn quantum-regression initial conditions into rearrangements
     of the stationary state.
     """
-    flat = two_atom_basis_flat()
-    n = N_SINGLE
-    products = np.einsum(
-        "ab,nbc->nac",
-        np.asarray(op, dtype=complex),
-        flat.reshape(N_TWO, n, n),
-    )
-    return products.reshape(N_TWO, N_TWO) @ flat.conj().T
+    basis = two_atom_basis_flat().reshape(N_TWO, N_SINGLE, N_SINGLE)
+    return _coefficient_table(np.asarray(op, dtype=complex) @ basis, basis)

@@ -6,6 +6,12 @@ independent driven-atom generators, V the far-field photon-exchange
 coupling (first order in the complex coupling g), and j the inhomogeneity
 produced by the constant trace element.
 
+Both are built on the 16-element single-atom basis: A is the Kronecker sum
+A1 (x) 1 + 1 (x) A2 of the two 16x16 single-atom generators, and V is a
+P_ij-weighted sum of Kronecker products of single-atom multiplication
+tables.  The direct operator actions apply_*_generator are the independent
+references the matrices are tested against.
+
 Frequencies are in units of gamma (half the spontaneous decay rate),
 lengths in units of 1/k0.  The quantization axis is along the laser wave
 vector; the laser drives |1> <-> |4> with positive-helicity polarization
@@ -22,7 +28,7 @@ from .basis import (
     N_TWO,
     TRACE_ELEMENT_VALUE,
     sigma,
-    two_atom_basis_flat,
+    single_atom_tables,
 )
 
 # helicity unit vectors, spherical convention
@@ -235,48 +241,57 @@ def apply_interaction_generator(cfg, geom, g, Q, alpha, beta):
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _lmul(X):
-    return np.kron(X, _I16)
+def _single_atom_matrix(cfg, rabi_phase):
+    """16x16 coefficient matrix of one atom's generator on the single-atom basis.
 
-
-def _rmul(Y):
-    return np.kron(_I16, Y.T)
-
-
-def _single_atom_superop(cfg, atom, rabi_phase):
+    -i delta (L_E - R_E) - (i/2)(L_H - R_H)
+    + gamma sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
+    the table form of apply_single_atom_generator.
+    """
     excited, drive = _single_atom_operators(cfg, rabi_phase)
-    excited = _embed(excited, atom)
-    drive = _embed(drive, atom)
-    s = -1j * cfg.detuning * (_lmul(excited) - _rmul(excited))
-    s += -0.5j * (_lmul(drive) - _rmul(drive))
+    l_e, r_e = single_atom_tables(excited)
+    l_h, r_h = single_atom_tables(drive)
+    m = -1j * cfg.detuning * (l_e - r_e) - 0.5j * (l_h - r_h)
     for q in HELICITY:
-        d = _embed(_DIPOLE_COMPONENTS[q], atom)
+        d = _DIPOLE_COMPONENTS[q]
         dd = d.conj().T
-        s += cfg.gamma * (2.0 * np.kron(dd, d.T) - _lmul(dd @ d) - _rmul(dd @ d))
-    return s
+        l_dd, _ = single_atom_tables(dd)
+        _, r_d = single_atom_tables(d)
+        l_n, r_n = single_atom_tables(dd @ d)
+        m += cfg.gamma * (2.0 * l_dd @ r_d - l_n - r_n)
+    return m
 
 
-def _interaction_superop(cfg, geom, g, alpha, beta):
-    ph = helicity_projector(geom.n_hat)
-    s = np.zeros((N_TWO, N_TWO), dtype=complex)
-    for i, q in enumerate(HELICITY):
-        for j, qp in enumerate(HELICITY):
-            w = cfg.gamma * ph[i, j]
-            if w == 0:
-                continue
-            da_dag = _embed(_DIPOLE_COMPONENTS[q].conj().T, alpha)
-            db = _embed(_DIPOLE_COMPONENTS[qp], beta)
-            s += w * g * (np.kron(da_dag, db.T) - _lmul(da_dag @ db))
-            db_dag = _embed(_DIPOLE_COMPONENTS[q].conj().T, beta)
-            da = _embed(_DIPOLE_COMPONENTS[qp], alpha)
-            s += w * np.conj(g) * (np.kron(db_dag, da.T) - _rmul(db_dag @ da))
-    return s
+def _interaction_matrices(cfg, geom, g):
+    """256x256 coefficient matrices of L_12 and L_21.
 
+    The table form of apply_interaction_generator, contracted over one
+    helicity index: with w = gamma P, Y_k = sum_j w_kj d_j and
+    Z_k = sum_i w_ik d_i^dag,
+    L_12 = sum_k g L_{d_k^dag} (x) (R_{Y_k} - L_{Y_k})
+           + g^* R_{d_k} (x) (L_{Z_k} - R_{Z_k}),
+    and L_21 is the same sum with the two Kronecker factors swapped.
+    """
+    w = cfg.gamma * helicity_projector(geom.n_hat)
+    dips = np.array([_DIPOLE_COMPONENTS[q] for q in HELICITY])
+    dips_dag = dips.conj().transpose(0, 2, 1)
+    ys = np.tensordot(w, dips, axes=1)
+    zs = np.tensordot(w.T, dips_dag, axes=1)
+    first, second = [], []
+    for d, d_dag, y, z in zip(dips, dips_dag, ys, zs):
+        l_y, r_y = single_atom_tables(y)
+        l_z, r_z = single_atom_tables(z)
+        first += [single_atom_tables(d_dag)[0], single_atom_tables(d)[1]]
+        second += [g * (r_y - l_y), np.conj(g) * (l_z - r_z)]
+    first = np.reshape(first, (len(first), -1))
+    second = np.reshape(second, (len(second), -1))
 
-def _superop_to_coefficient_matrix(s):
-    """Coefficient matrix M with L(B_n) = sum_m M[n, m] B_m."""
-    flat = two_atom_basis_flat()
-    return (flat @ s.T) @ flat.conj().T
+    def kron_sum(a, b):
+        # sum_k a_k (x) b_k as one product: [i, j, k, l] -> [(i, k), (j, l)]
+        n = N_SINGLE
+        return (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(N_TWO, N_TWO)
+
+    return kron_sum(first, second), kron_sum(second, first)
 
 
 def rabi_phases(geom):
@@ -316,11 +331,10 @@ def assemble(cfg, geom, g=None):
     if g is None:
         g = coupling_constant(geom.k0_r12)
     ph1, ph2 = rabi_phases(geom)
-    s_single = _single_atom_superop(cfg, 1, ph1) + _single_atom_superop(cfg, 2, ph2)
-    s_int = _interaction_superop(cfg, geom, g, 1, 2) + _interaction_superop(cfg, geom, g, 2, 1)
-
-    m_single = _superop_to_coefficient_matrix(s_single)
-    m_int = _superop_to_coefficient_matrix(s_int)
+    m_single = (np.kron(_single_atom_matrix(cfg, ph1), _I16)
+                + np.kron(_I16, _single_atom_matrix(cfg, ph2)))
+    m_12, m_21 = _interaction_matrices(cfg, geom, g)
+    m_int = m_12 + m_21
 
     # identity must be stationary under both generators
     if max(np.abs(m_single[0]).max(), np.abs(m_int[0]).max()) > 1e-12:

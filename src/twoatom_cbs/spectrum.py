@@ -8,6 +8,7 @@ weight; the inelastic densities are evaluated with a stabilized form of
 the 1/z difference term so that nu -> 0 is regular.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,14 +16,14 @@ import numpy as np
 from .basis import TRACE_ELEMENT_VALUE, left_multiplication_table
 from .liouvillian import GeneratorSet
 from .steady_state import (
+    SIGMA_21,
     IntensityBreakdown,
     PerturbativeState,
     Propagator,
     ResolventError,
-    _S21_1,
-    _S21_2,
     dipole_expectations,
     intensities,
+    perturbative_steady_state,
 )
 
 # packed indices of the detected-channel dipoles: sigma_12^1 = 2 B_128,
@@ -38,7 +39,9 @@ class CorrelationVector:
 
     atom: int
     s0_orders: np.ndarray  # (3, 255)
-    source_weight: np.ndarray  # (3,) <sigma_21^alpha>_ss per order
+    # <sigma_21^alpha>_ss at order g^1: the detected transition is dark at
+    # order g^0, and order g^2 does not enter the order-g^2 spectrum
+    source_weight: complex
 
     def s0(self, k):
         return self.s0_orders[k]
@@ -51,8 +54,7 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
     operator product sigma_21^alpha B_n in the basis and reading the
     result off the stationary state, order by order in g.
     """
-    op = _S21_1 if atom == 1 else _S21_2
-    table = left_multiplication_table(op)
+    table = left_multiplication_table(SIGMA_21[atom - 1])
     block = table[1:, 1:]
     const = table[1:, 0] * TRACE_ELEMENT_VALUE
     s0 = np.stack([
@@ -60,11 +62,8 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
         block @ state.order1,
         block @ state.order2,
     ])
-    d1, d2 = dipole_expectations(state, 1)
-    weight_1 = d1 if atom == 1 else d2
-    # the detected transition is dark at order g^0 and order 2 is not needed
-    weights = np.array([0.0, weight_1, 0.0], dtype=complex)
-    return CorrelationVector(atom=atom, s0_orders=s0, source_weight=weights)
+    weight = dipole_expectations(state, 1)[atom - 1]
+    return CorrelationVector(atom=atom, s0_orders=s0, source_weight=weight)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ class SpectrumResult:
         """
         nu = self.nu_grid
         k = max(3, len(nu) // 40)
-        tails = 0.0, 0.0
         out = []
         for dens in (self.ladder_density, self.crossed_density):
             c_left = np.mean(dens[:k] * nu[:k] ** 2)
@@ -128,12 +126,9 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
     g0_static = Propagator(gen.A, 0.0)
-    u0 = g0_static(gen.j)  # = order0
     phase = gen.detection_phase
 
     corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
-    w1 = corrs[0].source_weight[1]
-    w2 = corrs[1].source_weight[1]
 
     ladder = np.empty_like(nu_grid)
     crossed = np.empty_like(nu_grid)
@@ -144,12 +139,12 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
             # stabilized [G0(z) V G0(z) - G0 V G0] j / z
             #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j
             t1 = g0z(gen.j)
-            diff = -g0z(g0_static(gen.V @ t1)) - g0_static(gen.V @ g0z(u0))
+            diff = -g0z(g0_static(gen.V @ t1)) - g0_static(gen.V @ g0z(state.order0))
             s_tilde = []
             for corr in corrs:
                 x = g0z(corr.s0(1))
                 y = g0z(gen.V @ x + corr.s0(2))
-                s_tilde.append(y + corr.source_weight[1] * diff)
+                s_tilde.append(y + corr.source_weight * diff)
         except ResolventError:
             ladder[i] = np.nan
             crossed[i] = np.nan
@@ -161,8 +156,6 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
 
     bad = np.isnan(ladder)
     if bad.any():
-        import warnings
-
         warnings.warn(
             f"skipped {bad.sum()} ill-conditioned grid points "
             f"(first at nu = {nu_grid[bad][0]:.6g})",
@@ -239,8 +232,6 @@ def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> Spectrum
 
 def compute_spectrum(gen: GeneratorSet, nu_grid=None, points=2001):
     """Convenience pipeline: steady state, QRT vectors, densities, intensities."""
-    from .steady_state import perturbative_steady_state
-
     state = perturbative_steady_state(gen)
     if nu_grid is None:
         nu_grid = default_nu_grid(gen.cfg, points=points)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import expand_two_atom_operator, sigma
+from .basis import expectation, sigma
 from .liouvillian import GeneratorSet
 
 CONDITION_LIMIT = 1e12
@@ -54,18 +54,7 @@ class Propagator:
             raise ResolventError(f"resolvent factorization failed at z = {z}") from exc
 
     def __call__(self, rhs):
-        rhs = np.asarray(rhs, dtype=complex)
-        if rhs.ndim == 1:
-            return lu_solve(self._lu, rhs)
-        return lu_solve(self._lu, rhs)
-
-
-def g0_apply(gen: GeneratorSet, rhs, z=0.0):
-    """Apply G0(z) to rhs; z = 0 gives the steady-state propagator -A^{-1}.
-
-    Note G0(0) = (0 - A)^{-1} = -A^{-1}.
-    """
-    return Propagator(gen.A, z)(rhs)
+        return lu_solve(self._lu, np.asarray(rhs, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -94,21 +83,10 @@ def nonperturbative_steady_state(gen: GeneratorSet):
     return np.linalg.solve(gen.A + gen.V, -gen.j)
 
 
-def state_expectation(state: PerturbativeState, op, order):
-    """Expectation of a 16x16 operator at a given perturbative order."""
-    c = expand_two_atom_operator(op)
-    val = c[1:] @ state.order(order)
-    if order == 0:
-        val += c[0] * 0.25
-    return val
-
-
-# detected-channel operators (atom 1 (x) atom 2)
+# detected-channel operators (atom 1 (x) atom 2); SIGMA_21[a - 1] acts on atom a
 _I4 = np.eye(4, dtype=complex)
-_S21_1 = np.kron(sigma(2, 1), _I4)
-_S21_2 = np.kron(_I4, sigma(2, 1))
-_S12_1 = np.kron(sigma(1, 2), _I4)
-_S12_2 = np.kron(_I4, sigma(1, 2))
+SIGMA_21 = (np.kron(sigma(2, 1), _I4), np.kron(_I4, sigma(2, 1)))
+_SIGMA_12 = (np.kron(sigma(1, 2), _I4), np.kron(_I4, sigma(1, 2)))
 _POP2 = np.kron(sigma(2, 2), _I4) + np.kron(_I4, sigma(2, 2))
 _CROSS_12 = np.kron(sigma(2, 1), sigma(1, 2))
 
@@ -152,13 +130,11 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     subtraction.
     """
     phase = gen.detection_phase
-    l_tot = state_expectation(state, _POP2, 2).real
-    c_tot = 2.0 * (state_expectation(state, _CROSS_12, 2) * phase).real
+    l_tot = expectation(_POP2, state.order2, order=2).real
+    c_tot = 2.0 * (expectation(_CROSS_12, state.order2, order=2) * phase).real
 
-    d21_1 = state_expectation(state, _S21_1, 1)
-    d21_2 = state_expectation(state, _S21_2, 1)
-    d12_1 = state_expectation(state, _S12_1, 1)
-    d12_2 = state_expectation(state, _S12_2, 1)
+    d21_1, d21_2 = dipole_expectations(state, 1)
+    d12_1, d12_2 = (expectation(op, state.order1, order=1) for op in _SIGMA_12)
     l_el = (d21_1 * d12_1 + d21_2 * d12_2).real
     c_el = 2.0 * (d21_1 * d12_2 * phase).real
 
@@ -177,7 +153,4 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
 
 def dipole_expectations(state: PerturbativeState, order=1):
     """Order-g expectation values (<sigma_21^1>, <sigma_21^2>)."""
-    return (
-        state_expectation(state, _S21_1, order),
-        state_expectation(state, _S21_2, order),
-    )
+    return tuple(expectation(op, state.order(order), order=order) for op in SIGMA_21)

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoatom_cbs.basis import expand_two_atom_operator, two_atom_basis_flat
+from twoatom_cbs.basis import (
+    TRACE_ELEMENT_VALUE,
+    expand_two_atom_operator,
+    reconstruct_two_atom_operator,
+    two_atom_basis_flat,
+)
 from twoatom_cbs.liouvillian import (
     ConfigurationError,
     DriveConfig,
     Geometry,
-    _interaction_superop,
-    _single_atom_superop,
-    _superop_to_coefficient_matrix,
+    _interaction_matrices,
+    _single_atom_matrix,
     angular_weight,
     apply_interaction_generator,
     apply_single_atom_generator,
@@ -36,6 +40,29 @@ unit_vectors = st.tuples(
 def random_two_atom_operator(seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+
+
+def _shifted_tilted_geometry():
+    # off the laser axis and not transverse to it: unequal Rabi phases and
+    # all nine helicity-projector elements non-zero
+    r1 = np.array([0.3, -1.2, 4.7])
+    n_hat = np.array([1.0, 0.5, 0.8]) / np.linalg.norm([1.0, 0.5, 0.8])
+    return Geometry(r1=r1, r2=r1 - 40.0 * n_hat)
+
+
+GEOMETRIES = (Geometry.backscattering(40.0), _shifted_tilted_geometry())
+
+
+def matrix_action(block, source, q):
+    """Image of a two-atom operator under an assembled 255-block.
+
+    `source` is the block's trace-element column: the identity row of the
+    full coefficient matrix is zero, so the 255-block plus this column is
+    the whole generator.
+    """
+    c = expand_two_atom_operator(q)
+    image = np.concatenate([[source @ c[1:]], block.T @ c[1:]])
+    return reconstruct_two_atom_operator(image)
 
 
 class TestConfigs:
@@ -108,31 +135,33 @@ class TestGeneratorCrossValidation:
     def test_single_atom_matrix_matches_direct_action(self, seed):
         cfg = DriveConfig(rabi=1.3, detuning=0.7)
         q = random_two_atom_operator(seed)
-        s = _single_atom_superop(cfg, 1, 1.0) + _single_atom_superop(cfg, 2, 1.0)
-        via_matrix = (s @ q.ravel()).reshape(16, 16)
-        direct = apply_single_atom_generator(cfg, q, 1) + apply_single_atom_generator(cfg, q, 2)
-        assert np.allclose(via_matrix, direct, atol=1e-12)
+        for geom in GEOMETRIES:
+            gen = assemble(cfg, geom)
+            ph1, ph2 = rabi_phases(geom)
+            via_matrix = matrix_action(gen.A, gen.j / TRACE_ELEMENT_VALUE, q)
+            direct = (apply_single_atom_generator(cfg, q, 1, ph1)
+                      + apply_single_atom_generator(cfg, q, 2, ph2))
+            assert np.allclose(via_matrix, direct, atol=1e-12)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_interaction_matrix_matches_direct_action(self, seed):
         cfg = DriveConfig(rabi=2.0, detuning=0.0)
-        geom = Geometry.backscattering(40.0)
         g = coupling_constant(40.0)
         q = random_two_atom_operator(seed)
-        s = _interaction_superop(cfg, geom, g, 1, 2) + _interaction_superop(cfg, geom, g, 2, 1)
-        via_matrix = (s @ q.ravel()).reshape(16, 16)
-        direct = (apply_interaction_generator(cfg, geom, g, q, 1, 2)
-                  + apply_interaction_generator(cfg, geom, g, q, 2, 1))
-        assert np.allclose(via_matrix, direct, atol=1e-12)
+        for geom in GEOMETRIES:
+            gen = assemble(cfg, geom, g=g)
+            via_matrix = matrix_action(gen.V, np.zeros(255), q)
+            direct = (apply_interaction_generator(cfg, geom, g, q, 1, 2)
+                      + apply_interaction_generator(cfg, geom, g, q, 2, 1))
+            assert np.allclose(via_matrix, direct, atol=1e-12)
 
     def test_coefficient_matrix_expands_generator_output(self):
         cfg = DriveConfig(rabi=0.8, detuning=0.2)
-        s = _single_atom_superop(cfg, 1, 1.0)
-        m = _superop_to_coefficient_matrix(s)
+        m = np.kron(_single_atom_matrix(cfg, 1.0), np.eye(16))
         flat = two_atom_basis_flat()
         for n in (0, 5, 100, 255):
-            image = (s @ flat[n]).reshape(16, 16)
+            image = apply_single_atom_generator(cfg, flat[n].reshape(16, 16), 1)
             assert np.allclose(expand_two_atom_operator(image), m[n], atol=1e-12)
 
 
@@ -143,11 +172,10 @@ class TestAssembledGenerators:
         # re-derived here explicitly)
         cfg = DriveConfig(rabi=5.0, detuning=2.0)
         geom = Geometry.backscattering(60.0)
-        s = _single_atom_superop(cfg, 1, 1.0) + _single_atom_superop(cfg, 2, 1.0)
-        m = _superop_to_coefficient_matrix(s)
+        m1 = _single_atom_matrix(cfg, 1.0)
+        m = np.kron(m1, np.eye(16)) + np.kron(np.eye(16), m1)
         assert np.abs(m[0]).max() < 1e-12
-        s_int = _interaction_superop(cfg, geom, coupling_constant(60.0), 1, 2)
-        m_int = _superop_to_coefficient_matrix(s_int)
+        m_int, _ = _interaction_matrices(cfg, geom, coupling_constant(60.0))
         assert np.abs(m_int[0]).max() < 1e-12
 
     def test_interaction_has_no_source(self):

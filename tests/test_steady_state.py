@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoatom_cbs.basis import sigma
+from twoatom_cbs.basis import expectation, sigma
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
     Propagator,
-    g0_apply,
     intensities,
     nonperturbative_steady_state,
     perturbative_steady_state,
     resolvent_solve,
-    state_expectation,
 )
 
 from conftest import generator, stationary
@@ -42,7 +40,7 @@ class TestResolvent:
 
     def test_g0_at_zero_is_minus_a_inverse(self):
         gen = generator(2.0)
-        x = g0_apply(gen, gen.j, z=0.0)
+        x = Propagator(gen.A, 0.0)(gen.j)
         assert np.allclose(gen.A @ x, -gen.j, atol=1e-12)
 
 
@@ -79,7 +77,7 @@ class TestPerturbativeExpansion:
         for rabi, detuning in ((0.5, 0.0), (2.0, 1.0), (10.0, 5.0)):
             gen, state, _ = stationary(rabi, detuning)
             s = gen.cfg.saturation
-            pop = state_expectation(state, np.kron(sigma(4, 4), np.eye(4)), 0)
+            pop = expectation(np.kron(sigma(4, 4), np.eye(4)), state.order0, order=0)
             assert pop.real == pytest.approx(s / (2 * (1 + s)), rel=1e-10)
             assert abs(pop.imag) < 1e-12
 
@@ -125,12 +123,10 @@ class TestIntensities:
         # the ladder intensity is the order-g^2 piece of the detected-level
         # population; subtracting the lower orders from the all-orders
         # solve must reproduce it up to an O(|g|) relative remainder
-        from twoatom_cbs.basis import expectation
-
         gen, state, ib = stationary(1.0, 0.0)
         exact = nonperturbative_steady_state(gen)
         pop = np.kron(sigma(2, 2), np.eye(4)) + np.kron(np.eye(4), sigma(2, 2))
         exact_pop = expectation(pop, exact).real
-        low_orders = (state_expectation(state, pop, 0)
-                      + state_expectation(state, pop, 1)).real
+        low_orders = (expectation(pop, state.order0, order=0)
+                      + expectation(pop, state.order1, order=1)).real
         assert ib.L_tot == pytest.approx(exact_pop - low_orders, rel=0.05)
