@@ -6,11 +6,14 @@ cannot pass silently.  Output is CSV (with a '#'-prefixed re-parseable
 metadata header) or JSON, deterministic byte for byte under a fixed
 configuration and seed.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader of standard output goes away first, e.g. `| head -1`.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,6 +28,7 @@ from .steady_state import ResolventError, intensities, perturbative_steady_state
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
+EXIT_BROKEN_PIPE = 141
 
 #: accepted config keys per mode (beyond the common set)
 _COMMON_KEYS = {"rabi", "detuning", "k0_r12", "seed", "format", "output"}
@@ -362,7 +366,15 @@ def main(argv=None):
         with open(cfg["output"], "w") as fh:
             _emit(cfg, metadata, columns, rows, fh)
     else:
-        _emit(cfg, metadata, columns, rows, sys.stdout)
+        try:
+            _emit(cfg, metadata, columns, rows, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # point stdout at devnull so the interpreter's final flush is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

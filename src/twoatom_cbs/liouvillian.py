@@ -30,6 +30,7 @@ from .basis import (
     sigma,
     single_atom_tables,
 )
+from .resolvent import KroneckerResolvent
 
 # helicity unit vectors, spherical convention
 E_PLUS = np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2)
@@ -62,6 +63,9 @@ class DriveConfig:
     laser_polarization: int = 1
 
     def __post_init__(self):
+        for name in ("rabi", "detuning", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.rabi < 0:
             raise ConfigurationError("rabi must be non-negative")
         if self.gamma <= 0:
@@ -87,6 +91,8 @@ class Geometry:
     def __post_init__(self):
         for name in ("r1", "r2", "k_laser_dir", "k_out_dir"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"{name} must be finite")
         for name in ("k_laser_dir", "k_out_dir"):
             v = getattr(self, name)
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
@@ -302,7 +308,11 @@ def rabi_phases(geom):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Matrices of the linear master equation d<Q>/dt = (A + V)<Q> + j."""
+    """Matrices of the linear master equation d<Q>/dt = (A + V)<Q> + j.
+
+    `resolvent` applies G0(z) = (z - A)^{-1} from the Schur forms of the
+    two single-atom blocks of A; every solve with A goes through it.
+    """
 
     A: np.ndarray
     V: np.ndarray
@@ -310,6 +320,7 @@ class GeneratorSet:
     cfg: DriveConfig
     geom: Geometry
     g: complex
+    resolvent: KroneckerResolvent
 
     @property
     def angular_weight(self):
@@ -331,8 +342,9 @@ def assemble(cfg, geom, g=None):
     if g is None:
         g = coupling_constant(geom.k0_r12)
     ph1, ph2 = rabi_phases(geom)
-    m_single = (np.kron(_single_atom_matrix(cfg, ph1), _I16)
-                + np.kron(_I16, _single_atom_matrix(cfg, ph2)))
+    m1 = _single_atom_matrix(cfg, ph1)
+    m2 = _single_atom_matrix(cfg, ph2)
+    m_single = np.kron(m1, _I16) + np.kron(_I16, m2)
     m_12, m_21 = _interaction_matrices(cfg, geom, g)
     m_int = m_12 + m_21
 
@@ -347,7 +359,10 @@ def assemble(cfg, geom, g=None):
     v = np.ascontiguousarray(m_int[1:, 1:])
     j = np.ascontiguousarray(m_single[1:, 0]) * TRACE_ELEMENT_VALUE
 
-    sign, logdet = np.linalg.slogdet(a)
-    if sign == 0 or not np.isfinite(logdet):
+    resolvent = KroneckerResolvent(m1, m2)
+    # singular to working precision: an eigenvalue at the rounding level of A
+    tolerance = a.shape[0] * np.finfo(float).eps * np.abs(a).max()
+    if not np.abs(resolvent.eigenvalues).min() > tolerance:
         raise ConfigurationError("single-atom generator matrix A is singular")
-    return GeneratorSet(A=a, V=v, j=j, cfg=cfg, geom=geom, g=complex(g))
+    return GeneratorSet(A=a, V=v, j=j, cfg=cfg, geom=geom, g=complex(g),
+                        resolvent=resolvent)

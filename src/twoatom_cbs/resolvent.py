@@ -1,0 +1,101 @@
+"""Uncoupled resolvent G0(z) = (z - A)^{-1} from the Kronecker structure of A.
+
+A is the 255-block (trace element removed) of the Kronecker sum
+M1 (x) 1 + 1 (x) M2 of the two 16x16 single-atom generators.  Written as a
+16x16 array X[l, m] (atom-1 index l, atom-2 index m, with the trace entry
+X[0, 0] held at zero), (z - A)x = b is the Sylvester equation
+
+    (z - M1) X - X M2^T = B
+
+with the [0, 0] equation dropped.  Row 0 of each M_a vanishes (trace
+conservation), so M_a = [[0, 0], [c_a, B_a]].  One complex Schur form per
+atom, B1 = U1 T1 U1^H and B2^T = U2 T2 U2^H, makes both factors upper
+triangular once the atom-1 trace index is moved last:
+
+    R1 = W1^H M1 W1 = [[T1, U1^H c1], [0, 0]],
+    R2 = W2^H M2^T W2 = [[0, c2^T U2], [0, T2]],
+
+and the transformed unknown W1^H X W2 keeps the trace entry, now at
+[15, 0], apart from the rest.  The triangular equation is solved column by
+column (Bartels-Stewart), each column by back substitution vectorised over
+every frequency and right-hand side.  Column 0 is the atom-1 block
+(z - B1) s = b_s, row 15 the atom-2 block (z - B2) r = b_r, and the rest
+the Sylvester block fed by both, so z = 0 needs no special case.  The
+transforms are unitary: the solve has the conditioning of z - A itself,
+also near the exceptional points of the single-atom generator where its
+eigenvectors are nearly parallel.  The diagonal denominators
+R1[i, i] + R2[k, k] are the 255 eigenvalues of A.
+"""
+
+import numpy as np
+from scipy.linalg import schur
+
+from .basis import N_SINGLE, N_TWO
+
+
+class KroneckerResolvent:
+    """(z - A)^{-1} for A = the 255-block of M1 (x) 1 + 1 (x) M2.
+
+    Built once per configuration from the two 16x16 single-atom generators;
+    `solve` then serves any z, including z = 0, for a batch of frequencies
+    and right-hand sides in one call.
+    """
+
+    def __init__(self, m1, m2):
+        n = N_SINGLE
+        t1, u1 = schur(m1[1:, 1:], output="complex")
+        t2, u2 = schur(m2[1:, 1:].T, output="complex")
+        self._w1 = np.zeros((n, n), dtype=complex)
+        self._w1[1:, :-1] = u1
+        self._w1[0, -1] = 1.0
+        self._w2 = np.zeros((n, n), dtype=complex)
+        self._w2[0, 0] = 1.0
+        self._w2[1:, 1:] = u2
+        self._r1 = np.zeros((n, n), dtype=complex)
+        self._r1[:-1, :-1] = t1
+        self._r1[:-1, -1] = u1.conj().T @ m1[1:, 0]
+        self._r2 = np.zeros((n, n), dtype=complex)
+        self._r2[1:, 1:] = t2
+        self._r2[0, 1:] = m2[1:, 0] @ u2
+        # poles[k, i] = R1[i, i] + R2[k, k], indexed like the unknown
+        self._poles = np.diag(self._r2)[:, None] + np.diag(self._r1)[None, :]
+
+    @property
+    def eigenvalues(self):
+        """The 255 eigenvalues of A: t1_i, t2_k and t1_i + t2_k."""
+        mask = np.ones(self._poles.shape, dtype=bool)
+        mask[0, -1] = False  # the trace entry
+        return self._poles[mask]
+
+    def solve(self, z, rhs):
+        """x = (z - A)^{-1} rhs.
+
+        `rhs` has shape (..., 255); `z` is a scalar or an array that
+        broadcasts against rhs.shape[:-1], so a column of frequencies
+        (nz, 1) against a stack (k, 255) solves every pair at once.  The
+        result has the broadcast batch shape plus (255,).
+        """
+        z = np.asarray(z, dtype=complex)
+        rhs = np.asarray(rhs, dtype=complex)
+        batch = np.broadcast_shapes(z.shape, rhs.shape[:-1])
+        zb = np.broadcast_to(z, batch).reshape(-1)
+        n, nb = N_SINGLE, zb.size
+        # work arrays are [k, i, batch]: column k of the unknown is contiguous
+        b = np.zeros((N_TWO, nb), dtype=complex)
+        b[1:] = np.broadcast_to(rhs, batch + rhs.shape[-1:]).reshape(nb, -1).T
+        half = self._w1.conj().T @ b.reshape(n, n, nb).transpose(1, 0, 2)
+        acc = (self._w2.T @ half.reshape(n, -1)).reshape(n, n, nb)
+
+        r1, r2 = self._r1, self._r2
+        x = np.zeros_like(acc)
+        for k in range(n):
+            if k:
+                acc[k] += (r2[:k, k] @ x[:k].reshape(k, -1)).reshape(n, nb)
+            den = zb - self._poles[k, :, None]
+            # the trace entry x[0, 15] stays zero: column 0 starts a row up
+            for i in range(n - 2 if k == 0 else n - 1, -1, -1):
+                x[k, i] = (acc[k, i] + r1[i, i + 1:] @ x[k, i + 1:]) / den[i]
+
+        half = (self._w2.conj() @ x.reshape(n, -1)).reshape(n, n, nb)
+        out = (self._w1 @ half).transpose(1, 0, 2).reshape(N_TWO, nb)
+        return out[1:].T.reshape(batch + (N_TWO - 1,))

@@ -6,9 +6,15 @@ resolvent solves at z = -i nu on a frequency grid.  The elastic component
 is a delta function at the laser frequency, carried separately as a
 weight; the inelastic densities are evaluated with a stabilized form of
 the 1/z difference term so that nu -> 0 is regular.
+
+The sweep takes the grid in fixed blocks of frequencies.  Each block is two
+batched calls of the generator set's block-Schur resolvent
+(`resolvent.KroneckerResolvent`, built once per configuration), one
+batched static solve between them, and dense products with V; nothing is
+factored per frequency.  A non-finite density fails the sweep with
+ResolventError instead of being interpolated over.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,11 +25,11 @@ from .steady_state import (
     SIGMA_21,
     IntensityBreakdown,
     PerturbativeState,
-    Propagator,
     ResolventError,
     dipole_expectations,
     intensities,
     perturbative_steady_state,
+    refined_solve,
 )
 
 # packed indices of the detected-channel dipoles: sigma_12^1 = 2 B_128,
@@ -31,6 +37,11 @@ from .steady_state import (
 _IDX_D1 = 128 - 1
 _IDX_D2 = 8 - 1
 _EXTRACT = 2.0
+# frequencies per batched solve.  Peak RSS grows with the block: the four
+# run_spectra.py regimes in one process peak at 68/72/80/146 MB for blocks
+# of 16/32/64/whole grids (a per-frequency loop: 71 MB), while blocks of 64
+# are only a fifth faster than 32 and whole grids a third
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -122,47 +133,48 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     G0(z) V G0(z) s^[1](0) + G0(z) s^[2](0) plus the stabilized source
     difference term; same-atom components give the ladder density, the
     cross-atom components (with detection phases) the crossed density,
-    both via (1/pi) Re.
+    both via (1/pi) Re.  Frequencies are taken in blocks, each solved in
+    two batched resolvent stages; a non-finite density raises
+    ResolventError.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
-    g0_static = Propagator(gen.A, 0.0)
+    g0 = gen.resolvent
     phase = gen.detection_phase
 
     corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
+    weights = np.array([corr.source_weight for corr in corrs])[:, None]
+    first = np.stack([gen.j, state.order0] + [corr.s0(1) for corr in corrs])
+    second_source = np.stack([corr.s0(2) for corr in corrs])
+
+    def v(x):
+        return np.tensordot(x, gen.V, axes=(-1, -1))
 
     ladder = np.empty_like(nu_grid)
     crossed = np.empty_like(nu_grid)
-    for i, nu in enumerate(nu_grid):
-        z = -1j * nu
-        try:
-            g0z = Propagator(gen.A, z)
-            # stabilized [G0(z) V G0(z) - G0 V G0] j / z
-            #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j
-            t1 = g0z(gen.j)
-            diff = -g0z(g0_static(gen.V @ t1)) - g0_static(gen.V @ g0z(state.order0))
-            s_tilde = []
-            for corr in corrs:
-                x = g0z(corr.s0(1))
-                y = g0z(gen.V @ x + corr.s0(2))
-                s_tilde.append(y + corr.source_weight * diff)
-        except ResolventError:
-            ladder[i] = np.nan
-            crossed[i] = np.nan
-            continue
-        s1, s2 = s_tilde
-        ladder[i] = (_EXTRACT * (s1[_IDX_D1] + s2[_IDX_D2])).real / np.pi
-        crossed[i] = (_EXTRACT * (s1[_IDX_D2] * phase
-                                  + s2[_IDX_D1] * np.conj(phase))).real / np.pi
+    for start in range(0, len(nu_grid), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        z = -1j * nu_grid[block, None]
+        # stage 1: t1 = G0(z) j, u = G0(z) u0 and x_a = G0(z) s_a^[1](0); the
+        # weak-drive densities subtract nearly equal terms built from these
+        t1_u, x = np.split(refined_solve(gen, z, first), [2], axis=1)
+        # stabilized [G0(z) V G0(z) - G0 V G0] j / z
+        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j
+        static = g0.solve(0.0, v(t1_u))
+        # stage 2: G0(z) G0 V t1 and y_a = G0(z) (V x_a + s_a^[2](0))
+        second = np.concatenate([static[:, :1], v(x) + second_source], axis=1)
+        lead, y = np.split(g0.solve(z, second), [1], axis=1)
+        # s~_a = y_a + w_a (-G0(z) G0 V t1 - G0 V u)
+        s1, s2 = np.moveaxis(y - weights * (lead + static[:, 1:]), 1, 0)
+        ladder[block] = (_EXTRACT * (s1[:, _IDX_D1] + s2[:, _IDX_D2])).real / np.pi
+        crossed[block] = (_EXTRACT * (s1[:, _IDX_D2] * phase
+                                      + s2[:, _IDX_D1] * np.conj(phase))).real / np.pi
 
-    bad = np.isnan(ladder)
+    bad = ~(np.isfinite(ladder) & np.isfinite(crossed))
     if bad.any():
-        warnings.warn(
-            f"skipped {bad.sum()} ill-conditioned grid points "
-            f"(first at nu = {nu_grid[bad][0]:.6g})",
-            stacklevel=2,
+        raise ResolventError(
+            f"non-finite spectral density at {bad.sum()} grid points "
+            f"(first at nu = {nu_grid[bad][0]:.6g})"
         )
-        ladder = np.interp(nu_grid, nu_grid[~bad], ladder[~bad])
-        crossed = np.interp(nu_grid, nu_grid[~bad], crossed[~bad])
 
     elastic = elastic_weight(state, gen)
     return SpectrumResult(

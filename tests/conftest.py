@@ -17,6 +17,14 @@ from twoatom_cbs.steady_state import intensities, perturbative_steady_state
 DEFAULT_SEPARATION = 100.0
 
 
+def shifted_tilted_geometry():
+    """Off the laser axis and not transverse to it: unequal Rabi phases and
+    all nine helicity-projector elements non-zero."""
+    r1 = np.array([0.3, -1.2, 4.7])
+    n_hat = np.array([1.0, 0.5, 0.8]) / np.linalg.norm([1.0, 0.5, 0.8])
+    return Geometry(r1=r1, r2=r1 - 40.0 * n_hat)
+
+
 @lru_cache(maxsize=None)
 def generator(rabi, detuning=0.0, k0_r12=DEFAULT_SEPARATION):
     cfg = DriveConfig(rabi=rabi, detuning=detuning)

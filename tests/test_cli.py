@@ -1,11 +1,15 @@
 """Command-line surface: config parsing, determinism, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from twoatom_cbs.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_OK,
     build_config,
@@ -126,3 +130,22 @@ class TestExitCodes:
         path = tmp_path / "bad.cfg"
         path.write_text("rabbi = 1.0\n")
         assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_non_finite_rabi(self, capsys):
+        assert main(["spectrum", "--rabi", "nan"]) == EXIT_CONFIG
+        assert "configuration error: rabi must be finite" in capsys.readouterr().err
+
+
+def test_closed_pipe_ends_without_traceback():
+    # `twoatom-cbs spectrum | head -1`: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twoatom_cbs", "spectrum", "--points", "4001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert first.startswith(b"# mode = spectrum")
+    assert stderr == ""

@@ -28,6 +28,8 @@ from twoatom_cbs.liouvillian import (
     transverse_projector,
 )
 
+from conftest import shifted_tilted_geometry
+
 unit_vectors = st.tuples(
     st.floats(-1, 1), st.floats(0, 2 * np.pi)
 ).map(lambda t: np.array([
@@ -42,15 +44,7 @@ def random_two_atom_operator(seed):
     return rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
 
 
-def _shifted_tilted_geometry():
-    # off the laser axis and not transverse to it: unequal Rabi phases and
-    # all nine helicity-projector elements non-zero
-    r1 = np.array([0.3, -1.2, 4.7])
-    n_hat = np.array([1.0, 0.5, 0.8]) / np.linalg.norm([1.0, 0.5, 0.8])
-    return Geometry(r1=r1, r2=r1 - 40.0 * n_hat)
-
-
-GEOMETRIES = (Geometry.backscattering(40.0), _shifted_tilted_geometry())
+GEOMETRIES = (Geometry.backscattering(40.0), shifted_tilted_geometry())
 
 
 def matrix_action(block, source, q):
@@ -77,6 +71,22 @@ class TestConfigs:
     def test_rejects_coincident_atoms(self):
         with pytest.raises(ConfigurationError):
             Geometry(r1=np.zeros(3), r2=np.zeros(3))
+
+    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_drive(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            DriveConfig(**{"rabi": 1.0, field: value})
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "k_laser_dir", "k_out_dir"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_geometry(self, field, value):
+        geom = Geometry.backscattering(50.0)
+        fields = {name: getattr(geom, name).copy()
+                  for name in ("r1", "r2", "k_laser_dir", "k_out_dir")}
+        fields[field][0] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            Geometry(**fields)
 
     def test_backscattering_geometry(self):
         geom = Geometry.backscattering(50.0)

@@ -1,10 +1,16 @@
 """Emission-spectrum pipeline: regression vectors, densities, sum rules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from twoatom_cbs.basis import expectation as basis_expectation
+from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.spectrum import (
+    _EXTRACT,
+    _IDX_D1,
+    _IDX_D2,
     SpectrumResult,
     check_sum_rule,
     default_nu_grid,
@@ -14,14 +20,35 @@ from twoatom_cbs.spectrum import (
     qrt_initial,
 )
 from twoatom_cbs.steady_state import (
-    Propagator,
     ResolventError,
     dipole_expectations,
     intensities,
     perturbative_steady_state,
+    resolvent_solve,
 )
 
-from conftest import generator, spectrum_at, stationary
+from conftest import generator, shifted_tilted_geometry, spectrum_at, stationary
+
+
+def dense_reference_densities(gen, state, nu_grid):
+    """Ladder and crossed densities from a per-nu loop of dense solves."""
+    corrs = (qrt_initial(1, state), qrt_initial(2, state))
+    phase = gen.detection_phase
+
+    def g0(z, rhs):
+        return resolvent_solve(gen.A, z, rhs)
+
+    ladder, crossed = [], []
+    for nu in nu_grid:
+        z = -1j * nu
+        diff = (-g0(z, g0(0.0, gen.V @ g0(z, gen.j)))
+                - g0(0.0, gen.V @ g0(z, state.order0)))
+        s1, s2 = (g0(z, gen.V @ g0(z, c.s0(1)) + c.s0(2)) + c.source_weight * diff
+                  for c in corrs)
+        ladder.append((_EXTRACT * (s1[_IDX_D1] + s2[_IDX_D2])).real / np.pi)
+        crossed.append((_EXTRACT * (s1[_IDX_D2] * phase
+                                    + s2[_IDX_D1] * np.conj(phase))).real / np.pi)
+    return np.array(ladder), np.array(crossed)
 
 
 class TestRegressionVectors:
@@ -72,16 +99,46 @@ class TestDensities:
         # [G0(z) V G0(z) - G0 V G0] j / z evaluated naively loses digits
         # as nu -> 0; the rewritten form must agree where both are sound
         gen = generator(1.0)
-        g0 = Propagator(gen.A, 0.0)
-        u0 = g0(gen.j)
-        static = g0(gen.V @ u0)
+        g0 = gen.resolvent.solve
+        u0 = g0(0.0, gen.j)
+        static = g0(0.0, gen.V @ u0)
         for nu in (1e-3, 1e-4, 1e-5, 1e-6):
             z = -1j * nu
-            g0z = Propagator(gen.A, z)
-            naive = (g0z(gen.V @ g0z(gen.j)) - static) / z
-            stabilized = -g0z(g0(gen.V @ g0z(gen.j))) - g0(gen.V @ g0z(u0))
+            naive = (g0(z, gen.V @ g0(z, gen.j)) - static) / z
+            stabilized = -g0(z, g0(0.0, gen.V @ g0(z, gen.j))) - g0(0.0, gen.V @ g0(z, u0))
             scale = np.linalg.norm(stabilized)
             assert np.linalg.norm(naive - stabilized) / scale < 1e-6
+
+    @pytest.mark.parametrize("rabi, detuning, geom", [
+        (0.1, 5.0, Geometry.backscattering(100.0)),
+        (1.3, 0.7, shifted_tilted_geometry()),
+        (20.0, 20.0, Geometry.backscattering(100.0)),
+    ])
+    def test_batched_sweep_matches_dense_per_nu_loop(self, rabi, detuning, geom):
+        # 41 points, nu = 0 included; the weak detuned drive subtracts the
+        # most nearly equal terms of the three
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        state = perturbative_steady_state(gen)
+        grid = default_nu_grid(gen.cfg, points=41)
+        assert 0.0 in grid
+        spec = inelastic_spectrum(gen, state, qrt_initial(1, state),
+                                  qrt_initial(2, state), grid)
+        ladder, crossed = dense_reference_densities(gen, state, grid)
+        peak = np.abs(ladder).max()
+        assert np.abs(spec.ladder_density - ladder).max() <= 1e-12 * peak
+        assert np.abs(spec.crossed_density - crossed).max() <= 1e-12 * peak
+
+    def test_non_finite_density_raises(self):
+        # a broken input must fail the run, not be interpolated over
+        gen = generator(1.0)
+        state = perturbative_steady_state(gen)
+        j = gen.j.copy()
+        j[0] = np.nan
+        broken = replace(gen, j=j)
+        grid = np.linspace(-5.0, 5.0, 11)
+        with pytest.raises(ResolventError, match="11 grid points .* nu = -5"):
+            inelastic_spectrum(broken, state, qrt_initial(1, state),
+                               qrt_initial(2, state), grid)
 
 
 class TestSumRules:
@@ -92,8 +149,6 @@ class TestSumRules:
 
     def test_violated_sum_rule_raises(self, weak_point):
         _, spec, ib = weak_point
-        from dataclasses import replace
-
         broken = replace(spec, ladder_density=2 * spec.ladder_density)
         with pytest.raises(ResolventError):
             check_sum_rule(broken, ib)
@@ -122,8 +177,6 @@ class TestNormalization:
         assert norm.normalized
 
     def test_normalization_requires_positive_ladder(self, weak_point):
-        from dataclasses import replace
-
         _, spec, ib = weak_point
         bad = replace(ib, L_inel=-1.0)
         with pytest.raises(ValueError):

@@ -9,14 +9,13 @@ from twoatom_cbs.basis import expectation, sigma
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
-    Propagator,
     intensities,
     nonperturbative_steady_state,
     perturbative_steady_state,
     resolvent_solve,
 )
 
-from conftest import generator, stationary
+from conftest import generator, shifted_tilted_geometry, stationary
 
 
 class TestResolvent:
@@ -35,13 +34,38 @@ class TestResolvent:
         gen = generator(1.0)
         z = -0.7j
         rhs = gen.j
-        assert np.allclose(Propagator(gen.A, z)(rhs),
+        assert np.allclose(gen.resolvent.solve(z, rhs),
                            resolvent_solve(gen.A, z, rhs), atol=1e-10)
 
     def test_g0_at_zero_is_minus_a_inverse(self):
         gen = generator(2.0)
-        x = Propagator(gen.A, 0.0)(gen.j)
+        x = gen.resolvent.solve(0.0, gen.j)
         assert np.allclose(gen.A @ x, -gen.j, atol=1e-12)
+
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
+                                      shifted_tilted_geometry()])
+    def test_batched_resolvent_matches_dense_solve(self, rabi, geom):
+        # one call solves every (z, right-hand side) pair; Omega = 0.5 and
+        # 1.0 sit near exceptional points of the single-atom generator
+        gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
+        zs = np.array([0.0, -1e-6j, -1e-3j, -0.7j, 5j, -300j])
+        rng = np.random.default_rng(3)
+        rhs = np.stack([gen.j, gen.V @ gen.j,
+                        rng.normal(size=255) + 1j * rng.normal(size=255)])
+        got = gen.resolvent.solve(zs[:, None], rhs)
+        assert got.shape == (len(zs), len(rhs), 255)
+        for z, x in zip(zs, got):
+            want = resolvent_solve(gen.A, z, rhs.T).T
+            assert np.allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_resolvent_eigenvalues_are_those_of_a(self):
+        gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
+        eigs = gen.resolvent.eigenvalues
+        dense = np.linalg.eigvals(gen.A)
+        assert eigs.shape == dense.shape
+        assert max(np.abs(dense - e).min() for e in eigs) < 1e-10
+        assert max(np.abs(eigs - e).min() for e in dense) < 1e-10
 
 
 class TestPerturbativeExpansion:
