@@ -16,7 +16,7 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 POINTS = [
     # (rabi, detuning, nu_max, grid points)
     (0.1, 0.0, 10.0, 801),
-    (0.1, 5.0, 15.0, 801),
+    (0.1, 5.0, 25.0, 1001),
     (20.0, 20.0, 85.0, 1601),
     (100.0, 0.0, 510.0, 4001),
 ]

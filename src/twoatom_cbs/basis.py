@@ -83,7 +83,9 @@ def expand_two_atom_operator(op):
     op = np.asarray(op, dtype=complex)
     if op.shape != (N_SINGLE, N_SINGLE):
         raise ValueError(f"expected a 16x16 operator, got shape {op.shape}")
-    return two_atom_basis_flat().conj() @ op.ravel()
+    # conj(B) @ v == conj(B @ conj(v)): conjugate the 256-vector, not a
+    # fresh copy of the cached 256x256 basis on every call
+    return (two_atom_basis_flat() @ op.ravel().conj()).conj()
 
 
 def reconstruct_two_atom_operator(coeffs):

@@ -20,6 +20,7 @@ and the backscattered channel with flipped helicity comes from |1> <-> |2>.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ _DIPOLE_COMPONENTS = {
     0: sigma(1, 3),
     1: -sigma(1, 4),
 }
+_EXCITED = sigma(2, 2) + sigma(3, 3) + sigma(4, 4)
 
 FAR_FIELD_WARN_THRESHOLD = 0.1
 
@@ -188,7 +190,6 @@ def _embed(op, atom):
 
 def _single_atom_operators(cfg, rabi_phase):
     """Excited projector, drive Hamiltonian term, dipole components (4x4)."""
-    excited = sigma(2, 2) + sigma(3, 3) + sigma(4, 4)
     eps_l = _HELICITY_VECS[cfg.laser_polarization]
     omega_a = cfg.rabi * rabi_phase
     drive = np.zeros((4, 4), dtype=complex)
@@ -196,7 +197,7 @@ def _single_atom_operators(cfg, rabi_phase):
         d_q = _DIPOLE_COMPONENTS[q]
         drive += omega_a * (_HELICITY_VECS[q].conj() @ eps_l) * d_q.conj().T
         drive += np.conj(omega_a) * (_HELICITY_VECS[q] @ eps_l.conj()) * d_q
-    return excited, drive
+    return _EXCITED, drive
 
 
 def apply_single_atom_generator(cfg, Q, atom, rabi_phase=1.0):
@@ -247,25 +248,36 @@ def apply_interaction_generator(cfg, geom, g, Q, alpha, beta):
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _single_atom_matrix(cfg, rabi_phase):
-    """16x16 coefficient matrix of one atom's generator on the single-atom basis.
-
-    -i delta (L_E - R_E) - (i/2)(L_H - R_H)
-    + gamma sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
-    the table form of apply_single_atom_generator.
-    """
-    excited, drive = _single_atom_operators(cfg, rabi_phase)
-    l_e, r_e = single_atom_tables(excited)
-    l_h, r_h = single_atom_tables(drive)
-    m = -1j * cfg.detuning * (l_e - r_e) - 0.5j * (l_h - r_h)
+@lru_cache(maxsize=1)
+def _drive_independent_tables():
+    """L_E - R_E and sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q})."""
+    l_e, r_e = single_atom_tables(_EXCITED)
+    dissipator = np.zeros((N_SINGLE, N_SINGLE), dtype=complex)
     for q in HELICITY:
         d = _DIPOLE_COMPONENTS[q]
         dd = d.conj().T
         l_dd, _ = single_atom_tables(dd)
         _, r_d = single_atom_tables(d)
         l_n, r_n = single_atom_tables(dd @ d)
-        m += cfg.gamma * (2.0 * l_dd @ r_d - l_n - r_n)
-    return m
+        dissipator += 2.0 * l_dd @ r_d - l_n - r_n
+    tables = (l_e - r_e, dissipator)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _single_atom_matrix(cfg, rabi_phase):
+    """16x16 coefficient matrix of one atom's generator on the single-atom basis.
+
+    -i delta (L_E - R_E) - (i/2)(L_H - R_H)
+    + gamma sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
+    the table form of apply_single_atom_generator.  Only the drive term
+    L_H - R_H depends on (Omega, phase); the other two tables are cached.
+    """
+    _, drive = _single_atom_operators(cfg, rabi_phase)
+    l_h, r_h = single_atom_tables(drive)
+    excited, dissipator = _drive_independent_tables()
+    return -1j * cfg.detuning * excited - 0.5j * (l_h - r_h) + cfg.gamma * dissipator
 
 
 def _interaction_matrices(cfg, geom, g):

@@ -25,7 +25,18 @@ transforms are unitary: the solve has the conditioning of z - A itself,
 also near the exceptional points of the single-atom generator where its
 eigenvectors are nearly parallel.  The diagonal denominators
 R1[i, i] + R2[k, k] are the 255 eigenvalues of A.
+
+The static resolvent G0(0) is one fixed operator per configuration: the
+steady state applies it six times (three orders, each refined once) and
+the spectrum sweep once per block of frequencies.  Its column blocks
+S_k = (-R2[k, k] - R1)^{-1} are therefore inverted once, all 16 in one
+vectorised back substitution on first use, and a scalar z = 0 solves each
+column with one product S_k acc_k instead of a back substitution.  The
+sweep's z differ per element, so nothing would be reused there: an array
+of z always takes the back substitution.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -38,7 +49,8 @@ class KroneckerResolvent:
 
     Built once per configuration from the two 16x16 single-atom generators;
     `solve` then serves any z, including z = 0, for a batch of frequencies
-    and right-hand sides in one call.
+    and right-hand sides in one call.  A scalar z = 0 goes through the
+    cached static inverses.
     """
 
     def __init__(self, m1, m2):
@@ -59,6 +71,28 @@ class KroneckerResolvent:
         self._r2[0, 1:] = m2[1:, 0] @ u2
         # poles[k, i] = R1[i, i] + R2[k, k], indexed like the unknown
         self._poles = np.diag(self._r2)[:, None] + np.diag(self._r1)[None, :]
+
+    @cached_property
+    def _static_inverses(self):
+        """S[k] = (-R2[k, k] - R1)^{-1}, the column blocks of G0(0).
+
+        All 16 upper-triangular inverses come from one back substitution,
+        vectorised over the columns k and the 16 unit right-hand sides.
+        Column 0 inverts the 15x15 block above the trace entry: its row and
+        column 15 stay zero (zero right-hand side, unit denominator).
+        Built on first use, so `assemble` rejects a singular A before any
+        division.
+        """
+        n = N_SINGLE
+        r1 = self._r1
+        den = -self._poles
+        den[0, -1] = 1.0
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (n, n, n)).copy()
+        eye[0, -1, -1] = 0.0
+        s = np.zeros((n, n, n), dtype=complex)  # [k, i, column]
+        for i in range(n - 1, -1, -1):
+            s[:, i] = (eye[:, i] + r1[i, i + 1:] @ s[:, i + 1:]) / den[:, i, None]
+        return s
 
     @property
     def eigenvalues(self):
@@ -87,10 +121,14 @@ class KroneckerResolvent:
         acc = (self._w2.T @ half.reshape(n, -1)).reshape(n, n, nb)
 
         r1, r2 = self._r1, self._r2
+        static = self._static_inverses if z.ndim == 0 and z == 0 else None
         x = np.zeros_like(acc)
         for k in range(n):
             if k:
                 acc[k] += (r2[:k, k] @ x[:k].reshape(k, -1)).reshape(n, nb)
+            if static is not None:
+                x[k] = static[k] @ acc[k]
+                continue
             den = zb - self._poles[k, :, None]
             # the trace entry x[0, 15] stays zero: column 0 starts a row up
             for i in range(n - 2 if k == 0 else n - 1, -1, -1):

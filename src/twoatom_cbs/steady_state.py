@@ -6,7 +6,10 @@ g^0, g^1, g^2), and the order-2 terms carry the double-scattering ladder
 and crossed intensities.  The static solves G0(0) go through the
 generator set's block-Schur resolvent (`resolvent.KroneckerResolvent`),
 built once per configuration in `assemble`, with one step of iterative
-refinement, so A is never factored as a dense 255x255 matrix.
+refinement, so A is never factored as a dense 255x255 matrix.  All six of
+those solves share z = 0, so the resolvent inverts its 16 triangular
+column blocks once and applies them as products; the spectrum sweep's
+solves at z = -i nu differ per frequency and keep the back substitution.
 `resolvent_solve` and `nonperturbative_steady_state` are dense solves kept
 as references for the tests.
 """

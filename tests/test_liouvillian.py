@@ -1,5 +1,7 @@
 """Generator construction: geometry, coupling, and matrix-vs-direct validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,16 @@ class TestConfigs:
         fields[field][0] = value
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             Geometry(**fields)
+
+    @pytest.mark.parametrize("gamma", [1e-20, float(np.nextafter(0.0, 1.0))])
+    def test_rejects_singular_generator(self, gamma):
+        # a vanishing decay rate puts eigenvalues of A at the rounding level;
+        # the check must fire before anything divides by them (at the
+        # smallest subnormal rate that division overflows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="singular"):
+                assemble(DriveConfig(rabi=1.0, gamma=gamma), Geometry.backscattering(50.0))
 
     def test_backscattering_geometry(self):
         geom = Geometry.backscattering(50.0)

@@ -1,5 +1,7 @@
 """Emission-spectrum pipeline: regression vectors, densities, sum rules."""
 
+import importlib.util
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from twoatom_cbs.spectrum import (
     _IDX_D2,
     SpectrumResult,
     check_sum_rule,
+    compute_spectrum,
     default_nu_grid,
     elastic_weight,
     inelastic_spectrum,
@@ -146,6 +149,19 @@ class TestSumRules:
         _, spec, ib = weak_point
         report = check_sum_rule(spec, ib, tolerance=1e-3)
         assert report.ladder_error < 1e-4
+
+    def test_run_spectra_detuned_grid_closes_the_sum_rule(self):
+        # the weak detuned point of scripts/run_spectra.py needs a grid as
+        # wide as default_nu_grid's (+-22.5) to close the ladder sum rule
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_spectra.py"
+        module_spec = importlib.util.spec_from_file_location("run_spectra", script)
+        run_spectra = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(run_spectra)
+        (nu_max, points), = [(nu_max, points) for rabi, detuning, nu_max, points
+                             in run_spectra.POINTS if (rabi, detuning) == (0.1, 5.0)]
+        spec, ib = compute_spectrum(generator(0.1, 5.0),
+                                    nu_grid=np.linspace(-nu_max, nu_max, points))
+        check_sum_rule(spec, ib, tolerance=1e-3)
 
     def test_violated_sum_rule_raises(self, weak_point):
         _, spec, ib = weak_point

@@ -59,6 +59,23 @@ class TestResolvent:
             want = resolvent_solve(gen.A, z, rhs.T).T
             assert np.allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
+                                      shifted_tilted_geometry()])
+    @pytest.mark.parametrize("count", [1, 64])
+    def test_static_resolvent_matches_dense_solve(self, rabi, geom, count):
+        # a scalar z = 0 solves through the cached inverses of the column
+        # blocks, not the back substitution that serves arrays of z
+        gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
+        rng = np.random.default_rng(5)
+        rhs = gen.j if count == 1 else np.stack(
+            [gen.j, gen.V @ gen.j]
+            + [rng.normal(size=255) + 1j * rng.normal(size=255) for _ in range(count - 2)])
+        got = gen.resolvent.solve(0.0, rhs)
+        want = resolvent_solve(gen.A, 0.0, rhs.T).T
+        assert got.shape == rhs.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_resolvent_eigenvalues_are_those_of_a(self):
         gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
         eigs = gen.resolvent.eigenvalues
