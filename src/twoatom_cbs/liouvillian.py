@@ -105,6 +105,9 @@ class Geometry:
     @classmethod
     def backscattering(cls, k0_r12, separation_dir=(1.0, 0.0, 0.0)):
         """Atoms separated by k0_r12 transverse to the laser, detection at theta=0."""
+        if k0_r12 <= 0:
+            # a negative separation would silently flip separation_dir
+            raise ConfigurationError("k0_r12 must be positive")
         d = np.asarray(separation_dir, dtype=float)
         d = d / np.linalg.norm(d)
         return cls(r1=np.zeros(3), r2=-k0_r12 * d)

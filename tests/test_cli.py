@@ -1,23 +1,42 @@
 """Command-line surface: config parsing, determinism, output formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from twoatom_cbs.cli import (
+    _MODES,
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     build_config,
+    build_parser,
     main,
     read_config_file,
     read_output_header,
 )
 from twoatom_cbs.liouvillian import ConfigurationError
+
+#: per mode, small inputs with a non-default value for every key it echoes
+NON_DEFAULT_ARGS = {
+    "spectrum": ["--rabi", "0.15", "--detuning", "0.3", "--k0-r12", "80",
+                 "--nu-min", "-12", "--nu-max", "12", "--points", "121", "--normalize",
+                 "--seed", "3"],
+    "intensity-sweep": ["--detuning", "2", "--k0-r12", "80", "--sweep-min", "0.5",
+                        "--sweep-max", "3", "--sweep-points", "3",
+                        "--sweep-scale", "linear", "--seed", "4"],
+    "compare-oracles": ["--k0-r12", "80", "--s-values", "0.5,2", "--seed", "5"],
+    "cone": ["--rabi", "0.5", "--detuning", "1", "--k0-r12", "80", "--k-ell", "50",
+             "--theta-max", "0.01", "--theta-points", "5", "--mc-samples", "100",
+             "--seed", "6"],
+}
 
 
 class TestConfigParsing:
@@ -57,8 +76,8 @@ class TestRuns:
         return code, out
 
     def test_spectrum_deterministic_bytes(self, capsys):
-        argv = ["spectrum", "--rabi", "0.1", "--points", "21",
-                "--nu-min", "-3", "--nu-max", "3"]
+        argv = ["spectrum", "--rabi", "0.1", "--points", "81",
+                "--nu-min", "-10", "--nu-max", "10"]
         code_a, out_a = self.run(argv, capsys)
         code_b, out_b = self.run(argv, capsys)
         assert code_a == code_b == EXIT_OK
@@ -66,8 +85,8 @@ class TestRuns:
         assert out_a.startswith("# mode = spectrum")
 
     def test_json_mirrors_csv(self, capsys):
-        base = ["spectrum", "--rabi", "0.2", "--points", "11",
-                "--nu-min", "-2", "--nu-max", "2"]
+        base = ["spectrum", "--rabi", "0.2", "--points", "81",
+                "--nu-min", "-10", "--nu-max", "10"]
         _, csv_out = self.run(base, capsys)
         _, json_out = self.run(base + ["--format", "json"], capsys)
         doc = json.loads(json_out)
@@ -77,18 +96,36 @@ class TestRuns:
         first_csv = [float(tok) for tok in data_lines[1].split(",")]
         assert np.allclose(doc["rows"][0], first_csv)
 
-    def test_reproducible_from_own_header(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", list(NON_DEFAULT_ARGS))
+    def test_reproducible_from_own_header(self, mode, tmp_path, capsys):
+        headers = []
+        for name, args in (("default", []), ("set", NON_DEFAULT_ARGS[mode])):
+            out_path = tmp_path / f"{name}.csv"
+            assert main([mode, *args, "--output", str(out_path)]) == EXIT_OK
+            header = read_output_header(out_path)
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in header.items()))
+            replay_path = tmp_path / f"{name}-replay.csv"
+            assert main([mode, "--config", str(cfg_path),
+                         "--output", str(replay_path)]) == EXIT_OK
+            assert out_path.read_bytes() == replay_path.read_bytes()
+            headers.append(header)
+        default, changed = headers
+        echoed = set(changed) - {"mode", "version", *_MODES[mode].results}
+        assert all(default[k] != changed[k] for k in echoed)
+
+    @pytest.mark.parametrize("mode", list(NON_DEFAULT_ARGS))
+    def test_flags_are_the_echoed_keys(self, mode, tmp_path):
         out_path = tmp_path / "a.csv"
-        argv = ["spectrum", "--rabi", "0.15", "--points", "11", "--nu-min", "-2",
-                "--nu-max", "2", "--output", str(out_path)]
-        assert main(argv) == EXIT_OK
+        assert main([mode, *NON_DEFAULT_ARGS[mode], "--output", str(out_path)]) == EXIT_OK
         header = read_output_header(out_path)
-        cfg_path = tmp_path / "replay.cfg"
-        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in header.items()))
-        replay_path = tmp_path / "b.csv"
-        assert main(["spectrum", "--config", str(cfg_path),
-                     "--output", str(replay_path)]) == EXIT_OK
-        assert out_path.read_bytes() == replay_path.read_bytes()
+        echoed = set(header) - {"mode", "version", *_MODES[mode].results}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for action in subparsers.choices[mode]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        expected = echoed | {"format", "output", "config"}
+        assert flags == {"--" + key.replace("_", "-") for key in expected}
 
     def test_intensity_sweep_columns(self, capsys):
         code, out = self.run(["intensity-sweep", "--sweep-min", "1",
@@ -114,6 +151,12 @@ class TestRuns:
         contrast = [float(r.split(",")[1]) for r in rows]
         assert contrast == sorted(contrast, reverse=True)
 
+    def test_cone_default_inside_validity_range(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = self.run(["cone"], capsys)
+        assert code == EXIT_OK
+
 
 class TestExitCodes:
     def test_invalid_grid(self, capsys):
@@ -134,6 +177,50 @@ class TestExitCodes:
     def test_non_finite_rabi(self, capsys):
         assert main(["spectrum", "--rabi", "nan"]) == EXIT_CONFIG
         assert "configuration error: rabi must be finite" in capsys.readouterr().err
+
+    def test_open_sum_rule(self, capsys):
+        # the grid cuts off the Omega = 100 sidebands: 17% of L_inel integrates
+        argv = ["spectrum", "--rabi", "100", "--nu-min", "-10", "--nu-max", "10",
+                "--points", "101"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "numerical failure: sum rule violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--points", "abc"], "invalid int value: 'abc'"),
+        (["compare-oracles", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
+        (["intensity-sweep", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
+        (["compare-oracles", "--detuning", "3"], "unrecognized arguments: --detuning 3"),
+    ])
+    def test_usage_error(self, argv, message, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["spectrum", "--help"]])
+    def test_help_and_version(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["rabi = fast", "points = 2.5", "normalize = 1"])
+    def test_malformed_file_value(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        assert "is not a valid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--k0-r12", "-100"],
+        ["cone", "--k0-r12", "0"],
+        ["cone", "--mc-samples", "-5"],
+    ])
+    def test_out_of_range(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_unwritable_output(self, capsys):
+        argv = ["compare-oracles", "--s-values", "1", "--output", "/nonexistent/x.csv"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
 
 
 def test_closed_pipe_ends_without_traceback():

@@ -74,6 +74,11 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             Geometry(r1=np.zeros(3), r2=np.zeros(3))
 
+    @pytest.mark.parametrize("k0_r12", [-100.0, 0.0])
+    def test_backscattering_rejects_nonpositive_separation(self, k0_r12):
+        with pytest.raises(ConfigurationError, match="k0_r12 must be positive"):
+            Geometry.backscattering(k0_r12)
+
     @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_drive(self, field, value):
