@@ -46,22 +46,6 @@ def single_atom_basis():
     return np.array(ops)
 
 
-def pack_index(l, m):
-    """Packed two-atom index n = 16*l + m; (0, 0) is the excluded trace element."""
-    if not (0 <= l < N_SINGLE and 0 <= m < N_SINGLE):
-        raise ValueError(f"single-atom indices out of range: ({l}, {m})")
-    if l == 0 and m == 0:
-        raise ValueError("(0, 0) is the excluded trace element")
-    return N_SINGLE * l + m
-
-
-def unpack_index(n):
-    """Inverse of pack_index."""
-    if not (1 <= n < N_TWO):
-        raise ValueError(f"packed index out of range: {n}")
-    return divmod(n, N_SINGLE)
-
-
 @lru_cache(maxsize=1)
 def two_atom_basis_flat():
     """(256, 256) array whose row n is (q_l (x) q_m).ravel(), n = 16*l + m."""
@@ -109,12 +93,6 @@ def expectation(op, state, order=None):
     return val
 
 
-def _coefficient_table(products, basis):
-    """T[n, m] = Tr(b_m^dag products[n]) on a trace-orthonormal basis b."""
-    n = len(basis)
-    return products.reshape(n, -1) @ basis.reshape(n, -1).conj().T
-
-
 def single_atom_tables(op):
     """Left and right multiplication tables of a 4x4 operator.
 
@@ -124,15 +102,5 @@ def single_atom_tables(op):
     """
     q = single_atom_basis()
     op = np.asarray(op, dtype=complex)
-    return _coefficient_table(op @ q, q), _coefficient_table(q @ op, q)
-
-
-def left_multiplication_table(op):
-    """Coefficient table T of left multiplication by a 16x16 operator.
-
-    op @ B_n = sum_m T[n, m] B_m for every two-atom basis operator B_n.
-    Used to turn quantum-regression initial conditions into rearrangements
-    of the stationary state.
-    """
-    basis = two_atom_basis_flat().reshape(N_TWO, N_SINGLE, N_SINGLE)
-    return _coefficient_table(np.asarray(op, dtype=complex) @ basis, basis)
+    dual = q.reshape(N_SINGLE, -1).conj().T
+    return (op @ q).reshape(N_SINGLE, -1) @ dual, (q @ op).reshape(N_SINGLE, -1) @ dual

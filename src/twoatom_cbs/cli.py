@@ -8,8 +8,9 @@ from them. A mode accepts exactly the parameters its header echoes, plus
 `compare-oracles` neither `--rabi` nor `--detuning`. Configuration comes
 from an optional flat key=value file plus flag overrides; unknown keys and
 mistyped values are rejected. Output is CSV (with a '#'-prefixed header
-that is a valid config file) or JSON, deterministic byte for byte under a
-fixed configuration and seed.
+that is a valid config file, its floats written exactly so that a replay
+reads the same values) or JSON, deterministic byte for byte under a fixed
+configuration and seed.
 
 Exit codes: 0 success, 1 invalid configuration (including usage errors and
 an unwritable output path), 2 numerical failure (including a spectrum
@@ -53,7 +54,7 @@ class FloatList(tuple):
         return super().__new__(cls, (float(tok) for tok in str(raw).split(",") if tok.strip()))
 
     def __str__(self):
-        return ",".join(_fmt(x) for x in self)
+        return ",".join(repr(x) for x in self)
 
 
 class _Param(NamedTuple):
@@ -111,9 +112,13 @@ def _coerce(key, value):
 
 
 def _echo(value):
-    """A configuration value or result as written to the output header."""
+    """A configuration value or result as written to the output header.
+
+    Floats keep every digit they need to replay exactly (rows keep `_fmt`);
+    float() first, as numpy 2 writes repr(np.float64) as `np.float64(...)`.
+    """
     if isinstance(value, float):
-        return _fmt(value)
+        return repr(float(value))
     return str(value) if isinstance(value, FloatList) else value
 
 

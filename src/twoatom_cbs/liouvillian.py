@@ -7,9 +7,11 @@ coupling (first order in the complex coupling g), and j the inhomogeneity
 produced by the constant trace element.
 
 Both are built on the 16-element single-atom basis: A is the Kronecker sum
-A1 (x) 1 + 1 (x) A2 of the two 16x16 single-atom generators, and V is a
+M1 (x) 1 + 1 (x) M2 of the two 16x16 single-atom generators, and V is a
 P_ij-weighted sum of Kronecker products of single-atom multiplication
-tables.  The direct operator actions apply_*_generator are the independent
+tables.  A is kept only as its two factors (in the resolvent); V stays
+dense, as a product through its 24 factor pairs costs about 3x the dense
+one.  The direct operator actions apply_*_generator are the independent
 references the matrices are tested against.
 
 Frequencies are in units of gamma (half the spontaneous decay rate),
@@ -68,8 +70,9 @@ class DriveConfig:
         for name in ("rabi", "detuning", "gamma"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
-        if self.rabi < 0:
-            raise ConfigurationError("rabi must be non-negative")
+        # an undriven pair scatters nothing: every intensity vanishes
+        if self.rabi <= 0:
+            raise ConfigurationError("rabi must be positive")
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be positive")
         if self.laser_polarization != 1:
@@ -283,15 +286,16 @@ def _single_atom_matrix(cfg, rabi_phase):
     return -1j * cfg.detuning * excited - 0.5j * (l_h - r_h) + cfg.gamma * dissipator
 
 
-def _interaction_matrices(cfg, geom, g):
-    """256x256 coefficient matrices of L_12 and L_21.
+def _interaction_matrix(cfg, geom, g):
+    """256x256 coefficient matrix of L_12 + L_21.
 
     The table form of apply_interaction_generator, contracted over one
     helicity index: with w = gamma P, Y_k = sum_j w_kj d_j and
     Z_k = sum_i w_ik d_i^dag,
     L_12 = sum_k g L_{d_k^dag} (x) (R_{Y_k} - L_{Y_k})
            + g^* R_{d_k} (x) (L_{Z_k} - R_{Z_k}),
-    and L_21 is the same sum with the two Kronecker factors swapped.
+    and L_21 is the same sum with the two Kronecker factors swapped, so
+    both come from one sum over the concatenated factor lists.
     """
     w = cfg.gamma * helicity_projector(geom.n_hat)
     dips = np.array([_DIPOLE_COMPONENTS[q] for q in HELICITY])
@@ -304,15 +308,11 @@ def _interaction_matrices(cfg, geom, g):
         l_z, r_z = single_atom_tables(z)
         first += [single_atom_tables(d_dag)[0], single_atom_tables(d)[1]]
         second += [g * (r_y - l_y), np.conj(g) * (l_z - r_z)]
-    first = np.reshape(first, (len(first), -1))
-    second = np.reshape(second, (len(second), -1))
-
-    def kron_sum(a, b):
-        # sum_k a_k (x) b_k as one product: [i, j, k, l] -> [(i, k), (j, l)]
-        n = N_SINGLE
-        return (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(N_TWO, N_TWO)
-
-    return kron_sum(first, second), kron_sum(second, first)
+    # sum_k a_k (x) b_k as one product: [i, j, k, l] -> [(i, k), (j, l)]
+    a = np.reshape(first + second, (-1, N_TWO))
+    b = np.reshape(second + first, (-1, N_TWO))
+    n = N_SINGLE
+    return (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(N_TWO, N_TWO)
 
 
 def rabi_phases(geom):
@@ -326,16 +326,22 @@ class GeneratorSet:
     """Matrices of the linear master equation d<Q>/dt = (A + V)<Q> + j.
 
     `resolvent` applies G0(z) = (z - A)^{-1} from the Schur forms of the
-    two single-atom blocks of A; every solve with A goes through it.
+    two single-atom blocks of A, and A itself from its Kronecker factors;
+    every solve and product with A goes through it.
     """
 
-    A: np.ndarray
     V: np.ndarray
     j: np.ndarray
     cfg: DriveConfig
     geom: Geometry
     g: complex
     resolvent: KroneckerResolvent
+
+    @property
+    def A(self):
+        """Dense 255x255 A, formed on each access for dense reference solves."""
+        m1, m2 = self.resolvent.m1, self.resolvent.m2
+        return (np.kron(m1, _I16) + np.kron(_I16, m2))[1:, 1:]
 
     @property
     def angular_weight(self):
@@ -359,25 +365,23 @@ def assemble(cfg, geom, g=None):
     ph1, ph2 = rabi_phases(geom)
     m1 = _single_atom_matrix(cfg, ph1)
     m2 = _single_atom_matrix(cfg, ph2)
-    m_single = np.kron(m1, _I16) + np.kron(_I16, m2)
-    m_12, m_21 = _interaction_matrices(cfg, geom, g)
-    m_int = m_12 + m_21
+    m_int = _interaction_matrix(cfg, geom, g)
 
     # identity must be stationary under both generators
-    if max(np.abs(m_single[0]).max(), np.abs(m_int[0]).max()) > 1e-12:
+    if max(np.abs(m[0]).max() for m in (m1, m2, m_int)) > 1e-12:
         raise ConfigurationError("generator does not leave the identity invariant")
     # the interaction has no inhomogeneous part
     if np.abs(m_int[1:, 0]).max() > 1e-12 * max(1.0, np.abs(m_int).max()):
         raise ConfigurationError("interaction generator produced a trace-element source")
 
-    a = np.ascontiguousarray(m_single[1:, 1:])
+    # column 0 (the trace element) of M1 (x) 1 + 1 (x) M2
+    j = (np.kron(m1[:, 0], _I16[0]) + np.kron(_I16[0], m2[:, 0]))[1:] * TRACE_ELEMENT_VALUE
     v = np.ascontiguousarray(m_int[1:, 1:])
-    j = np.ascontiguousarray(m_single[1:, 0]) * TRACE_ELEMENT_VALUE
 
     resolvent = KroneckerResolvent(m1, m2)
-    # singular to working precision: an eigenvalue at the rounding level of A
-    tolerance = a.shape[0] * np.finfo(float).eps * np.abs(a).max()
-    if not np.abs(resolvent.eigenvalues).min() > tolerance:
+    # singular to working precision: an eigenvalue at the rounding level of
+    # A, whose largest entry is at most max|M1| + max|M2|
+    scale = np.abs(m1).max() + np.abs(m2).max()
+    if not np.abs(resolvent.eigenvalues).min() > (N_TWO - 1) * np.finfo(float).eps * scale:
         raise ConfigurationError("single-atom generator matrix A is singular")
-    return GeneratorSet(A=a, V=v, j=j, cfg=cfg, geom=geom, g=complex(g),
-                        resolvent=resolvent)
+    return GeneratorSet(V=v, j=j, cfg=cfg, geom=geom, g=complex(g), resolvent=resolvent)

@@ -34,6 +34,8 @@ vectorised back substitution on first use, and a scalar z = 0 solves each
 column with one product S_k acc_k instead of a back substitution.  The
 sweep's z differ per element, so nothing would be reused there: an array
 of z always takes the back substitution.
+`matvec` forms A x as M1 X + X M2^T on the same 16x16 arrays: M1 and M2
+are the only copy of A a configuration keeps.
 """
 
 from functools import cached_property
@@ -55,6 +57,7 @@ class KroneckerResolvent:
 
     def __init__(self, m1, m2):
         n = N_SINGLE
+        self.m1, self.m2 = m1, m2
         t1, u1 = schur(m1[1:, 1:], output="complex")
         t2, u2 = schur(m2[1:, 1:].T, output="complex")
         self._w1 = np.zeros((n, n), dtype=complex)
@@ -100,6 +103,15 @@ class KroneckerResolvent:
         mask = np.ones(self._poles.shape, dtype=bool)
         mask[0, -1] = False  # the trace entry
         return self._poles[mask]
+
+    def matvec(self, x):
+        """A x for `x` of shape (..., 255): M1 X + X M2^T with X[0, 0] = 0."""
+        x = np.asarray(x, dtype=complex)
+        full = np.zeros(x.shape[:-1] + (N_TWO,), dtype=complex)
+        full[..., 1:] = x
+        big = full.reshape(x.shape[:-1] + (N_SINGLE, N_SINGLE))
+        y = self.m1 @ big + big @ self.m2.T
+        return y.reshape(full.shape)[..., 1:]
 
     def solve(self, z, rhs):
         """x = (z - A)^{-1} rhs.

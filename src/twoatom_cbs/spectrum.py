@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import TRACE_ELEMENT_VALUE, left_multiplication_table
+from .basis import N_SINGLE, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
 from .liouvillian import GeneratorSet
 from .steady_state import (
-    SIGMA_21,
     IntensityBreakdown,
     PerturbativeState,
     ResolventError,
@@ -63,9 +62,12 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
 
     Each component <sigma_21^alpha B_n>_ss is obtained by expanding the
     operator product sigma_21^alpha B_n in the basis and reading the
-    result off the stationary state, order by order in g.
+    result off the stationary state, order by order in g.  The expansion
+    table is L (x) 1 (atom 1) or 1 (x) L (atom 2), L that of sigma_21.
     """
-    table = left_multiplication_table(SIGMA_21[atom - 1])
+    l_sigma, _ = single_atom_tables(sigma(2, 1))
+    eye = np.eye(N_SINGLE)
+    table = np.kron(l_sigma, eye) if atom == 1 else np.kron(eye, l_sigma)
     block = table[1:, 1:]
     const = table[1:, 0] * TRACE_ELEMENT_VALUE
     s0 = np.stack([

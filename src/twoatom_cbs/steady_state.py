@@ -6,10 +6,11 @@ g^0, g^1, g^2), and the order-2 terms carry the double-scattering ladder
 and crossed intensities.  The static solves G0(0) go through the
 generator set's block-Schur resolvent (`resolvent.KroneckerResolvent`),
 built once per configuration in `assemble`, with one step of iterative
-refinement, so A is never factored as a dense 255x255 matrix.  All six of
-those solves share z = 0, so the resolvent inverts its 16 triangular
-column blocks once and applies them as products; the spectrum sweep's
-solves at z = -i nu differ per frequency and keep the back substitution.
+refinement whose residual forms A x from A's two 16x16 Kronecker factors,
+so A is never formed as a dense 255x255 matrix.  All six of those solves
+share z = 0, so the resolvent inverts its 16 triangular column blocks once
+and applies them as products; the spectrum sweep's solves at z = -i nu
+differ per frequency and keep the back substitution.
 `resolvent_solve` and `nonperturbative_steady_state` are dense solves kept
 as references for the tests.
 """
@@ -68,11 +69,12 @@ def refined_solve(gen: GeneratorSet, z, rhs):
     components, so components far below the norm of the solution carry a
     large relative error.  The weak-drive intensities and densities are
     differences of nearly equal terms (at Omega = 0.1, delta = 5, L_inel is
-    1/1300 of L_el) and amplify it; the residual step against the dense A
-    removes it.  z and rhs broadcast as in `KroneckerResolvent.solve`.
+    1/1300 of L_el) and amplify it; one residual step, with A x formed from
+    the Kronecker factors of A (`KroneckerResolvent.matvec`), removes it.
+    z and rhs broadcast as in `KroneckerResolvent.solve`.
     """
     x = gen.resolvent.solve(z, rhs)
-    residual = rhs - (np.asarray(z)[..., None] * x - np.tensordot(x, gen.A, axes=(-1, -1)))
+    residual = rhs - (np.asarray(z)[..., None] * x - gen.resolvent.matvec(x))
     return x + gen.resolvent.solve(z, residual)
 
 
@@ -85,7 +87,7 @@ def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
 
 
 def nonperturbative_steady_state(gen: GeneratorSet):
-    """Exact stationary state: (A + V) <Q> = -j, all orders in g."""
+    """Exact stationary state: (A + V) <Q> = -j, all orders in g (dense A)."""
     return np.linalg.solve(gen.A + gen.V, -gen.j)
 
 

@@ -1,4 +1,4 @@
-"""Operator-basis properties: orthonormality, round trips, multiplication tables."""
+"""Operator-basis properties: orthonormality, round trips, expectations."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,10 @@ from twoatom_cbs.basis import (
     TRACE_ELEMENT_VALUE,
     expand_two_atom_operator,
     expectation,
-    left_multiplication_table,
-    pack_index,
     reconstruct_two_atom_operator,
     sigma,
     single_atom_basis,
     two_atom_basis_flat,
-    unpack_index,
 )
 
 
@@ -58,24 +55,6 @@ def test_trace_element_value():
     assert TRACE_ELEMENT_VALUE == 0.25
 
 
-@given(st.integers(0, N_SINGLE - 1), st.integers(0, N_SINGLE - 1))
-def test_pack_unpack_round_trip(l, m):
-    if l == 0 and m == 0:
-        with pytest.raises(ValueError):
-            pack_index(l, m)
-    else:
-        assert unpack_index(pack_index(l, m)) == (l, m)
-
-
-def test_pack_index_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        pack_index(16, 0)
-    with pytest.raises(ValueError):
-        unpack_index(0)
-    with pytest.raises(ValueError):
-        unpack_index(N_TWO)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_expand_reconstruct_round_trip(seed):
@@ -93,17 +72,6 @@ def test_identity_expectation_is_one():
     # any physical state has unit trace; its 255-vector part is irrelevant
     state = np.zeros(N_TWO - 1)
     assert expectation(np.eye(16, dtype=complex), state) == pytest.approx(1.0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, N_TWO - 1))
-def test_left_multiplication_table_reproduces_products(seed, n):
-    op = random_operator(seed)
-    table = left_multiplication_table(op)
-    flat = two_atom_basis_flat()
-    product = op @ flat[n].reshape(16, 16)
-    rebuilt = (table[n] @ flat).reshape(16, 16)
-    assert np.allclose(product, rebuilt, atol=1e-10)
 
 
 def test_hermiticity_transport():

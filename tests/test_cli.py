@@ -38,6 +38,14 @@ NON_DEFAULT_ARGS = {
              "--seed", "6"],
 }
 
+#: per mode, further inputs whose header must replay byte for byte
+EXTRA_REPLAY_ARGS = {
+    # the benchmark's widest (0.1, 5) spectrum: grid limits that need 17 digits
+    "spectrum": ["--rabi", "0.1", "--detuning", "5", "--k0-r12", "100",
+                 "--nu-min", "-22.502499750049985", "--nu-max", "22.502499750049985",
+                 "--points", "181", "--normalize"],
+}
+
 
 class TestConfigParsing:
     def test_flat_file(self, tmp_path):
@@ -99,7 +107,10 @@ class TestRuns:
     @pytest.mark.parametrize("mode", list(NON_DEFAULT_ARGS))
     def test_reproducible_from_own_header(self, mode, tmp_path, capsys):
         headers = []
-        for name, args in (("default", []), ("set", NON_DEFAULT_ARGS[mode])):
+        runs = [("default", []), ("set", NON_DEFAULT_ARGS[mode])]
+        if mode in EXTRA_REPLAY_ARGS:
+            runs.append(("extra", EXTRA_REPLAY_ARGS[mode]))
+        for name, args in runs:
             out_path = tmp_path / f"{name}.csv"
             assert main([mode, *args, "--output", str(out_path)]) == EXIT_OK
             header = read_output_header(out_path)
@@ -110,7 +121,7 @@ class TestRuns:
                          "--output", str(replay_path)]) == EXIT_OK
             assert out_path.read_bytes() == replay_path.read_bytes()
             headers.append(header)
-        default, changed = headers
+        default, changed = headers[:2]
         echoed = set(changed) - {"mode", "version", *_MODES[mode].results}
         assert all(default[k] != changed[k] for k in echoed)
 
@@ -177,6 +188,13 @@ class TestExitCodes:
     def test_non_finite_rabi(self, capsys):
         assert main(["spectrum", "--rabi", "nan"]) == EXIT_CONFIG
         assert "configuration error: rabi must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["spectrum", "cone"])
+    def test_zero_rabi(self, mode, capsys):
+        # an undriven pair scatters nothing: a configuration error, not a
+        # numerical failure of the intensities
+        assert main([mode, "--rabi", "0"]) == EXIT_CONFIG
+        assert "configuration error: rabi must be positive" in capsys.readouterr().err
 
     def test_open_sum_rule(self, capsys):
         # the grid cuts off the Omega = 100 sidebands: 17% of L_inel integrates

@@ -17,7 +17,7 @@ from twoatom_cbs.liouvillian import (
     ConfigurationError,
     DriveConfig,
     Geometry,
-    _interaction_matrices,
+    _interaction_matrix,
     _single_atom_matrix,
     angular_weight,
     apply_interaction_generator,
@@ -65,6 +65,12 @@ class TestConfigs:
     def test_saturation_definition(self):
         cfg = DriveConfig(rabi=2.0, detuning=1.0)
         assert cfg.saturation == pytest.approx(4.0 / (2.0 * 2.0))
+
+    @pytest.mark.parametrize("rabi", [0.0, -1.0])
+    def test_rejects_nonpositive_rabi(self, rabi):
+        # an undriven pair scatters nothing: no intensity to normalize by
+        with pytest.raises(ConfigurationError, match="rabi must be positive"):
+            DriveConfig(rabi=rabi)
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ConfigurationError):
@@ -202,7 +208,7 @@ class TestAssembledGenerators:
         m1 = _single_atom_matrix(cfg, 1.0)
         m = np.kron(m1, np.eye(16)) + np.kron(np.eye(16), m1)
         assert np.abs(m[0]).max() < 1e-12
-        m_int, _ = _interaction_matrices(cfg, geom, coupling_constant(60.0))
+        m_int = _interaction_matrix(cfg, geom, coupling_constant(60.0))
         assert np.abs(m_int[0]).max() < 1e-12
 
     def test_interaction_has_no_source(self):

@@ -62,20 +62,21 @@ class TestRegressionVectors:
         assert corr.source_weight == pytest.approx(d1)
 
     def test_initial_condition_matches_operator_product(self):
-        # <sigma_21^1 B_n>_ss must equal the expectation of the matrix
-        # product sigma_21^1 @ B_n, order by order
+        # <sigma_21^a B_n>_ss must equal the expectation of the matrix
+        # product sigma_21^a @ B_n, order by order, for either atom a
         from twoatom_cbs.basis import sigma, two_atom_basis_flat
 
         gen, state, _ = stationary(2.0, 1.0)
-        corr = qrt_initial(1, state)
-        op = np.kron(sigma(2, 1), np.eye(4, dtype=complex))
+        eye = np.eye(4, dtype=complex)
         flat = two_atom_basis_flat()
-        rng = np.random.default_rng(5)
-        for n in rng.integers(1, 256, size=6):
-            product = op @ flat[n].reshape(16, 16)
-            for order in (0, 1, 2):
-                want = basis_expectation(product, state.order(order), order=order)
-                assert corr.s0(order)[n - 1] == pytest.approx(want, abs=1e-12)
+        for atom, op in ((1, np.kron(sigma(2, 1), eye)), (2, np.kron(eye, sigma(2, 1)))):
+            corr = qrt_initial(atom, state)
+            rng = np.random.default_rng(5)
+            for n in rng.integers(1, 256, size=6):
+                product = op @ flat[n].reshape(16, 16)
+                for order in (0, 1, 2):
+                    want = basis_expectation(product, state.order(order), order=order)
+                    assert corr.s0(order)[n - 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestDensities:
