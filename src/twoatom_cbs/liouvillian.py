@@ -11,8 +11,11 @@ M1 (x) 1 + 1 (x) M2 of the two 16x16 single-atom generators, and V is a
 P_ij-weighted sum of Kronecker products of single-atom multiplication
 tables.  A is kept only as its two factors (in the resolvent); V stays
 dense, as a product through its 24 factor pairs costs about 3x the dense
-one.  The direct operator actions apply_*_generator are the independent
-references the matrices are tested against.
+one.  V does not depend on the drive: it is built, checked and cached
+(read-only) once per (gamma, n_hat, g), so a sweep over the drive at one
+geometry pays for it once.  The direct operator actions
+apply_*_generator are the independent references the matrices are tested
+against.
 
 Frequencies are in units of gamma (half the spontaneous decay rate),
 lengths in units of 1/k0.  The quantization axis is along the laser wave
@@ -33,6 +36,7 @@ from .basis import (
     sigma,
     single_atom_tables,
 )
+from .errors import ConfigurationError
 from .resolvent import KroneckerResolvent
 
 # helicity unit vectors, spherical convention
@@ -51,10 +55,6 @@ _DIPOLE_COMPONENTS = {
 _EXCITED = sigma(2, 2) + sigma(3, 3) + sigma(4, 4)
 
 FAR_FIELD_WARN_THRESHOLD = 0.1
-
-
-class ConfigurationError(ValueError):
-    """Physically invalid or numerically unusable configuration."""
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def _single_atom_matrix(cfg, rabi_phase):
     return -1j * cfg.detuning * excited - 0.5j * (l_h - r_h) + cfg.gamma * dissipator
 
 
-def _interaction_matrix(cfg, geom, g):
+def _interaction_matrix(gamma, n_hat, g):
     """256x256 coefficient matrix of L_12 + L_21.
 
     The table form of apply_interaction_generator, contracted over one
@@ -297,7 +297,7 @@ def _interaction_matrix(cfg, geom, g):
     and L_21 is the same sum with the two Kronecker factors swapped, so
     both come from one sum over the concatenated factor lists.
     """
-    w = cfg.gamma * helicity_projector(geom.n_hat)
+    w = gamma * helicity_projector(n_hat)
     dips = np.array([_DIPOLE_COMPONENTS[q] for q in HELICITY])
     dips_dag = dips.conj().transpose(0, 2, 1)
     ys = np.tensordot(w, dips, axes=1)
@@ -313,6 +313,25 @@ def _interaction_matrix(cfg, geom, g):
     b = np.reshape(second + first, (-1, N_TWO))
     n = N_SINGLE
     return (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(N_TWO, N_TWO)
+
+
+@lru_cache(maxsize=4)
+def _coupling_matrix(gamma, n_hat, g):
+    """Read-only V, the 255-block of L_12 + L_21, checked once per (gamma, n_hat, g).
+
+    V does not depend on the drive, so a sweep over (Omega, delta) at one
+    geometry builds and checks it once; `n_hat` is a tuple, `g` a complex.
+    """
+    m_int = _interaction_matrix(gamma, np.array(n_hat), g)
+    # the identity must be stationary, and the interaction has no
+    # inhomogeneous part
+    if np.abs(m_int[0]).max() > 1e-12:
+        raise ConfigurationError("generator does not leave the identity invariant")
+    if np.abs(m_int[1:, 0]).max() > 1e-12 * max(1.0, np.abs(m_int).max()):
+        raise ConfigurationError("interaction generator produced a trace-element source")
+    v = np.ascontiguousarray(m_int[1:, 1:])
+    v.setflags(write=False)
+    return v
 
 
 def rabi_phases(geom):
@@ -365,18 +384,14 @@ def assemble(cfg, geom, g=None):
     ph1, ph2 = rabi_phases(geom)
     m1 = _single_atom_matrix(cfg, ph1)
     m2 = _single_atom_matrix(cfg, ph2)
-    m_int = _interaction_matrix(cfg, geom, g)
+    v = _coupling_matrix(cfg.gamma, tuple(geom.n_hat), complex(g))
 
-    # identity must be stationary under both generators
-    if max(np.abs(m[0]).max() for m in (m1, m2, m_int)) > 1e-12:
+    # identity must be stationary under both single-atom generators
+    if max(np.abs(m[0]).max() for m in (m1, m2)) > 1e-12:
         raise ConfigurationError("generator does not leave the identity invariant")
-    # the interaction has no inhomogeneous part
-    if np.abs(m_int[1:, 0]).max() > 1e-12 * max(1.0, np.abs(m_int).max()):
-        raise ConfigurationError("interaction generator produced a trace-element source")
 
     # column 0 (the trace element) of M1 (x) 1 + 1 (x) M2
     j = (np.kron(m1[:, 0], _I16[0]) + np.kron(_I16[0], m2[:, 0]))[1:] * TRACE_ELEMENT_VALUE
-    v = np.ascontiguousarray(m_int[1:, 1:])
 
     resolvent = KroneckerResolvent(m1, m2)
     # singular to working precision: an eigenvalue at the rounding level of

@@ -26,6 +26,20 @@ also near the exceptional points of the single-atom generator where its
 eigenvectors are nearly parallel.  The diagonal denominators
 R1[i, i] + R2[k, k] are the 255 eigenvalues of A.
 
+The Schur forms need no LAPACK routine.  Each B_a is block diagonal under
+one fixed permutation of its 15 basis indices (`BLOCKS`): the driven
+|1> <-> |4> Bloch block (4x4, home of the dressed states and of the
+exceptional points), four decoupled pairs of coherences (2x2) and three
+single entries.  So U_a is that permutation times a block-diagonal unitary
+and T_a is block diagonal.  Each block gets its Schur form by deflation:
+an eigenvalue from `np.linalg.eigvals`, the null vector of the shifted
+block from its SVD, and the Householder reflector that maps the null
+vector onto the first axis, which leaves that eigenvalue alone in the
+first column; the trailing block is deflated the same way.  Every step
+runs once for all blocks of one size of both atoms.  Off-block entries
+that are not exactly zero raise ConfigurationError, and a lower triangle
+left above rounding level raises ResolventError; there is no fallback.
+
 The static resolvent G0(0) is one fixed operator per configuration: the
 steady state applies it six times (three orders, each refined once) and
 the spectrum sweep once per block of frequencies.  Its column blocks
@@ -41,9 +55,82 @@ are the only copy of A a configuration keeps.
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
 
 from .basis import N_SINGLE, N_TWO
+from .errors import ConfigurationError, ResolventError
+
+#: diagonal blocks of each single-atom block B = M[1:, 1:], as 0-based
+#: indices into B: the |1> <-> |4> block, the four coherence pairs it does
+#: not drive, and three single entries
+BLOCKS = ((0, 1, 3, 4), (5, 10), (6, 9), (7, 11), (8, 12), (2,), (13,), (14,))
+_POSITION = np.cumsum([0] + [len(b) for b in BLOCKS])
+# the block of each index of B, and the entries of B between two blocks
+_BLOCK_OF = np.repeat(np.arange(len(BLOCKS)), np.diff(_POSITION))[
+    np.argsort(np.concatenate(BLOCKS))]
+_OFF_BLOCK = _BLOCK_OF[:, None] != _BLOCK_OF[None, :]
+#: per block size: the blocks' indices in B and their positions in T
+_GROUPS = tuple(
+    (np.array([b for b in BLOCKS if len(b) == size]),
+     np.array([np.arange(p, p + size) for b, p in zip(BLOCKS, _POSITION) if len(b) == size]))
+    for size in sorted({len(b) for b in BLOCKS})
+)
+#: lower triangles at most this multiple of eps |B| count as deflated (the
+#: largest seen is 1.9, over Omega 0.1-100, delta 0 to 80, two gammas and
+#: three laser phases)
+_DEFLATION_TOLERANCE = 64.0
+
+
+def _deflate(a):
+    """Complex Schur forms a = u t u^H of a stack of n x n matrices.
+
+    One deflation per level for the whole stack: an eigenvalue of the
+    trailing block, the null vector of the shifted block (last right
+    singular vector), and the Householder reflector h = 1 - 2 w w^H with
+    h v = alpha e_0.  Returns t with its rounding-level lower triangle
+    still in place, for the caller to check.
+    """
+    t = a.astype(complex)
+    n = t.shape[-1]
+    u = np.broadcast_to(np.eye(n, dtype=complex), t.shape).copy()
+    for k in range(n - 1):
+        sub = t[:, k:, k:]
+        lam = np.linalg.eigvals(sub)[:, :1, None]
+        v = np.linalg.svd(sub - lam * np.eye(n - k))[2][:, -1].conj()
+        # alpha = -|v| v_0 / |v_0| with |v| = 1: no cancellation in w_0
+        w = v.copy()
+        w[:, 0] += np.exp(1j * np.angle(v[:, 0]))
+        w /= np.linalg.norm(w, axis=-1, keepdims=True)
+        h = np.eye(n - k) - 2.0 * w[:, :, None] * w[:, None, :].conj()
+        t[:, k:] = h @ t[:, k:]
+        t[:, :, k:] = t[:, :, k:] @ h
+        u[:, :, k:] = u[:, :, k:] @ h
+    return t, u
+
+
+def block_schur(b):
+    """Complex Schur forms b[a] = u[a] t[a] u[a]^H of a stack of single-atom blocks.
+
+    `b` has shape (count, 15, 15), each block diagonal under `BLOCKS`.
+    u is the permutation times a block-diagonal unitary, t block diagonal
+    and upper triangular.
+    """
+    if np.any(b[:, _OFF_BLOCK]):
+        raise ConfigurationError(
+            "single-atom generator is not block diagonal under resolvent.BLOCKS")
+    t = np.zeros(b.shape, dtype=complex)
+    u = np.zeros(b.shape, dtype=complex)
+    for rows, pos in _GROUPS:
+        sub = b[:, rows[:, :, None], rows[:, None, :]]
+        ts, us = _deflate(sub.reshape((-1,) + sub.shape[-2:]))
+        t[:, pos[:, :, None], pos[:, None, :]] = ts.reshape(sub.shape)
+        u[:, rows[:, :, None], pos[:, None, :]] = us.reshape(sub.shape)
+    scale = np.linalg.norm(b, axis=(1, 2))
+    lower = np.abs(np.tril(t, -1)).max(axis=(1, 2))
+    if np.any(lower > _DEFLATION_TOLERANCE * np.finfo(float).eps * scale):
+        raise ResolventError(
+            f"Schur deflation left a lower triangle of {lower.max():.3e} "
+            f"(|B| = {scale.max():.3e})")
+    return np.triu(t), u
 
 
 class KroneckerResolvent:
@@ -58,8 +145,7 @@ class KroneckerResolvent:
     def __init__(self, m1, m2):
         n = N_SINGLE
         self.m1, self.m2 = m1, m2
-        t1, u1 = schur(m1[1:, 1:], output="complex")
-        t2, u2 = schur(m2[1:, 1:].T, output="complex")
+        (t1, t2), (u1, u2) = block_schur(np.stack([m1[1:, 1:], m2[1:, 1:].T]))
         self._w1 = np.zeros((n, n), dtype=complex)
         self._w1[1:, :-1] = u1
         self._w1[0, -1] = 1.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import N_SINGLE, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
+from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
 from .liouvillian import GeneratorSet
 from .steady_state import (
     IntensityBreakdown,
@@ -63,18 +63,18 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
     Each component <sigma_21^alpha B_n>_ss is obtained by expanding the
     operator product sigma_21^alpha B_n in the basis and reading the
     result off the stationary state, order by order in g.  The expansion
-    table is L (x) 1 (atom 1) or 1 (x) L (atom 2), L that of sigma_21.
+    table is L (x) 1 (atom 1) or 1 (x) L (atom 2), L that of sigma_21,
+    applied to the state as a 16x16 array F: (L (x) 1) f = vec(L F) and
+    (1 (x) L) f = vec(F L^T), with the trace entry F[0, 0] = 1/4 at order
+    0 and 0 at orders 1 and 2.
     """
     l_sigma, _ = single_atom_tables(sigma(2, 1))
-    eye = np.eye(N_SINGLE)
-    table = np.kron(l_sigma, eye) if atom == 1 else np.kron(eye, l_sigma)
-    block = table[1:, 1:]
-    const = table[1:, 0] * TRACE_ELEMENT_VALUE
-    s0 = np.stack([
-        const + block @ state.order0,
-        block @ state.order1,
-        block @ state.order2,
-    ])
+    full = np.zeros((3, N_TWO), dtype=complex)
+    full[0, 0] = TRACE_ELEMENT_VALUE
+    full[:, 1:] = [state.order0, state.order1, state.order2]
+    f = full.reshape(3, N_SINGLE, N_SINGLE)
+    product = l_sigma @ f if atom == 1 else f @ l_sigma.T
+    s0 = product.reshape(full.shape)[:, 1:]
     weight = dipole_expectations(state, 1)[atom - 1]
     return CorrelationVector(atom=atom, s0_orders=s0, source_weight=weight)
 

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import expectation, sigma
+from .errors import ResolventError
 from .liouvillian import GeneratorSet
 
 CONDITION_LIMIT = 1e12
-
-
-class ResolventError(Exception):
-    """Singular or hopelessly ill-conditioned resolvent solve."""
 
 
 def resolvent_solve(a, z, rhs):

@@ -254,3 +254,22 @@ def test_closed_pipe_ends_without_traceback():
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert first.startswith(b"# mode = spectrum")
     assert stderr == ""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a spectrum and an intensity sweep
+    # must not import any part of it
+    code = (
+        "import sys\n"
+        "from twoatom_cbs import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['spectrum', '--points', '81', '--output', out + '/s.csv']) == 0\n"
+        "assert cli.main(['intensity-sweep', '--sweep-points', '3',"
+        " '--output', out + '/i.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

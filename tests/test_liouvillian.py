@@ -208,7 +208,7 @@ class TestAssembledGenerators:
         m1 = _single_atom_matrix(cfg, 1.0)
         m = np.kron(m1, np.eye(16)) + np.kron(np.eye(16), m1)
         assert np.abs(m[0]).max() < 1e-12
-        m_int = _interaction_matrix(cfg, geom, coupling_constant(60.0))
+        m_int = _interaction_matrix(cfg.gamma, geom.n_hat, coupling_constant(60.0))
         assert np.abs(m_int[0]).max() < 1e-12
 
     def test_interaction_has_no_source(self):

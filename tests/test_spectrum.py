@@ -78,6 +78,29 @@ class TestRegressionVectors:
                     want = basis_expectation(product, state.order(order), order=order)
                     assert corr.s0(order)[n - 1] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("rabi, detuning, geom", [
+        (0.1, 5.0, Geometry.backscattering(100.0)),
+        (2.0, 1.0, shifted_tilted_geometry()),
+        (100.0, 0.0, Geometry.backscattering(100.0)),
+    ])
+    def test_initial_condition_matches_kron_table(self, rabi, detuning, geom):
+        # the 16x16 products L F and F L^T are the 256x256 tables
+        # L (x) 1 and 1 (x) L applied to the state
+        from twoatom_cbs.basis import TRACE_ELEMENT_VALUE, sigma, single_atom_tables
+
+        state = perturbative_steady_state(assemble(DriveConfig(rabi=rabi, detuning=detuning),
+                                                   geom))
+        l_sigma, _ = single_atom_tables(sigma(2, 1))
+        eye = np.eye(16)
+        for atom, table in ((1, np.kron(l_sigma, eye)), (2, np.kron(eye, l_sigma))):
+            corr = qrt_initial(atom, state)
+            for order in (0, 1, 2):
+                want = table[1:, 1:] @ state.order(order)
+                if order == 0:
+                    want = want + table[1:, 0] * TRACE_ELEMENT_VALUE
+                scale = np.abs(state.order(order)).max()
+                assert np.allclose(corr.s0(order), want, rtol=1e-13, atol=1e-15 * scale)
+
 
 class TestDensities:
     def test_even_in_nu_on_resonance(self, weak_point):

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom_cbs.basis import expectation, sigma
-from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
+from twoatom_cbs.liouvillian import (
+    ConfigurationError,
+    DriveConfig,
+    Geometry,
+    _single_atom_matrix,
+    assemble,
+)
+from twoatom_cbs.resolvent import KroneckerResolvent, block_schur
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
     intensities,
@@ -90,6 +97,30 @@ class TestResolvent:
             want = x @ a.T
             assert got.shape == x.shape
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0, 100.0])
+    def test_block_schur_forms(self, rabi):
+        # numpy-only Schur forms of B1 and B2^T, block by block; Omega = 0.5
+        # and 1 at delta = 0 sit near exceptional points of the Bloch block
+        for detuning in (0.0, 0.3, -5.0):
+            for phase in (1.0, np.exp(0.7j)):
+                m = _single_atom_matrix(DriveConfig(rabi=rabi, detuning=detuning), phase)
+                b = np.stack([m[1:, 1:], m[1:, 1:].T])
+                t, u = block_schur(b)
+                for b_a, t_a, u_a in zip(b, t, u):
+                    norm = np.linalg.norm(b_a)
+                    assert np.linalg.norm(u_a @ t_a @ u_a.conj().T - b_a) <= 1e-14 * norm
+                    assert np.linalg.norm(u_a.conj().T @ u_a - np.eye(15)) <= 1e-14
+                    assert not np.tril(t_a, -1).any()
+
+    @pytest.mark.parametrize("atom", [1, 2])
+    def test_rejects_generator_coupling_the_blocks(self, atom):
+        # B[0, 2] couples the Bloch block to a single entry: no fallback
+        m = _single_atom_matrix(DriveConfig(rabi=1.0, detuning=0.3), 1.0)
+        bad = m.copy()
+        bad[1, 3] = 1e-3
+        with pytest.raises(ConfigurationError, match="block diagonal"):
+            KroneckerResolvent(*((bad, m) if atom == 1 else (m, bad)))
 
     def test_resolvent_eigenvalues_are_those_of_a(self):
         gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
