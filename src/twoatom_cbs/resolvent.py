@@ -15,15 +15,15 @@ triangular once the atom-1 trace index is moved last:
     R1 = W1^H M1 W1 = [[T1, U1^H c1], [0, 0]],
     R2 = W2^H M2^T W2 = [[0, c2^T U2], [0, T2]],
 
-and the transformed unknown W1^H X W2 keeps the trace entry, now at
-[15, 0], apart from the rest.  The triangular equation is solved column by
-column (Bartels-Stewart), each column by back substitution vectorised over
-every frequency and right-hand side.  Column 0 is the atom-1 block
-(z - B1) s = b_s, row 15 the atom-2 block (z - B2) r = b_r, and the rest
-the Sylvester block fed by both, so z = 0 needs no special case.  The
-transforms are unitary: the solve has the conditioning of z - A itself,
-also near the exceptional points of the single-atom generator where its
-eigenvectors are nearly parallel.  The diagonal denominators
+and the transformed unknown Y = W1^H X W2 keeps the trace entry, now at
+Y[15, 0], apart from the rest.  The triangular equation is solved column by
+column (Bartels-Stewart).  Column 0 is the atom-1 block (z - B1) s = b_s,
+row 15 the atom-2 block (z - B2) r = b_r, and the rest the Sylvester block
+fed by both, so z = 0 needs no special case: the trace entry's right-hand
+side is exactly zero, and it gets a unit denominator in place of its pole
+at 0.  The transforms are unitary: the solve has the conditioning of z - A
+itself, also near the exceptional points of the single-atom generator
+where its eigenvectors are nearly parallel.  The diagonal denominators
 R1[i, i] + R2[k, k] are the 255 eigenvalues of A.
 
 The Schur forms need no LAPACK routine.  Each B_a is block diagonal under
@@ -40,18 +40,37 @@ runs once for all blocks of one size of both atoms.  Off-block entries
 that are not exactly zero raise ConfigurationError, and a lower triangle
 left above rounding level raises ResolventError; there is no fallback.
 
+U_a also fixes a level-major order of the Schur positions: T_a holds the
+first row of all 8 blocks, then the second row of the 5 blocks that have
+one, then the third and the fourth row of the Bloch block.  A row couples
+only to deeper rows of its own block, so T_a stays upper triangular and no
+two rows of one level are coupled.  The triangular solve therefore steps
+through slices, not single unknowns: the rows of R1 fall into five slices
+in back-substitution order, [15] (the trace), [14], [13], [8:13], [0:8]
+(`ROW_SLICES`), and the columns of R2 into five in forward order, [0],
+[1:9], [9:14], [14], [15] (`COLUMN_SLICES`).  Each slice is one step
+vectorised over every frequency and right-hand side: 25 steps per solve.
+
 The static resolvent G0(0) is one fixed operator per configuration: the
 steady state applies it six times (three orders, each refined once) and
 the spectrum sweep once per block of frequencies.  Its column blocks
-S_k = (-R2[k, k] - R1)^{-1} are therefore inverted once, all 16 in one
-vectorised back substitution on first use, and a scalar z = 0 solves each
-column with one product S_k acc_k instead of a back substitution.  The
-sweep's z differ per element, so nothing would be reused there: an array
-of z always takes the back substitution.
+S_k = (-R2[k, k] - R1)^{-1} are therefore inverted once, all 16 in five
+row-slice steps on first use, and a scalar z = 0 solves each column slice
+with one product S_k acc_k instead of a back substitution.  The sweep's z
+differ per element, so nothing would be reused there: an array of z always
+takes the slice-wise back substitution.
+
+`solve` is the composition of three stages, which the spectrum sweep also
+calls one by one: `to_schur` takes right-hand sides into Schur coordinates
+C = W1^H B W2 (before they are broadcast against z), `solve_schur` solves
+the triangular equation, and `from_schur` goes back to the packed basis.
+`readout` gives 16x16 weights that read single packed components straight
+from Schur coordinates, without the whole back transform.
 `matvec` forms A x as M1 X + X M2^T on the same 16x16 arrays: M1 and M2
 are the only copy of A a configuration keeps.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -63,17 +82,32 @@ from .errors import ConfigurationError, ResolventError
 #: indices into B: the |1> <-> |4> block, the four coherence pairs it does
 #: not drive, and three single entries
 BLOCKS = ((0, 1, 3, 4), (5, 10), (6, 9), (7, 11), (8, 12), (2,), (13,), (14,))
-_POSITION = np.cumsum([0] + [len(b) for b in BLOCKS])
+_SIZES = np.array([len(b) for b in BLOCKS])
 # the block of each index of B, and the entries of B between two blocks
-_BLOCK_OF = np.repeat(np.arange(len(BLOCKS)), np.diff(_POSITION))[
-    np.argsort(np.concatenate(BLOCKS))]
+_BLOCK_OF = np.repeat(np.arange(len(BLOCKS)), _SIZES)[np.argsort(np.concatenate(BLOCKS))]
 _OFF_BLOCK = _BLOCK_OF[:, None] != _BLOCK_OF[None, :]
+#: level-major Schur order: T holds the first row of every block, then the
+#: second row of every block that has one, and so on; level d fills the
+#: positions _LEVELS[d]:_LEVELS[d + 1] of T (8, 5, 1 and 1 of them)
+_LEVELS = np.cumsum([0] + [int(np.sum(_SIZES > d)) for d in range(_SIZES.max())])
+#: the positions in T of each block's rows, in the block's Schur order
+_PLACES = tuple(
+    _LEVELS[:size] + np.sum(_SIZES[:b, None] > np.arange(size), axis=0)
+    for b, size in enumerate(_SIZES)
+)
 #: per block size: the blocks' indices in B and their positions in T
 _GROUPS = tuple(
     (np.array([b for b in BLOCKS if len(b) == size]),
-     np.array([np.arange(p, p + size) for b, p in zip(BLOCKS, _POSITION) if len(b) == size]))
+     np.array([p for b, p in zip(BLOCKS, _PLACES) if len(b) == size]))
     for size in sorted({len(b) for b in BLOCKS})
 )
+_LEVEL_SLICES = [slice(int(a), int(b)) for a, b in zip(_LEVELS[:-1], _LEVELS[1:])]
+#: rows of R1 in back-substitution order: the atom-1 trace, then the levels
+#: deepest first.  No two rows of one slice are coupled.
+ROW_SLICES = (slice(N_SINGLE - 1, N_SINGLE),) + tuple(reversed(_LEVEL_SLICES))
+#: columns of R2 in forward order: the atom-2 trace, then the levels (T2
+#: sits one position down).  No two columns of one slice are coupled.
+COLUMN_SLICES = (slice(0, 1),) + tuple(slice(s.start + 1, s.stop + 1) for s in _LEVEL_SLICES)
 #: lower triangles at most this multiple of eps |B| count as deflated (the
 #: largest seen is 1.9, over Omega 0.1-100, delta 0 to 80, two gammas and
 #: three laser phases)
@@ -111,8 +145,9 @@ def block_schur(b):
     """Complex Schur forms b[a] = u[a] t[a] u[a]^H of a stack of single-atom blocks.
 
     `b` has shape (count, 15, 15), each block diagonal under `BLOCKS`.
-    u is the permutation times a block-diagonal unitary, t block diagonal
-    and upper triangular.
+    The Schur positions are level-major (`_PLACES`): u is a permutation
+    times a block-diagonal unitary, and t is upper triangular with every
+    row coupled only to deeper rows of its own block.
     """
     if np.any(b[:, _OFF_BLOCK]):
         raise ConfigurationError(
@@ -139,7 +174,8 @@ class KroneckerResolvent:
     Built once per configuration from the two 16x16 single-atom generators;
     `solve` then serves any z, including z = 0, for a batch of frequencies
     and right-hand sides in one call.  A scalar z = 0 goes through the
-    cached static inverses.
+    cached static inverses.  Schur coordinates are arrays y[k, i, ...]:
+    column k and row i of Y = W1^H X W2, then the batch axes.
     """
 
     def __init__(self, m1, m2):
@@ -165,22 +201,22 @@ class KroneckerResolvent:
     def _static_inverses(self):
         """S[k] = (-R2[k, k] - R1)^{-1}, the column blocks of G0(0).
 
-        All 16 upper-triangular inverses come from one back substitution,
-        vectorised over the columns k and the 16 unit right-hand sides.
-        Column 0 inverts the 15x15 block above the trace entry: its row and
-        column 15 stay zero (zero right-hand side, unit denominator).
-        Built on first use, so `assemble` rejects a singular A before any
-        division.
+        All 16 upper-triangular inverses come from one back substitution
+        over `ROW_SLICES`, vectorised over the columns k and the 16 unit
+        right-hand sides.  Column 0 inverts the 15x15 block above the trace
+        entry: its row and column 15 stay zero (zero right-hand side, unit
+        denominator).  Built on first use, so `assemble` rejects a singular
+        A before any division.
         """
         n = N_SINGLE
-        r1 = self._r1
         den = -self._poles
         den[0, -1] = 1.0
         eye = np.broadcast_to(np.eye(n, dtype=complex), (n, n, n)).copy()
         eye[0, -1, -1] = 0.0
         s = np.zeros((n, n, n), dtype=complex)  # [k, i, column]
-        for i in range(n - 1, -1, -1):
-            s[:, i] = (eye[:, i] + r1[i, i + 1:] @ s[:, i + 1:]) / den[:, i, None]
+        for rows in ROW_SLICES:
+            s[:, rows] = ((eye[:, rows] + self._r1[rows, rows.stop:] @ s[:, rows.stop:])
+                          / den[:, rows, None])
         return s
 
     @property
@@ -199,39 +235,79 @@ class KroneckerResolvent:
         y = self.m1 @ big + big @ self.m2.T
         return y.reshape(full.shape)[..., 1:]
 
+    def to_schur(self, rhs):
+        """Schur coordinates C = W1^H B W2 of `rhs` of shape (..., 255).
+
+        Returned as c[k, i, ...]: column k of C leading, the batch axes of
+        rhs last.  The trace entry c[0, 15] is exactly zero.
+        """
+        rhs = np.asarray(rhs, dtype=complex)
+        n, batch = N_SINGLE, rhs.shape[:-1]
+        b = np.zeros((N_TWO, math.prod(batch)), dtype=complex)
+        b[1:] = rhs.reshape(-1, rhs.shape[-1]).T
+        half = self._w1.conj().T @ b.reshape(n, n, -1).transpose(1, 0, 2)
+        return (self._w2.T @ half.reshape(n, -1)).reshape((n, n) + batch)
+
+    def solve_schur(self, z, c):
+        """Y with (z - R1) Y - Y R2 = C, in the Schur coordinates of `to_schur`.
+
+        `z` is a scalar or an array that broadcasts against c.shape[2:]; the
+        result has shape (16, 16) plus the broadcast batch shape.  Columns
+        go forward over `COLUMN_SLICES`, each fed by the columns before it,
+        and within each column slice the rows go back over `ROW_SLICES`: 25
+        vectorised steps for every frequency and right-hand side at once.
+        A scalar z = 0 takes one product with the static inverses per
+        column slice instead.
+        """
+        z = np.asarray(z, dtype=complex)
+        n = N_SINGLE
+        batch = np.broadcast_shapes(z.shape, c.shape[2:])
+        acc = np.empty((n, n) + batch, dtype=complex)
+        # c's batch axes follow its two leading ones: align them with batch's tail
+        acc[...] = c.reshape((n, n) + (1,) * (len(batch) + 2 - c.ndim) + c.shape[2:])
+        acc = acc.reshape(n, n, -1)  # [k, i, batch]: column k is contiguous
+        x = np.empty_like(acc)
+        r1, r2 = self._r1, self._r2
+        static = self._static_inverses if z.ndim == 0 and z == 0 else None
+        if static is None:
+            den = np.broadcast_to(z, batch).reshape(-1) - self._poles[:, :, None]
+            den[0, -1] = 1.0  # the trace entry x[0, 15]: its c is exactly 0
+        for cols in COLUMN_SLICES:
+            k = cols.start
+            if k:
+                acc[cols] += (r2[:k, cols].T @ x[:k].reshape(k, -1)).reshape(acc[cols].shape)
+            if static is not None:
+                x[cols] = static[cols] @ acc[cols]
+                continue
+            for rows in ROW_SLICES:
+                x[cols, rows] = ((acc[cols, rows] + r1[rows, rows.stop:] @ x[cols, rows.stop:])
+                                 / den[cols, rows])
+        return x.reshape((n, n) + batch)
+
+    def from_schur(self, y):
+        """x = W1 Y W2^H back in the packed basis, shape y.shape[2:] + (255,)."""
+        n = N_SINGLE
+        half = (self._w2.conj() @ y.reshape(n, -1)).reshape(n, n, -1)
+        out = (self._w1 @ half).transpose(1, 0, 2).reshape(N_TWO, -1)
+        return out[1:].T.reshape(y.shape[2:] + (N_TWO - 1,))
+
+    def readout(self, index):
+        """Weights w[p, k, i] that read packed components from Schur coordinates.
+
+        np.tensordot(w, y, 2) equals from_schur(y)[..., index] moved to the
+        front, at the cost of one product per component instead of the
+        whole back transform.
+        """
+        l, m = np.divmod(np.asarray(index) + 1, N_SINGLE)
+        return self._w2[m].conj()[:, :, None] * self._w1[l][:, None, :]
+
     def solve(self, z, rhs):
         """x = (z - A)^{-1} rhs.
 
         `rhs` has shape (..., 255); `z` is a scalar or an array that
         broadcasts against rhs.shape[:-1], so a column of frequencies
         (nz, 1) against a stack (k, 255) solves every pair at once.  The
-        result has the broadcast batch shape plus (255,).
+        result has the broadcast batch shape plus (255,).  The right-hand
+        sides enter Schur coordinates before they are broadcast against z.
         """
-        z = np.asarray(z, dtype=complex)
-        rhs = np.asarray(rhs, dtype=complex)
-        batch = np.broadcast_shapes(z.shape, rhs.shape[:-1])
-        zb = np.broadcast_to(z, batch).reshape(-1)
-        n, nb = N_SINGLE, zb.size
-        # work arrays are [k, i, batch]: column k of the unknown is contiguous
-        b = np.zeros((N_TWO, nb), dtype=complex)
-        b[1:] = np.broadcast_to(rhs, batch + rhs.shape[-1:]).reshape(nb, -1).T
-        half = self._w1.conj().T @ b.reshape(n, n, nb).transpose(1, 0, 2)
-        acc = (self._w2.T @ half.reshape(n, -1)).reshape(n, n, nb)
-
-        r1, r2 = self._r1, self._r2
-        static = self._static_inverses if z.ndim == 0 and z == 0 else None
-        x = np.zeros_like(acc)
-        for k in range(n):
-            if k:
-                acc[k] += (r2[:k, k] @ x[:k].reshape(k, -1)).reshape(n, nb)
-            if static is not None:
-                x[k] = static[k] @ acc[k]
-                continue
-            den = zb - self._poles[k, :, None]
-            # the trace entry x[0, 15] stays zero: column 0 starts a row up
-            for i in range(n - 2 if k == 0 else n - 1, -1, -1):
-                x[k, i] = (acc[k, i] + r1[i, i + 1:] @ x[k, i + 1:]) / den[i]
-
-        half = (self._w2.conj() @ x.reshape(n, -1)).reshape(n, n, nb)
-        out = (self._w1 @ half).transpose(1, 0, 2).reshape(N_TWO, nb)
-        return out[1:].T.reshape(batch + (N_TWO - 1,))
+        return self.from_schur(self.solve_schur(z, self.to_schur(rhs)))

@@ -7,12 +7,20 @@ is a delta function at the laser frequency, carried separately as a
 weight; the inelastic densities are evaluated with a stabilized form of
 the 1/z difference term so that nu -> 0 is regular.
 
-The sweep takes the grid in fixed blocks of frequencies.  Each block is two
-batched calls of the generator set's block-Schur resolvent
-(`resolvent.KroneckerResolvent`, built once per configuration), one
-batched static solve between them, and dense products with V; nothing is
-factored per frequency.  A non-finite density fails the sweep with
-ResolventError instead of being interpolated over.
+The sweep takes the grid in fixed blocks of frequencies.  Each block is a
+stage-1 solve, a static solve and a stage-2 solve, all batched, through the
+generator set's block-Schur resolvent (`resolvent.KroneckerResolvent`,
+built once per configuration), with dense products with V between them;
+nothing is factored per frequency.  Stage 1 is a refined solve
+(`steady_state.refined_solve`) whose four right-hand sides enter Schur
+coordinates once, before they are broadcast against the block's
+frequencies.  The static solve between the stages, and stage 2,
+stay in Schur coordinates: stage 2 takes G0(0) V t1 as it comes, and its
+output and G0(0) V u are read only at the two detected dipoles, through
+the resolvent's 16x16 readout weights, so the other 253 components are
+never transformed back.  A malformed grid (empty, not 1-D or not finite)
+raises ConfigurationError before any solve, and a non-finite density fails
+the sweep with ResolventError instead of being interpolated over.
 """
 
 from dataclasses import dataclass, replace
@@ -20,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
+from .errors import ConfigurationError
 from .liouvillian import GeneratorSet
 from .steady_state import (
     IntensityBreakdown,
@@ -36,10 +45,11 @@ from .steady_state import (
 _IDX_D1 = 128 - 1
 _IDX_D2 = 8 - 1
 _EXTRACT = 2.0
-# frequencies per batched solve.  Peak RSS grows with the block: the four
-# run_spectra.py regimes in one process peak at 68/72/80/146 MB for blocks
-# of 16/32/64/whole grids (a per-frequency loop: 71 MB), while blocks of 64
-# are only a fifth faster than 32 and whole grids a third
+# frequencies per batched solve.  Re-measured with the slice-wise resolvent
+# (2-core VM): the four run_spectra.py regimes in one process peak at
+# 37/40/46 MB of RSS for blocks of 16/32/64, and the four spectra-wide grids
+# take 410/409/430 ms (medians of 8 alternating rounds).  64 is slower and
+# larger, and 16 is no faster than 32, so the block stays at 32
 _BLOCK = 32
 
 
@@ -94,7 +104,14 @@ class SpectrumResult:
     normalized: bool = False
 
     def integrals(self, tail_correction=True):
-        """Trapezoid integrals of both densities, with a 1/nu^2 tail estimate."""
+        """Trapezoid integrals of both densities, with a 1/nu^2 tail estimate.
+
+        The grid must be strictly increasing with at least 2 points: the
+        densities themselves may be evaluated on any finite grid.
+        """
+        if len(self.nu_grid) < 2 or not np.all(np.diff(self.nu_grid) > 0):
+            raise ConfigurationError(
+                "integrals need a strictly increasing frequency grid of at least 2 points")
         lad = np.trapezoid(self.ladder_density, self.nu_grid)
         cro = np.trapezoid(self.crossed_density, self.nu_grid)
         if tail_correction:
@@ -135,16 +152,21 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     G0(z) V G0(z) s^[1](0) + G0(z) s^[2](0) plus the stabilized source
     difference term; same-atom components give the ladder density, the
     cross-atom components (with detection phases) the crossed density,
-    both via (1/pi) Re.  Frequencies are taken in blocks, each solved in
-    two batched resolvent stages; a non-finite density raises
-    ResolventError.
+    both via (1/pi) Re.  The grid need not be sorted, but must be a
+    non-empty, finite 1-D array (ConfigurationError otherwise); a
+    non-finite density raises ResolventError.
     """
     nu_grid = np.asarray(nu_grid, dtype=float)
+    if nu_grid.ndim != 1 or not nu_grid.size or not np.isfinite(nu_grid).all():
+        raise ConfigurationError(
+            f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
     g0 = gen.resolvent
     phase = gen.detection_phase
+    # the packed components _IDX_D1, _IDX_D2 read from Schur coordinates
+    read = g0.readout([_IDX_D1, _IDX_D2])
 
     corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
-    weights = np.array([corr.source_weight for corr in corrs])[:, None]
+    weights = np.array([corr.source_weight for corr in corrs])
     first = np.stack([gen.j, state.order0] + [corr.s0(1) for corr in corrs])
     second_source = np.stack([corr.s0(2) for corr in corrs])
 
@@ -160,16 +182,17 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         # weak-drive densities subtract nearly equal terms built from these
         t1_u, x = np.split(refined_solve(gen, z, first), [2], axis=1)
         # stabilized [G0(z) V G0(z) - G0 V G0] j / z
-        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j
-        static = g0.solve(0.0, v(t1_u))
+        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j, with G0 V t1 and G0 V u
+        # kept in Schur coordinates [k, i, nu, (t1, u)]
+        static = g0.solve_schur(0.0, g0.to_schur(v(t1_u)))
         # stage 2: G0(z) G0 V t1 and y_a = G0(z) (V x_a + s_a^[2](0))
-        second = np.concatenate([static[:, :1], v(x) + second_source], axis=1)
-        lead, y = np.split(g0.solve(z, second), [1], axis=1)
-        # s~_a = y_a + w_a (-G0(z) G0 V t1 - G0 V u)
-        s1, s2 = np.moveaxis(y - weights * (lead + static[:, 1:]), 1, 0)
-        ladder[block] = (_EXTRACT * (s1[:, _IDX_D1] + s2[:, _IDX_D2])).real / np.pi
-        crossed[block] = (_EXTRACT * (s1[:, _IDX_D2] * phase
-                                      + s2[:, _IDX_D1] * np.conj(phase))).real / np.pi
+        second = np.concatenate([static[..., :1], g0.to_schur(v(x) + second_source)], axis=-1)
+        lead, y = np.split(np.tensordot(read, g0.solve_schur(z, second), 2), [1], axis=-1)
+        # s~_a = y_a + w_a (-G0(z) G0 V t1 - G0 V u), as s[component, nu, a]
+        s = y - weights * (lead + np.tensordot(read, static[..., 1], 2)[..., None])
+        (s1_d1, s1_d2), (s2_d1, s2_d2) = np.moveaxis(s, -1, 0)
+        ladder[block] = (_EXTRACT * (s1_d1 + s2_d2)).real / np.pi
+        crossed[block] = (_EXTRACT * (s1_d2 * phase + s2_d1 * np.conj(phase))).real / np.pi
 
     bad = ~(np.isfinite(ladder) & np.isfinite(crossed))
     if bad.any():

@@ -9,10 +9,10 @@ built once per configuration in `assemble`, with one step of iterative
 refinement whose residual forms A x from A's two 16x16 Kronecker factors,
 so A is never formed as a dense 255x255 matrix.  All six of those solves
 share z = 0, so the resolvent inverts its 16 triangular column blocks once
-and applies them as products; the spectrum sweep's solves at z = -i nu
-differ per frequency and keep the back substitution.
-`resolvent_solve` and `nonperturbative_steady_state` are dense solves kept
-as references for the tests.
+and applies them as one product per column slice of its schedule; the
+spectrum sweep's solves at z = -i nu differ per frequency and take the
+slice-wise back substitution instead.  `refined_solve` is the package's
+only refined solve, the first stage of the spectrum sweep included.
 """
 
 from dataclasses import dataclass
@@ -22,29 +22,6 @@ import numpy as np
 from .basis import expectation, sigma
 from .errors import ResolventError
 from .liouvillian import GeneratorSet
-
-CONDITION_LIMIT = 1e12
-
-
-def resolvent_solve(a, z, rhs):
-    """Solve (z*I - A) x = rhs with a residual check.
-
-    rhs may be a vector or a stack of column vectors.
-    """
-    rhs = np.asarray(rhs, dtype=complex)
-    m = z * np.eye(a.shape[0], dtype=complex) - a
-    try:
-        x = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventError(f"resolvent singular at z = {z}") from exc
-    residual = np.linalg.norm(m @ x - rhs)
-    scale = np.linalg.norm(rhs)
-    if scale > 0 and residual > 1e-10 * scale:
-        if np.linalg.cond(m) > CONDITION_LIMIT:
-            raise ResolventError(
-                f"ill-conditioned resolvent at z = {z}: residual {residual:.3e}"
-            )
-    return x
 
 
 @dataclass(frozen=True)
@@ -81,11 +58,6 @@ def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     order1 = refined_solve(gen, 0.0, gen.V @ order0)
     order2 = refined_solve(gen, 0.0, gen.V @ order1)
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
-
-
-def nonperturbative_steady_state(gen: GeneratorSet):
-    """Exact stationary state: (A + V) <Q> = -j, all orders in g (dense A)."""
-    return np.linalg.solve(gen.A + gen.V, -gen.j)
 
 
 # detected-channel operators (atom 1 (x) atom 2); SIGMA_21[a - 1] acts on atom a

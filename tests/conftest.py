@@ -1,8 +1,11 @@
-"""Shared fixtures: cached generator assemblies and spectra.
+"""Shared fixtures, cached assemblies and spectra, and the dense references.
 
-Spectra are the expensive objects (thousands of dense complex solves),
-so every parameter point used by more than one test is computed once per
-session and reused.
+Spectra are the expensive objects (a batched resolvent sweep over up to
+4001 frequencies), so every parameter point used by more than one test is
+computed once per session and reused.  `resolvent_solve` and
+`nonperturbative_steady_state` solve with the dense 255x255 generator: they
+are the tests' references for the block-Schur resolvent and for the
+perturbative expansion; the package's own solves never form that matrix.
 """
 
 from functools import lru_cache
@@ -10,11 +13,39 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from twoatom_cbs.errors import ResolventError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.spectrum import compute_spectrum
 from twoatom_cbs.steady_state import intensities, perturbative_steady_state
 
 DEFAULT_SEPARATION = 100.0
+CONDITION_LIMIT = 1e12
+
+
+def resolvent_solve(a, z, rhs):
+    """Solve (z*I - A) x = rhs with a residual check.
+
+    rhs may be a vector or a stack of column vectors.
+    """
+    rhs = np.asarray(rhs, dtype=complex)
+    m = z * np.eye(a.shape[0], dtype=complex) - a
+    try:
+        x = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ResolventError(f"resolvent singular at z = {z}") from exc
+    residual = np.linalg.norm(m @ x - rhs)
+    scale = np.linalg.norm(rhs)
+    if scale > 0 and residual > 1e-10 * scale:
+        if np.linalg.cond(m) > CONDITION_LIMIT:
+            raise ResolventError(
+                f"ill-conditioned resolvent at z = {z}: residual {residual:.3e}"
+            )
+    return x
+
+
+def nonperturbative_steady_state(gen):
+    """Exact stationary state: (A + V) <Q> = -j, all orders in g (dense A)."""
+    return np.linalg.solve(gen.A + gen.V, -gen.j)
 
 
 def shifted_tilted_geometry():

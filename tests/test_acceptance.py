@@ -307,10 +307,9 @@ def test_criterion_10_property_suites(weak_point):
         apply_single_atom_generator,
         assemble,
     )
-    from twoatom_cbs.steady_state import (
-        nonperturbative_steady_state,
-        perturbative_steady_state,
-    )
+    from twoatom_cbs.steady_state import perturbative_steady_state
+
+    from conftest import nonperturbative_steady_state
 
     checks = {}
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twoatom_cbs.basis import expectation as basis_expectation
+from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.spectrum import (
     _EXTRACT,
@@ -27,10 +28,9 @@ from twoatom_cbs.steady_state import (
     dipole_expectations,
     intensities,
     perturbative_steady_state,
-    resolvent_solve,
 )
 
-from conftest import generator, shifted_tilted_geometry, spectrum_at, stationary
+from conftest import generator, resolvent_solve, shifted_tilted_geometry, spectrum_at, stationary
 
 
 def dense_reference_densities(gen, state, nu_grid):
@@ -140,6 +140,8 @@ class TestDensities:
         (0.1, 5.0, Geometry.backscattering(100.0)),
         (1.3, 0.7, shifted_tilted_geometry()),
         (20.0, 20.0, Geometry.backscattering(100.0)),
+        (0.5, 0.0, Geometry.backscattering(100.0)),
+        (1.0, 0.0, Geometry.backscattering(100.0)),
     ])
     def test_batched_sweep_matches_dense_per_nu_loop(self, rabi, detuning, geom):
         # 41 points, nu = 0 included; the weak detuned drive subtracts the
@@ -166,6 +168,29 @@ class TestDensities:
         with pytest.raises(ResolventError, match="11 grid points .* nu = -5"):
             inelastic_spectrum(broken, state, qrt_initial(1, state),
                                qrt_initial(2, state), grid)
+
+
+    def test_malformed_grids_are_rejected(self):
+        # an empty or non-finite grid is a configuration error before any
+        # solve; a descending grid gives the right densities, but no integral
+        gen, state, ib = stationary(1.0)
+        corrs = (qrt_initial(1, state), qrt_initial(2, state))
+        for grid in ([], [-1.0, np.nan, 1.0], np.zeros((2, 3))):
+            with pytest.raises(ConfigurationError, match="frequency grid"):
+                inelastic_spectrum(gen, state, *corrs, grid)
+        with pytest.raises(ConfigurationError, match="frequency grid"):
+            compute_spectrum(gen, nu_grid=[])
+        grid = np.linspace(-3.0, 3.0, 601)
+        ascending = inelastic_spectrum(gen, state, *corrs, grid)
+        descending = inelastic_spectrum(gen, state, *corrs, grid[::-1])
+        assert np.allclose(descending.ladder_density, ascending.ladder_density[::-1],
+                           rtol=1e-12, atol=0.0)
+        check_sum_rule(ascending, ib, tolerance=1.0)
+        for spec in (descending, replace(ascending, nu_grid=grid[:1],
+                                         ladder_density=ascending.ladder_density[:1],
+                                         crossed_density=ascending.crossed_density[:1])):
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                check_sum_rule(spec, ib)
 
 
 class TestSumRules:

@@ -13,16 +13,17 @@ from twoatom_cbs.liouvillian import (
     _single_atom_matrix,
     assemble,
 )
-from twoatom_cbs.resolvent import KroneckerResolvent, block_schur
+from twoatom_cbs.resolvent import COLUMN_SLICES, ROW_SLICES, KroneckerResolvent, block_schur
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
-from twoatom_cbs.steady_state import (
-    intensities,
-    nonperturbative_steady_state,
-    perturbative_steady_state,
-    resolvent_solve,
-)
+from twoatom_cbs.steady_state import intensities, perturbative_steady_state
 
-from conftest import generator, shifted_tilted_geometry, stationary
+from conftest import (
+    generator,
+    nonperturbative_steady_state,
+    resolvent_solve,
+    shifted_tilted_geometry,
+    stationary,
+)
 
 
 class TestResolvent:
@@ -112,6 +113,31 @@ class TestResolvent:
                     assert np.linalg.norm(u_a @ t_a @ u_a.conj().T - b_a) <= 1e-14 * norm
                     assert np.linalg.norm(u_a.conj().T @ u_a - np.eye(15)) <= 1e-14
                     assert not np.tril(t_a, -1).any()
+
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0, 100.0])
+    def test_level_major_slice_schedule(self, rabi):
+        # in level-major Schur order both factors stay upper triangular and
+        # no two unknowns of one slice are coupled, so each slice is one
+        # vectorised step of the triangular solve
+        positions = np.arange(16)
+        assert np.array_equal(np.concatenate([positions[s] for s in ROW_SLICES[::-1]]),
+                              positions)
+        assert np.array_equal(np.concatenate([positions[s] for s in COLUMN_SLICES]),
+                              positions)
+        for detuning in (0.0, 0.3, -5.0):
+            for phase in (1.0, np.exp(0.7j)):
+                cfg = DriveConfig(rabi=rabi, detuning=detuning)
+                g0 = KroneckerResolvent(_single_atom_matrix(cfg, phase),
+                                        _single_atom_matrix(cfg, np.conj(phase)))
+                r1, r2 = g0._r1, g0._r2
+                assert not np.tril(r1[:15, :15], -1).any()
+                assert not np.tril(r2[1:, 1:], -1).any()
+                for rows in ROW_SLICES:
+                    block = r1[rows, rows]
+                    assert not (block - np.diag(np.diag(block))).any()
+                for cols in COLUMN_SLICES:
+                    block = r2[cols, cols]
+                    assert not (block - np.diag(np.diag(block))).any()
 
     @pytest.mark.parametrize("atom", [1, 2])
     def test_rejects_generator_coupling_the_blocks(self, atom):
