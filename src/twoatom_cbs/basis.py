@@ -72,22 +72,17 @@ def expand_two_atom_operator(op):
     return (two_atom_basis_flat() @ op.ravel().conj()).conj()
 
 
-def reconstruct_two_atom_operator(coeffs):
-    """Inverse of expand_two_atom_operator."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return (coeffs @ two_atom_basis_flat()).reshape(N_SINGLE, N_SINGLE)
-
-
 def expectation(op, state, order=None):
     """Stationary expectation value of a 16x16 operator.
 
-    `state` is a 255-element vector of basis-operator expectation values
-    (index n-1 holds <Q_n>).  The trace element contributes its constant
-    value 1/4 only at perturbative order 0; pass order=None for a
-    non-perturbative state (constant always included).
+    `state` holds 255 basis-operator expectation values on its last axis
+    (index n-1 holds <Q_n>); leading axes, such as configurations, give one
+    value each.  The trace element contributes its constant value 1/4 only
+    at perturbative order 0; pass order=None for a non-perturbative state
+    (constant always included).
     """
     c = expand_two_atom_operator(op)
-    val = c[1:] @ np.asarray(state)
+    val = np.asarray(state) @ c[1:]
     if order is None or order == 0:
         val += c[0] * TRACE_ELEMENT_VALUE
     return val

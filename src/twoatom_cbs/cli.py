@@ -32,7 +32,8 @@ import numpy as np
 from . import __version__
 from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone,
                              monte_carlo_average)
-from .liouvillian import ConfigurationError, DriveConfig, Geometry, assemble
+from .liouvillian import (ConfigurationError, DriveConfig, Geometry, angular_weight,
+                          assemble, coupling_constant)
 from .oracles import alpha_closed_form
 from .spectrum import check_sum_rule, compute_spectrum, normalized_spectra
 from .steady_state import ResolventError, intensities, perturbative_steady_state
@@ -233,36 +234,30 @@ def run_intensity_sweep(cfg):
     if not (0 < lo < hi) or n < 2:
         raise ConfigurationError("need 0 < sweep_min < sweep_max and sweep_points >= 2")
     spacing = np.geomspace if cfg["sweep_scale"] == "log" else np.linspace
-    rows = []
-    for rabi in spacing(lo, hi, n):
-        gen = assemble(DriveConfig(rabi=rabi, detuning=cfg["detuning"]), geometry)
-        ib = intensities(perturbative_steady_state(gen), gen)
-        rows.append([rabi, cfg["detuning"], ib.L_el, ib.C_el,
-                     ib.L_inel, ib.C_inel, ib.alpha])
+    rabi = spacing(lo, hi, n)
+    gen = assemble(DriveConfig(rabi=rabi, detuning=cfg["detuning"]), geometry)
+    ib = intensities(perturbative_steady_state(gen), gen)
+    rows = np.column_stack([rabi, np.full(n, cfg["detuning"]), ib.L_el, ib.C_el,
+                            ib.L_inel, ib.C_inel, ib.alpha])
     columns = ("rabi", "detuning", "L_el", "C_el", "L_inel", "C_inel", "alpha")
-    return {}, columns, np.array(rows)
+    return {}, columns, rows
 
 
 def run_compare_oracles(cfg):
     geometry = Geometry.backscattering(cfg["k0_r12"])
-    s_values = cfg["s_values"]
-    if not s_values or any(s <= 0 for s in s_values):
+    s = np.array(cfg["s_values"])
+    if not s.size or np.any(s <= 0):
         raise ConfigurationError("s_values must be positive saturation parameters")
-    gen0 = assemble(DriveConfig(rabi=1.0), geometry)
-    weight = gen0.angular_weight
-    rows = []
-    for s in s_values:
-        rabi = np.sqrt(2.0 * s)
-        gen = assemble(DriveConfig(rabi=rabi), geometry)
-        ib = intensities(perturbative_steady_state(gen), gen)
-        alpha_ref = alpha_closed_form(s)
-        # reduced elastic oracle s/(1+s)^4 rescaled by the geometric weight
-        el_ref = s / (1.0 + s) ** 4 * weight
-        rows.append([
-            s, ib.alpha, alpha_ref, abs(ib.alpha - alpha_ref) / alpha_ref,
-            ib.L_el, el_ref, abs(ib.L_el - el_ref) / el_ref,
-        ])
-    rows = np.array(rows)
+    weight = angular_weight(geometry.n_hat, coupling_constant(cfg["k0_r12"]))
+    gen = assemble(DriveConfig(rabi=np.sqrt(2.0 * s)), geometry)
+    ib = intensities(perturbative_steady_state(gen), gen)
+    alpha_ref = alpha_closed_form(s)
+    # reduced elastic oracle s/(1+s)^4 rescaled by the geometric weight
+    el_ref = s / (1.0 + s) ** 4 * weight
+    rows = np.column_stack([
+        s, ib.alpha, alpha_ref, np.abs(ib.alpha - alpha_ref) / alpha_ref,
+        ib.L_el, el_ref, np.abs(ib.L_el - el_ref) / el_ref,
+    ])
     results = {
         "max_alpha_rel_err": rows[:, 3].max(),
         "max_elastic_rel_err": rows[:, 6].max(),

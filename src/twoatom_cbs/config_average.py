@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouvillian import E_PLUS, ConfigurationError, coupling_constant
+from .liouvillian import E_PLUS, ConfigurationError
 
 #: isotropic average of |Delta_{+1,+1}|^2 = <sin^4(theta)>/4 = 2/15
 ANGULAR_FACTOR = 2.0 / 15.0
@@ -47,6 +47,10 @@ class DisorderModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mean_separation", "width"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, not {value}")
         if self.mean_separation <= self.width / 2:
             raise ConfigurationError(
                 f"distance window [{self.mean_separation - self.width / 2}, "
@@ -60,20 +64,6 @@ class DisorderModel:
             )
         if self.samples < 1:
             raise ConfigurationError("at least one Monte Carlo sample required")
-
-    def mean_coupling_sq(self, sampled=False):
-        """|g_bar|^2 with g evaluated at the mean separation.
-
-        With sampled=True, returns the Monte Carlo mean of |g|^2 over
-        the distance window instead (the two differ at relative order
-        (width / mean_separation)^2).
-        """
-        if not sampled:
-            return abs(coupling_constant(self.mean_separation)) ** 2
-        result = monte_carlo_average(
-            self, lambda n_hat, r: np.abs(coupling_constant(r)) ** 2
-        )
-        return result.mean
 
     def sample(self, rng, count):
         """Draw `count` (n_hat, separation) pairs.
@@ -102,19 +92,6 @@ class AverageResult:
     mean: np.ndarray | float
     standard_error: np.ndarray | float
     samples: int
-
-
-def angular_factor_analytic():
-    """Isotropic angular factor of the geometric weight.
-
-    Returns
-    -------
-    (float, float)
-        (2/15, 1/35): the mean of |Delta_{+1,+1}|^2 over orientations,
-        and the theta^2 coefficient of the small-angle crossed profile
-        2/15 - (k l theta)^2 / 35.
-    """
-    return ANGULAR_FACTOR, THETA_SQ_COEFFICIENT
 
 
 def monte_carlo_average(model: DisorderModel, evaluator) -> AverageResult:
@@ -167,19 +144,6 @@ def angular_weight_evaluator(n_hat, r):
     return np.abs(a) ** 4
 
 
-def crossed_phase_evaluator(k_total):
-    """cos(k_total . r12) per configuration; k_total = k + k_L.
-
-    At exact backscattering k_total = 0 and the phase is identically 1.
-    """
-    k_total = np.asarray(k_total, dtype=float)
-
-    def evaluate(n_hat, r):
-        return np.cos((n_hat @ k_total) * r)
-
-    return evaluate
-
-
 def cbs_cone(theta_grid, contrast_at_zero, k_ell):
     """Small-angle crossed/ladder contrast profile around backscattering.
 
@@ -201,8 +165,11 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
     Raises
     ------
     ConfigurationError
-        If any angle is outside the small-angle regime.
+        If any angle is outside the small-angle regime, or k_ell is not
+        finite and positive.
     """
+    if not (np.isfinite(k_ell) and k_ell > 0):
+        raise ConfigurationError(f"k_ell must be finite and positive, not {k_ell}")
     theta_grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.abs(theta_grid) >= 1.0):
         raise ConfigurationError("cone profile is a small-angle expansion")

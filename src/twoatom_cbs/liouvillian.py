@@ -13,9 +13,15 @@ tables.  A is kept only as its two factors (in the resolvent); V stays
 dense, as a product through its 24 factor pairs costs about 3x the dense
 one.  V does not depend on the drive: it is built, checked and cached
 (read-only) once per (gamma, n_hat, g), so a sweep over the drive at one
-geometry pays for it once.  The direct operator actions
-apply_*_generator are the independent references the matrices are tested
-against.
+geometry pays for it once.  The direct operator actions the matrices are
+tested against, apply_*_generator, live in tests/conftest.py.
+
+A drive sweep is one call.  `DriveConfig.rabi` and `.detuning` may be
+arrays, and their broadcast shape is the configuration shape C (() for
+scalars).  M1 and M2 are affine in (Omega, delta), so both are built for
+all of C at once as arrays of shape C + (16, 16); j has shape C + (255,),
+the resolvent carries C in front of its own axes, and every check runs per
+configuration.  gamma stays a scalar, so V is shared by the whole sweep.
 
 Frequencies are in units of gamma (half the spontaneous decay rate),
 lengths in units of 1/k0.  The quantization axis is along the laser wave
@@ -59,24 +65,49 @@ FAR_FIELD_WARN_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Laser drive parameters, all in units of gamma."""
+    """Laser drive parameters, all in units of gamma.
 
-    rabi: float
-    detuning: float = 0.0
+    `rabi` and `detuning` may be arrays (stored as read-only float copies):
+    their broadcast shape is the configuration shape `shape`, () for two
+    scalars.  `gamma` and `laser_polarization` are scalars shared by every
+    configuration, as V is built once per gamma.
+    """
+
+    rabi: float | np.ndarray
+    detuning: float | np.ndarray = 0.0
     gamma: float = 1.0
     laser_polarization: int = 1
 
     def __post_init__(self):
+        for name in ("rabi", "detuning"):
+            if np.ndim(getattr(self, name)):
+                value = np.array(getattr(self, name), dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        for name in ("gamma", "laser_polarization"):
+            if np.ndim(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a scalar")
+        try:
+            self.shape
+        except ValueError:
+            raise ConfigurationError(
+                f"rabi {np.shape(self.rabi)} and detuning {np.shape(self.detuning)} "
+                "do not broadcast to one configuration shape") from None
         for name in ("rabi", "detuning", "gamma"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
         # an undriven pair scatters nothing: every intensity vanishes
-        if self.rabi <= 0:
+        if np.any(self.rabi <= 0):
             raise ConfigurationError("rabi must be positive")
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be positive")
         if self.laser_polarization != 1:
             raise ConfigurationError("only the +1 helicity drive channel is supported")
+
+    @property
+    def shape(self):
+        """Configuration shape: the broadcast shape of rabi and detuning."""
+        return np.broadcast_shapes(np.shape(self.rabi), np.shape(self.detuning))
 
     @property
     def saturation(self):
@@ -102,6 +133,10 @@ class Geometry:
             v = getattr(self, name)
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ConfigurationError(f"{name} must be a unit vector")
+        # finite positions can still be too far apart for |r12| to be a float
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.k0_r12):
+                raise ConfigurationError("atom separation overflows")
         if self.k0_r12 <= 0:
             raise ConfigurationError("atoms must not coincide")
 
@@ -177,77 +212,22 @@ def angular_weight(n_hat, g):
     return abs(g) ** 2 * abs(delta_plus_plus(n_hat)) ** 2
 
 
-# ---------------------------------------------------------------------------
-# superoperator actions on 16x16 two-atom operators
-# ---------------------------------------------------------------------------
-
-_I4 = np.eye(4, dtype=complex)
 _I16 = np.eye(N_SINGLE, dtype=complex)
 
 
-def _embed(op, atom):
-    """Lift a single-atom operator into the two-atom space (atom 1 or 2)."""
-    if atom == 1:
-        return np.kron(op, _I4)
-    if atom == 2:
-        return np.kron(_I4, op)
-    raise ValueError("atom must be 1 or 2")
+def _unit_drive(laser_polarization, rabi_phase):
+    """Drive term Omega_a D^dag.eps_L + Omega_a^* D.eps_L^* at Omega = 1 (4x4).
 
-
-def _single_atom_operators(cfg, rabi_phase):
-    """Excited projector, drive Hamiltonian term, dipole components (4x4)."""
-    eps_l = _HELICITY_VECS[cfg.laser_polarization]
-    omega_a = cfg.rabi * rabi_phase
+    Omega_a = Omega * rabi_phase, so the drive term at Omega is Omega times
+    this operator.
+    """
+    eps_l = _HELICITY_VECS[laser_polarization]
     drive = np.zeros((4, 4), dtype=complex)
     for q in HELICITY:
         d_q = _DIPOLE_COMPONENTS[q]
-        drive += omega_a * (_HELICITY_VECS[q].conj() @ eps_l) * d_q.conj().T
-        drive += np.conj(omega_a) * (_HELICITY_VECS[q] @ eps_l.conj()) * d_q
-    return _EXCITED, drive
-
-
-def apply_single_atom_generator(cfg, Q, atom, rabi_phase=1.0):
-    """Direct action of the independent-atom generator on a two-atom operator.
-
-    Implements -i delta [D^dag.D, Q] - (i/2)[Omega_a D^dag.eps_L
-    + Omega_a^* D.eps_L^*, Q] + gamma sum_q (d_q^dag [Q, d_q]
-    + [d_q^dag, Q] d_q) by plain matrix algebra; this is the reference
-    path against which the assembled matrix A is cross-validated.
-    """
-    Q = np.asarray(Q, dtype=complex)
-    excited, drive = _single_atom_operators(cfg, rabi_phase)
-    excited = _embed(excited, atom)
-    drive = _embed(drive, atom)
-    out = -1j * cfg.detuning * (excited @ Q - Q @ excited)
-    out += -0.5j * (drive @ Q - Q @ drive)
-    for q in HELICITY:
-        d = _embed(_DIPOLE_COMPONENTS[q], atom)
-        dd = d.conj().T
-        out += cfg.gamma * (dd @ (Q @ d - d @ Q) + (dd @ Q - Q @ dd) @ d)
-    return out
-
-
-def apply_interaction_generator(cfg, geom, g, Q, alpha, beta):
-    """Direct action of the photon-exchange generator L_{alpha beta}.
-
-    Implements D_a^dag . T . [Q, D_b] + [D_b^dag, Q] . T^* . D_a with
-    T = gamma g Delta(n_hat).
-    """
-    Q = np.asarray(Q, dtype=complex)
-    ph = helicity_projector(geom.n_hat)
-    out = np.zeros_like(Q)
-    for i, q in enumerate(HELICITY):
-        for j, qp in enumerate(HELICITY):
-            w = cfg.gamma * ph[i, j]
-            if w == 0:
-                continue
-            da_dag = _embed(_DIPOLE_COMPONENTS[q].conj().T, alpha)
-            db = _embed(_DIPOLE_COMPONENTS[qp], beta)
-            out += w * g * (da_dag @ (Q @ db - db @ Q))
-            db_dag = _embed(_DIPOLE_COMPONENTS[q].conj().T, beta)
-            da = _embed(_DIPOLE_COMPONENTS[qp], alpha)
-            out += w * np.conj(g) * ((db_dag @ Q - Q @ db_dag) @ da)
-    return out
+        drive += rabi_phase * (_HELICITY_VECS[q].conj() @ eps_l) * d_q.conj().T
+        drive += np.conj(rabi_phase) * (_HELICITY_VECS[q] @ eps_l.conj()) * d_q
+    return drive
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +253,27 @@ def _drive_independent_tables():
 
 
 def _single_atom_matrix(cfg, rabi_phase):
-    """16x16 coefficient matrix of one atom's generator on the single-atom basis.
+    """16x16 coefficient matrices of one atom's generator, one per configuration.
 
-    -i delta (L_E - R_E) - (i/2)(L_H - R_H)
+    -i delta (L_E - R_E) - (i/2) Omega (L_H1 - R_H1)
     + gamma sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
-    the table form of apply_single_atom_generator.  Only the drive term
-    L_H - R_H depends on (Omega, phase); the other two tables are cached.
+    the table form of the direct action `apply_single_atom_generator` in
+    tests/conftest.py.  It is affine in (delta, Omega): H1 is the drive
+    term at Omega = 1 (`_unit_drive`), whose table is built once per call,
+    and the other two tables are cached.  Shape cfg.shape + (16, 16).
     """
-    _, drive = _single_atom_operators(cfg, rabi_phase)
-    l_h, r_h = single_atom_tables(drive)
+    l_h, r_h = single_atom_tables(_unit_drive(cfg.laser_polarization, rabi_phase))
     excited, dissipator = _drive_independent_tables()
-    return -1j * cfg.detuning * excited - 0.5j * (l_h - r_h) + cfg.gamma * dissipator
+    detuning = np.asarray(cfg.detuning)[..., None, None]
+    rabi = np.asarray(cfg.rabi)[..., None, None]
+    return -1j * detuning * excited - 0.5j * rabi * (l_h - r_h) + cfg.gamma * dissipator
 
 
 def _interaction_matrix(gamma, n_hat, g):
     """256x256 coefficient matrix of L_12 + L_21.
 
-    The table form of apply_interaction_generator, contracted over one
+    The table form of the direct action `apply_interaction_generator` in
+    tests/conftest.py, contracted over one
     helicity index: with w = gamma P, Y_k = sum_j w_kj d_j and
     Z_k = sum_i w_ik d_i^dag,
     L_12 = sum_k g L_{d_k^dag} (x) (R_{Y_k} - L_{Y_k})
@@ -346,7 +330,9 @@ class GeneratorSet:
 
     `resolvent` applies G0(z) = (z - A)^{-1} from the Schur forms of the
     two single-atom blocks of A, and A itself from its Kronecker factors;
-    every solve and product with A goes through it.
+    every solve and product with A goes through it.  j and the resolvent
+    carry the configuration axes cfg.shape in front; V, the geometry and g
+    are shared by every configuration.
     """
 
     V: np.ndarray
@@ -358,7 +344,8 @@ class GeneratorSet:
 
     @property
     def A(self):
-        """Dense 255x255 A, formed on each access for dense reference solves."""
+        """Dense 255x255 A of one configuration, formed on each access for dense
+        reference solves."""
         m1, m2 = self.resolvent.m1, self.resolvent.m2
         return (np.kron(m1, _I16) + np.kron(_I16, m2))[1:, 1:]
 
@@ -377,7 +364,9 @@ def assemble(cfg, geom, g=None):
 
     The coupling g defaults to the far-field value at the interatomic
     distance but may be overridden (e.g. rescaled) independently of the
-    geometric phases.
+    geometric phases.  An array-valued `cfg` assembles every configuration
+    in one call; each is checked on its own, and one that fails fails the
+    call.
     """
     if g is None:
         g = coupling_constant(geom.k0_r12)
@@ -387,16 +376,20 @@ def assemble(cfg, geom, g=None):
     v = _coupling_matrix(cfg.gamma, tuple(geom.n_hat), complex(g))
 
     # identity must be stationary under both single-atom generators
-    if max(np.abs(m[0]).max() for m in (m1, m2)) > 1e-12:
+    if max(np.abs(m[..., 0, :]).max() for m in (m1, m2)) > 1e-12:
         raise ConfigurationError("generator does not leave the identity invariant")
 
-    # column 0 (the trace element) of M1 (x) 1 + 1 (x) M2
-    j = (np.kron(m1[:, 0], _I16[0]) + np.kron(_I16[0], m2[:, 0]))[1:] * TRACE_ELEMENT_VALUE
+    # column 0 (the trace element) of M1 (x) 1 + 1 (x) M2, as a 16x16 array
+    source = np.zeros(m1.shape, dtype=complex)
+    source[..., :, 0] = m1[..., :, 0]
+    source[..., 0, :] += m2[..., :, 0]
+    j = source.reshape(cfg.shape + (N_TWO,))[..., 1:] * TRACE_ELEMENT_VALUE
 
     resolvent = KroneckerResolvent(m1, m2)
     # singular to working precision: an eigenvalue at the rounding level of
-    # A, whose largest entry is at most max|M1| + max|M2|
-    scale = np.abs(m1).max() + np.abs(m2).max()
-    if not np.abs(resolvent.eigenvalues).min() > (N_TWO - 1) * np.finfo(float).eps * scale:
+    # A, whose largest entry is at most max|M1| + max|M2|, per configuration
+    scale = np.abs(m1).max(axis=(-2, -1)) + np.abs(m2).max(axis=(-2, -1))
+    smallest = np.abs(resolvent.eigenvalues).min(axis=-1)
+    if not np.all(smallest > (N_TWO - 1) * np.finfo(float).eps * scale):
         raise ConfigurationError("single-atom generator matrix A is singular")
     return GeneratorSet(V=v, j=j, cfg=cfg, geom=geom, g=complex(g), resolvent=resolvent)

@@ -20,7 +20,9 @@ output and G0(0) V u are read only at the two detected dipoles, through
 the resolvent's 16x16 readout weights, so the other 253 components are
 never transformed back.  A malformed grid (empty, not 1-D or not finite)
 raises ConfigurationError before any solve, and a non-finite density fails
-the sweep with ResolventError instead of being interpolated over.
+the sweep with ResolventError instead of being interpolated over.  Spectra
+take one drive configuration: a generator set or state assembled for a
+stack of them raises ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
@@ -53,6 +55,12 @@ _EXTRACT = 2.0
 _BLOCK = 32
 
 
+def _require_one_configuration(shape):
+    if shape != ():
+        raise ConfigurationError(
+            f"spectra take one drive configuration, not a stack of shape {shape}")
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
     """QRT initial conditions <sigma_21^alpha Q>_ss per perturbative order."""
@@ -78,6 +86,7 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
     (1 (x) L) f = vec(F L^T), with the trace entry F[0, 0] = 1/4 at order
     0 and 0 at orders 1 and 2.
     """
+    _require_one_configuration(state.order0.shape[:-1])
     l_sigma, _ = single_atom_tables(sigma(2, 1))
     full = np.zeros((3, N_TWO), dtype=complex)
     full[0, 0] = TRACE_ELEMENT_VALUE
@@ -123,8 +132,10 @@ class SpectrumResult:
     def tail_estimates(self):
         """Estimated mass beyond the grid assuming C/nu^2 far tails.
 
-        The exact densities are finite pole sums, so the leading tail is
-        quadratic; C is fitted on the outer few percent of the grid.
+        C is fitted on the outer few percent of the grid.  The model is
+        cruder than the densities: the ladder densities decay as nu^-4 and
+        the crossed ones at least as fast as nu^-5, so this overestimates
+        the tail mass (about 3x for the ladder at Omega = 0.1, delta = 5).
         """
         nu = self.nu_grid
         k = max(3, len(nu) // 40)
@@ -156,6 +167,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     non-empty, finite 1-D array (ConfigurationError otherwise); a
     non-finite density raises ResolventError.
     """
+    _require_one_configuration(gen.cfg.shape)
     nu_grid = np.asarray(nu_grid, dtype=float)
     if nu_grid.ndim != 1 or not nu_grid.size or not np.isfinite(nu_grid).all():
         raise ConfigurationError(
@@ -269,6 +281,7 @@ def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> Spectrum
 
 def compute_spectrum(gen: GeneratorSet, nu_grid=None, points=2001):
     """Convenience pipeline: steady state, QRT vectors, densities, intensities."""
+    _require_one_configuration(gen.cfg.shape)
     state = perturbative_steady_state(gen)
     if nu_grid is None:
         nu_grid = default_nu_grid(gen.cfg, points=points)

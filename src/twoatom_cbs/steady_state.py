@@ -13,6 +13,12 @@ and applies them as one product per column slice of its schedule; the
 spectrum sweep's solves at z = -i nu differ per frequency and take the
 slice-wise back substitution instead.  `refined_solve` is the package's
 only refined solve, the first stage of the spectrum sweep included.
+
+A generator set assembled for a stack of drive configurations (shape C,
+see `liouvillian.DriveConfig`) goes through the same calls: each order is a
+C + (255,) array, the six static solves run over the whole stack at once,
+and the fields of `IntensityBreakdown` are arrays of shape C (floats for
+one configuration).
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from .liouvillian import GeneratorSet
 
 @dataclass(frozen=True)
 class PerturbativeState:
-    """Stationary <Q> at orders g^0, g^1, g^2 (255 components each)."""
+    """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each)."""
 
     order0: np.ndarray
     order1: np.ndarray
@@ -55,8 +61,8 @@ def refined_solve(gen: GeneratorSet, z, rhs):
 def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     """order_k = (G0 V)^k G0 j, the g-expansion of the stationary state."""
     order0 = refined_solve(gen, 0.0, gen.j)
-    order1 = refined_solve(gen, 0.0, gen.V @ order0)
-    order2 = refined_solve(gen, 0.0, gen.V @ order1)
+    order1 = refined_solve(gen, 0.0, order0 @ gen.V.T)
+    order2 = refined_solve(gen, 0.0, order1 @ gen.V.T)
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 
@@ -72,18 +78,20 @@ _CROSS_12 = np.kron(sigma(2, 1), sigma(1, 2))
 class IntensityBreakdown:
     """Stationary double-scattering intensities and the enhancement factor.
 
-    Values are per configuration; divide by the angular weight
-    |g|^2 |Delta_{+1,+1}|^2 (see `reduced`) to obtain the dimensionless
-    forms the closed-form oracle expressions are written in.
+    Each field is a float for one configuration and an array of the
+    configuration shape for a stack of them.  Values are per configuration;
+    divide by the angular weight |g|^2 |Delta_{+1,+1}|^2 (see `reduced`) to
+    obtain the dimensionless forms the closed-form oracle expressions are
+    written in.
     """
 
-    L_el: float
-    C_el: float
-    L_inel: float
-    C_inel: float
-    L_tot: float
-    C_tot: float
-    alpha: float
+    L_el: float | np.ndarray
+    C_el: float | np.ndarray
+    L_inel: float | np.ndarray
+    C_inel: float | np.ndarray
+    L_tot: float | np.ndarray
+    C_tot: float | np.ndarray
+    alpha: float | np.ndarray
 
     def reduced(self, weight):
         """Same breakdown in units of the geometric weight."""
@@ -115,8 +123,9 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     l_el = (d21_1 * d12_1 + d21_2 * d12_2).real
     c_el = 2.0 * (d21_1 * d12_2 * phase).real
 
-    if l_tot <= 0:
-        raise ResolventError(f"non-positive ladder intensity {l_tot}: numerical failure")
+    if np.any(l_tot <= 0):
+        raise ResolventError(
+            f"non-positive ladder intensity {np.min(l_tot)}: numerical failure")
     return IntensityBreakdown(
         L_el=l_el,
         C_el=c_el,

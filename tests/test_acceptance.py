@@ -289,11 +289,7 @@ def test_criterion_9_detuned_line_positions():
 def test_criterion_10_property_suites(weak_point):
     # the full property suites live in the module test files; the named
     # headline properties are re-run here in one place
-    from twoatom_cbs.basis import (
-        expand_two_atom_operator,
-        reconstruct_two_atom_operator,
-        two_atom_basis_flat,
-    )
+    from twoatom_cbs.basis import expand_two_atom_operator, two_atom_basis_flat
     from twoatom_cbs.config_average import (
         ANGULAR_FACTOR,
         DisorderModel,
@@ -304,12 +300,15 @@ def test_criterion_10_property_suites(weak_point):
         DriveConfig,
         Geometry,
         _single_atom_matrix,
-        apply_single_atom_generator,
         assemble,
     )
     from twoatom_cbs.steady_state import perturbative_steady_state
 
-    from conftest import nonperturbative_steady_state
+    from conftest import (
+        apply_single_atom_generator,
+        nonperturbative_steady_state,
+        reconstruct_two_atom_operator,
+    )
 
     checks = {}
 

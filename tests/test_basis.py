@@ -11,11 +11,12 @@ from twoatom_cbs.basis import (
     TRACE_ELEMENT_VALUE,
     expand_two_atom_operator,
     expectation,
-    reconstruct_two_atom_operator,
     sigma,
     single_atom_basis,
     two_atom_basis_flat,
 )
+
+from conftest import reconstruct_two_atom_operator
 
 
 def random_operator(seed, dim=16):

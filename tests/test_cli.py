@@ -229,6 +229,11 @@ class TestExitCodes:
         ["cone", "--k0-r12", "-100"],
         ["cone", "--k0-r12", "0"],
         ["cone", "--mc-samples", "-5"],
+        ["cone", "--k-ell", "nan", "--mc-samples", "0"],
+        ["cone", "--k-ell", "-5", "--mc-samples", "0"],
+        ["cone", "--k-ell", "inf", "--mc-samples", "10"],
+        # |r12| overflows although both positions are finite
+        ["intensity-sweep", "--k0-r12", "1e300"],
     ])
     def test_out_of_range(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -7,14 +7,14 @@ from scipy.integrate import quad
 from twoatom_cbs.config_average import (
     ANGULAR_FACTOR,
     DisorderModel,
-    angular_factor_analytic,
     angular_weight_evaluator,
     cbs_cone,
     cone_half_width,
-    crossed_phase_evaluator,
     monte_carlo_average,
 )
 from twoatom_cbs.liouvillian import ConfigurationError, coupling_constant
+
+from conftest import angular_factor_analytic, crossed_phase_evaluator, mean_coupling_sq
 
 
 class TestAnalyticFactors:
@@ -32,6 +32,12 @@ class TestDisorderModel:
         with pytest.raises(ConfigurationError):
             DisorderModel(mean_separation=2.0, width=10.0)
 
+    @pytest.mark.parametrize("field", ["mean_separation", "width"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -5.0, 0.0])
+    def test_rejects_non_finite_or_non_positive_lengths(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive"):
+            DisorderModel(**{"mean_separation": 100.0, field: value})
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ConfigurationError):
             DisorderModel(mean_separation=100.0, samples=0)
@@ -42,8 +48,8 @@ class TestDisorderModel:
 
     def test_mean_coupling_modes_agree(self):
         model = DisorderModel(mean_separation=200.0, samples=50_000, seed=11)
-        analytic = model.mean_coupling_sq()
-        sampled = model.mean_coupling_sq(sampled=True)
+        analytic = mean_coupling_sq(model)
+        sampled = mean_coupling_sq(model, sampled=True)
         assert analytic == pytest.approx(abs(coupling_constant(200.0)) ** 2)
         # relative spread of order (width / separation)^2
         assert sampled == pytest.approx(analytic, rel=5e-3)
@@ -99,6 +105,11 @@ class TestCone:
         theta_half = cone_half_width(100.0)
         profile = cbs_cone(np.array([theta_half]), 1.0, 100.0)
         assert profile[0] == pytest.approx(0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("k_ell", [np.nan, np.inf, -5.0, 0.0])
+    def test_rejects_invalid_k_ell(self, k_ell):
+        with pytest.raises(ConfigurationError, match="k_ell must be finite and positive"):
+            cbs_cone(np.array([0.0, 0.01]), 1.0, k_ell)
 
     def test_rejects_large_angles(self):
         with pytest.raises(ConfigurationError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from twoatom_cbs.basis import (
     TRACE_ELEMENT_VALUE,
     expand_two_atom_operator,
-    reconstruct_two_atom_operator,
     two_atom_basis_flat,
 )
 from twoatom_cbs.liouvillian import (
@@ -20,8 +19,6 @@ from twoatom_cbs.liouvillian import (
     _interaction_matrix,
     _single_atom_matrix,
     angular_weight,
-    apply_interaction_generator,
-    apply_single_atom_generator,
     assemble,
     coupling_constant,
     delta_plus_plus,
@@ -30,7 +27,12 @@ from twoatom_cbs.liouvillian import (
     transverse_projector,
 )
 
-from conftest import shifted_tilted_geometry
+from conftest import (
+    apply_interaction_generator,
+    apply_single_atom_generator,
+    reconstruct_two_atom_operator,
+    shifted_tilted_geometry,
+)
 
 unit_vectors = st.tuples(
     st.floats(-1, 1), st.floats(0, 2 * np.pi)
@@ -79,6 +81,29 @@ class TestConfigs:
     def test_rejects_coincident_atoms(self):
         with pytest.raises(ConfigurationError):
             Geometry(r1=np.zeros(3), r2=np.zeros(3))
+
+    def test_rejects_overflowing_separation(self):
+        # finite positions whose distance is not a float
+        with pytest.raises(ConfigurationError, match="separation overflows"):
+            Geometry.backscattering(1e300)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rabi": [1.0, np.nan]}, "rabi must be finite"),
+        ({"rabi": [1.0, 0.0]}, "rabi must be positive"),
+        ({"rabi": 1.0, "gamma": [1.0, 2.0]}, "gamma must be a scalar"),
+        ({"rabi": [1.0, 2.0], "detuning": [0.0, 1.0, 2.0]}, "do not broadcast"),
+    ])
+    def test_rejects_invalid_configuration_stack(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            DriveConfig(**kwargs)
+
+    def test_configuration_shape(self):
+        assert DriveConfig(rabi=2.0, detuning=1.0).shape == ()
+        cfg = DriveConfig(rabi=[[1.0], [2.0], [3.0]], detuning=[0.0, 5.0])
+        assert cfg.shape == (3, 2)
+        assert cfg.saturation.shape == (3, 2)
+        with pytest.raises(ValueError):
+            cfg.rabi[0, 0] = 7.0  # validated values stay as checked
 
     @pytest.mark.parametrize("k0_r12", [-100.0, 0.0])
     def test_backscattering_rejects_nonpositive_separation(self, k0_r12):

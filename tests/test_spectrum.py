@@ -192,6 +192,19 @@ class TestDensities:
             with pytest.raises(ConfigurationError, match="strictly increasing"):
                 check_sum_rule(spec, ib)
 
+    def test_configuration_stacks_are_rejected(self):
+        # spectra take one drive configuration; a stack fails before any solve
+        stack = assemble(DriveConfig(rabi=[0.5, 1.0]), Geometry.backscattering(100.0))
+        stack_state = perturbative_steady_state(stack)
+        gen, state, _ = stationary(1.0)
+        corrs = (qrt_initial(1, state), qrt_initial(2, state))
+        with pytest.raises(ConfigurationError, match="one drive configuration"):
+            qrt_initial(1, stack_state)
+        with pytest.raises(ConfigurationError, match="one drive configuration"):
+            inelastic_spectrum(stack, state, *corrs, [0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="one drive configuration"):
+            compute_spectrum(stack, nu_grid=[0.0, 1.0])
+
 
 class TestSumRules:
     def test_weak_field_sum_rule(self, weak_point):

@@ -1,5 +1,7 @@
 """Stationary-state pipeline against closed forms and the exact solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,3 +245,63 @@ class TestIntensities:
         low_orders = (expectation(pop, state.order0, order=0)
                       + expectation(pop, state.order1, order=1)).real
         assert ib.L_tot == pytest.approx(exact_pop - low_orders, rel=0.05)
+
+
+FIELDS = ("L_el", "C_el", "L_inel", "C_inel", "L_tot", "C_tot", "alpha")
+
+
+class TestConfigurationStacks:
+    """A drive sweep in one call equals the same sweep one configuration at a time."""
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+                             ids=["backscattering", "shifted_tilted"])
+    @pytest.mark.parametrize("detuning, tol", [(0.0, 1e-12), (2.0, 1e-12), (5.0, 1e-12),
+                                               (80.0, 1e-8)])
+    def test_batched_sweep_matches_loop(self, geom, detuning, tol):
+        # at delta = 80 the weak-drive alpha carries ~1e-9 of rounding either way
+        rabi = np.geomspace(1.0, 100.0, 41)
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        state = perturbative_steady_state(gen)
+        batched = intensities(state, gen)
+        assert state.order2.shape == (41, 255)
+        loop = []
+        for r in rabi:
+            one = assemble(DriveConfig(rabi=r, detuning=detuning), geom)
+            loop.append(intensities(perturbative_steady_state(one), one))
+        for name in FIELDS:
+            column = np.array([getattr(ib, name) for ib in loop])
+            got = getattr(batched, name)
+            assert got.shape == (41,)
+            assert np.abs(got - column).max() <= tol * np.abs(column).max(), name
+
+    def test_two_configuration_axes(self):
+        # rabi (3, 1) against detuning (2,): configuration shape (3, 2)
+        rabi, detuning = np.array([[0.5], [2.0], [30.0]]), np.array([0.0, 3.0])
+        geom = Geometry.backscattering(100.0)
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        assert gen.j.shape == (3, 2, 255)
+        assert gen.resolvent.eigenvalues.shape == (3, 2, 255)
+        batched = intensities(perturbative_steady_state(gen), gen)
+        for (a, b), r in np.ndenumerate(np.broadcast_to(rabi, (3, 2))):
+            _, _, one = stationary(r, detuning[b])
+            for name in FIELDS:
+                assert getattr(batched, name)[a, b] == pytest.approx(
+                    getattr(one, name), rel=1e-12, abs=1e-12 * abs(one.L_tot)), name
+
+    def test_scalar_configuration_keeps_scalar_shapes(self):
+        gen, state, ib = stationary(1.3, 0.7)
+        assert gen.cfg.shape == () and gen.resolvent.shape == ()
+        assert gen.j.shape == (255,)
+        assert all(state.order(k).shape == (255,) for k in range(3))
+        for name in FIELDS:
+            value = getattr(ib, name)
+            assert isinstance(value, float) and np.ndim(value) == 0, name
+
+    def test_singular_stack_raises_before_dividing(self):
+        # the per-configuration singularity check of a stack fires before
+        # the static inverses divide by the rounding-level eigenvalues
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="singular"):
+                assemble(DriveConfig(rabi=[1.0, 2.0], gamma=1e-20),
+                         Geometry.backscattering(50.0))
