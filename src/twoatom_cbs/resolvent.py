@@ -52,30 +52,26 @@ in back-substitution order, [15] (the trace), [14], [13], [8:13], [0:8]
 vectorised over every frequency and right-hand side: 25 steps per solve.
 
 The static resolvent G0(0) is one fixed operator per configuration: the
-steady state applies it six times (three orders, each refined once) and
-the spectrum sweep once per block of frequencies.  Its column blocks
-S_k = (-R2[k, k] - R1)^{-1} are therefore inverted once, all 16 in five
-row-slice steps on first use, and a scalar z = 0 solves each column slice
-with one product S_k acc_k instead of a back substitution.  The sweep's z
-differ per element, so nothing would be reused there: an array of z always
-takes the slice-wise back substitution.
+steady state applies it six times (three orders, each refined once).  Its
+column blocks S_k = (-R2[k, k] - R1)^{-1} are therefore inverted once, all
+16 in five row-slice steps on first use, and a scalar z = 0 solves each
+column slice with one product S_k acc_k instead of a back substitution.
+The spectrum sweep's z differ per element, so nothing would be reused
+there: an array of z always takes the slice-wise back substitution.
 
-`solve` is the composition of three stages, which the spectrum sweep also
-calls one by one: `to_schur` takes right-hand sides into Schur coordinates
-C = W1^H B W2 (before they are broadcast against z), `solve_schur` solves
-the triangular equation, and `from_schur` goes back to the packed basis.
-`readout` gives 16x16 weights that read single packed components straight
-from Schur coordinates, without the whole back transform.
-`matvec` forms A x as M1 X + X M2^T on the same 16x16 arrays: M1 and M2
-are the only copy of A a configuration keeps.
+`solve` takes right-hand sides into Schur coordinates C = W1^H B W2
+(`_to_schur`) before they are broadcast against z, solves the triangular
+equation (`_solve_schur`) and goes back to the packed basis
+(`_from_schur`); each stage is its own call, so its temporaries are freed
+before the next one runs.  `matvec` forms A x as M1 X + X M2^T on the
+same 16x16 arrays: M1 and M2 are the only copy of A a configuration keeps.
 
 One resolvent can hold a stack of configurations, as a drive sweep does:
 m1 and m2 then have shape C + (16, 16), and W, R, the poles and the static
 inverses carry the configuration axes C in front.  One `block_schur` call
-covers all 2 C single-atom blocks, and the static solve, `matvec` and
-`eigenvalues` run over C in one call; right-hand sides have shape
-C + batch + (255,).  The spectrum sweep (an array of z, and `readout`)
-serves one configuration at a time.
+covers all 2 C single-atom blocks, and `solve`, `matvec` and `eigenvalues`
+run over C in one call; right-hand sides have shape C + batch + (255,).
+The spectrum sweep (an array of z) serves one configuration at a time.
 """
 
 import math
@@ -263,7 +259,7 @@ class KroneckerResolvent:
         y = self.m1.reshape(factor) @ big + big @ self.m2.reshape(factor).swapaxes(-1, -2)
         return y.reshape(full.shape)[..., 1:]
 
-    def to_schur(self, rhs):
+    def _to_schur(self, rhs):
         """Schur coordinates C = W1^H B W2 of `rhs` of shape C + batch + (255,).
 
         Returned as c[..., k, i, batch]: the configuration axes, then column
@@ -280,8 +276,8 @@ class KroneckerResolvent:
         c = self._w2.swapaxes(-1, -2) @ half.reshape(lead + (n, -1))
         return c.reshape(lead + (n, n) + batch)
 
-    def solve_schur(self, z, c):
-        """Y with (z - R1) Y - Y R2 = C, in the Schur coordinates of `to_schur`.
+    def _solve_schur(self, z, c):
+        """Y with (z - R1) Y - Y R2 = C, in the Schur coordinates of `_to_schur`.
 
         `z` is a scalar or an array that broadcasts against the batch axes of
         c (after C and the two Schur axes); the result has shape C + (16, 16)
@@ -322,25 +318,13 @@ class KroneckerResolvent:
                                           @ x[..., cols, rows.stop:, :]) / den[..., cols, rows, :])
         return x.reshape(lead + (n, n) + batch)
 
-    def from_schur(self, y):
+    def _from_schur(self, y):
         """x = W1 Y W2^H back in the packed basis, shape C + batch + (255,)."""
         n, lead = N_SINGLE, self.shape
         batch = y.shape[len(lead) + 2:]
         half = (self._w2.conj() @ y.reshape(lead + (n, -1))).reshape(lead + (n, n, -1))
         out = (self._w1[..., None, :, :] @ half).swapaxes(-3, -2).reshape(lead + (N_TWO, -1))
         return out[..., 1:, :].swapaxes(-1, -2).reshape(lead + batch + (N_TWO - 1,))
-
-    def readout(self, index):
-        """Weights w[p, k, i] that read packed components from Schur coordinates.
-
-        One configuration only: the spectrum sweep is its one caller.
-
-        np.tensordot(w, y, 2) equals from_schur(y)[..., index] moved to the
-        front, at the cost of one product per component instead of the
-        whole back transform.
-        """
-        l, m = np.divmod(np.asarray(index) + 1, N_SINGLE)
-        return self._w2[m].conj()[:, :, None] * self._w1[l][:, None, :]
 
     def solve(self, z, rhs):
         """x = (z - A)^{-1} rhs.
@@ -352,4 +336,4 @@ class KroneckerResolvent:
         The right-hand sides enter Schur coordinates before they are
         broadcast against z.
         """
-        return self.from_schur(self.solve_schur(z, self.to_schur(rhs)))
+        return self._from_schur(self._solve_schur(z, self._to_schur(rhs)))

@@ -7,22 +7,31 @@ is a delta function at the laser frequency, carried separately as a
 weight; the inelastic densities are evaluated with a stabilized form of
 the 1/z difference term so that nu -> 0 is regular.
 
-The sweep takes the grid in fixed blocks of frequencies.  Each block is a
-stage-1 solve, a static solve and a stage-2 solve, all batched, through the
-generator set's block-Schur resolvent (`resolvent.KroneckerResolvent`,
-built once per configuration), with dense products with V between them;
-nothing is factored per frequency.  Stage 1 is a refined solve
-(`steady_state.refined_solve`) whose four right-hand sides enter Schur
-coordinates once, before they are broadcast against the block's
-frequencies.  The static solve between the stages, and stage 2,
-stay in Schur coordinates: stage 2 takes G0(0) V t1 as it comes, and its
-output and G0(0) V u are read only at the two detected dipoles, through
-the resolvent's 16x16 readout weights, so the other 253 components are
-never transformed back.  A malformed grid (empty, not 1-D or not finite)
-raises ConfigurationError before any solve, and a non-finite density fails
-the sweep with ResolventError instead of being interpolated over.  Spectra
-take one drive configuration: a generator set or state assembled for a
-stack of them raises ConfigurationError.
+The densities read the correlator only at the two detected dipoles, and
+each is a single-atom coherence: _IDX_D1 is the packed entry (l, m) =
+(8, 0) of atom 1, _IDX_D2 the entry (0, 8) of atom 2.  Row 0 of each
+single-atom generator M_a vanishes (trace conservation), so the row
+_IDX_D1 of G0(z) = (z - A)^{-1} is supported on the entries (k, 0) alone,
+where it is the matching row of (z - B1)^{-1}, B1 = M1[1:, 1:]; likewise
+_IDX_D2 with (0, k) and B2.  B_a is block diagonal under
+`resolvent.BLOCKS`, so both rows live on one 2x2 block, the detected
+coherence pair (`_PAIR_INDICES`, at the packed positions `_PAIR_ROWS`).
+
+The sweep takes the grid in fixed blocks of frequencies.  Each block is
+one full solve: the refined stage-1 solve (`steady_state.refined_solve`)
+of [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's
+block-Schur resolvent (`resolvent.KroneckerResolvent`, built once per
+configuration), whose four right-hand sides enter Schur coordinates once,
+before they are broadcast against the block's frequencies.  Everything
+after it is read through the detected rows: V enters through its four
+rows at the pair positions, G0(0) through the two 2x2 inverses (-a)^{-1}
+of the pair blocks, formed once per spectrum, and the stage-2 G0(z)
+through the first rows of (z - a)^{-1}.  Nothing is factored per
+frequency beyond those 2x2 blocks.  A malformed grid (empty, not 1-D or
+not finite) raises ConfigurationError before any solve, and a non-finite
+density fails the sweep with ResolventError instead of being interpolated
+over.  Spectra take one drive configuration: a generator set or state
+assembled for a stack of them raises ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
@@ -32,6 +41,7 @@ import numpy as np
 from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
 from .errors import ConfigurationError
 from .liouvillian import GeneratorSet
+from .resolvent import BLOCKS
 from .steady_state import (
     IntensityBreakdown,
     PerturbativeState,
@@ -47,11 +57,36 @@ from .steady_state import (
 _IDX_D1 = 128 - 1
 _IDX_D2 = 8 - 1
 _EXTRACT = 2.0
-# frequencies per batched solve.  Re-measured with the slice-wise resolvent
-# (2-core VM): the four run_spectra.py regimes in one process peak at
-# 37/40/46 MB of RSS for blocks of 16/32/64, and the four spectra-wide grids
-# take 410/409/430 ms (medians of 8 alternating rounds).  64 is slower and
-# larger, and 16 is no faster than 32, so the block stays at 32
+
+
+def _detected_pair(index):
+    """Single-atom indices and packed positions of the block holding a dipole.
+
+    The dipole at packed `index` is (l, 0), an atom-1 coherence, or (0, m),
+    an atom-2 one.  Its row of G0(z) vanishes outside the entries (k, 0),
+    resp. (0, k), with k in the dipole's block of `resolvent.BLOCKS`: there
+    it is row 0 of (z - a)^{-1}, a that block of M1, resp. M2, so the
+    dipole must head its block.
+    """
+    l, m = divmod(index + 1, N_SINGLE)
+    home = l if m == 0 else m
+    pair, = [np.array(b) + 1 for b in BLOCKS if b[0] == home - 1]
+    return pair, (pair * N_SINGLE if m == 0 else pair) - 1
+
+
+# per detected dipole d (atom 1, then atom 2): its single-atom block and
+# that block's packed positions, the only rows of G0 the sweep reads
+_PAIR_INDICES, _PAIR_ROWS = map(np.array, zip(*map(_detected_pair, (_IDX_D1, _IDX_D2))))
+# frequencies per batched solve.  Re-measured once the sweep read only the
+# detected pairs (2-core VM).  In a loop over the four spectra-wide grids in
+# a fresh process, blocks of 16/32/64 take 245/308/324 ms (medians of 10
+# alternating rounds) and the four run_spectra.py regimes peak at
+# 38.4/41.3/46.5 MB of RSS.  Inside the benchmark's worker 32 wins all 10
+# alternating spectra-wide pairs against 16 (wall_s 0.34 against 0.40 s,
+# peak RSS 49.5 against 46.4 MB).  The gap there is glibc's heap trimming and
+# mapping, not arithmetic: with MALLOC_TRIM_THRESHOLD_ and
+# MALLOC_MMAP_THRESHOLD_ at 256 MB both blocks read 0.27-0.31 s.  The block
+# stays at 32
 _BLOCK = 32
 
 
@@ -172,37 +207,38 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     if nu_grid.ndim != 1 or not nu_grid.size or not np.isfinite(nu_grid).all():
         raise ConfigurationError(
             f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
-    g0 = gen.resolvent
     phase = gen.detection_phase
-    # the packed components _IDX_D1, _IDX_D2 read from Schur coordinates
-    read = g0.readout([_IDX_D1, _IDX_D2])
+    # the rows _IDX_D1, _IDX_D2 of G0(z) are the first rows of (z - a_d)^{-1},
+    # a_d the detected pair's block of M1, resp. M2, placed at _PAIR_ROWS
+    a = np.stack([m[np.ix_(pair, pair)] for m, pair
+                  in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
+    static = np.linalg.inv(-a)  # G0(0) at the pair rows, [d, p, q]
+    v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
 
     corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
-    weights = np.array([corr.source_weight for corr in corrs])
+    weights = np.array([corr.source_weight for corr in corrs])[:, None]
     first = np.stack([gen.j, state.order0] + [corr.s0(1) for corr in corrs])
-    second_source = np.stack([corr.s0(2) for corr in corrs])
-
-    def v(x):
-        return np.tensordot(x, gen.V, axes=(-1, -1))
+    second_source = np.stack([corr.s0(2)[_PAIR_ROWS] for corr in corrs])  # [a, d, p]
 
     ladder = np.empty_like(nu_grid)
     crossed = np.empty_like(nu_grid)
     for start in range(0, len(nu_grid), _BLOCK):
         block = slice(start, start + _BLOCK)
-        z = -1j * nu_grid[block, None]
+        z = -1j * nu_grid[block]
         # stage 1: t1 = G0(z) j, u = G0(z) u0 and x_a = G0(z) s_a^[1](0); the
         # weak-drive densities subtract nearly equal terms built from these
-        t1_u, x = np.split(refined_solve(gen, z, first), [2], axis=1)
+        x = refined_solve(gen, z[:, None], first)
+        # V x at the pair rows only, as [nu, (t1, u, x_1, x_2), d, p], and
+        # the detected rows of G0(z) on the pairs, as [nu, d, p]
+        vx = np.tensordot(x, v_rows, axes=(-1, -1))
+        row = np.linalg.inv(z[:, None, None, None] * np.eye(a.shape[-1]) - a)[..., 0, :]
         # stabilized [G0(z) V G0(z) - G0 V G0] j / z
-        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j, with G0 V t1 and G0 V u
-        # kept in Schur coordinates [k, i, nu, (t1, u)]
-        static = g0.solve_schur(0.0, g0.to_schur(v(t1_u)))
-        # stage 2: G0(z) G0 V t1 and y_a = G0(z) (V x_a + s_a^[2](0))
-        second = np.concatenate([static[..., :1], g0.to_schur(v(x) + second_source)], axis=-1)
-        lead, y = np.split(np.tensordot(read, g0.solve_schur(z, second), 2), [1], axis=-1)
-        # s~_a = y_a + w_a (-G0(z) G0 V t1 - G0 V u), as s[component, nu, a]
-        s = y - weights * (lead + np.tensordot(read, static[..., 1], 2)[..., None])
-        (s1_d1, s1_d2), (s2_d1, s2_d2) = np.moveaxis(s, -1, 0)
+        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j = -diff, and y_a = G0(z)
+        # (V x_a + s_a^[2](0)): s~_a = y_a - w_a diff, as [nu, a, d]
+        diff = (np.einsum("zdp,dpq,zdq->zd", row, static, vx[:, 0])
+                + np.einsum("dq,zdq->zd", static[:, 0], vx[:, 1]))
+        s = np.einsum("zdp,zadp->zad", row, vx[:, 2:] + second_source) - weights * diff[:, None]
+        (s1_d1, s1_d2), (s2_d1, s2_d2) = s.transpose(1, 2, 0)
         ladder[block] = (_EXTRACT * (s1_d1 + s2_d2)).real / np.pi
         crossed[block] = (_EXTRACT * (s1_d2 * phase + s2_d1 * np.conj(phase))).real / np.pi
 

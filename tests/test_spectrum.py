@@ -7,13 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from twoatom_cbs.basis import N_SINGLE, N_TWO
 from twoatom_cbs.basis import expectation as basis_expectation
 from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
+from twoatom_cbs.resolvent import BLOCKS
 from twoatom_cbs.spectrum import (
     _EXTRACT,
     _IDX_D1,
     _IDX_D2,
+    _PAIR_ROWS,
     SpectrumResult,
     check_sum_rule,
     compute_spectrum,
@@ -156,6 +159,32 @@ class TestDensities:
         peak = np.abs(ladder).max()
         assert np.abs(spec.ladder_density - ladder).max() <= 1e-12 * peak
         assert np.abs(spec.crossed_density - crossed).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+                             ids=["backscattering", "shifted-tilted"])
+    @pytest.mark.parametrize("rabi, detuning", [(0.1, 5.0), (0.5, 0.0), (1.0, 0.0),
+                                                (100.0, 0.0)])
+    def test_detected_rows_of_g0_live_on_one_coherence_pair(self, rabi, detuning, geom):
+        # the sweep reads G0(z) only through rows _IDX_D1 and _IDX_D2, and
+        # those rows vanish outside the detected coherence pair: atom 1's
+        # entries (8, 0), (12, 0), atom 2's (0, 8), (0, 12), i.e. the block
+        # (7, 11) of resolvent.BLOCKS.  At delta = 0, Omega = 0.5 is an
+        # exceptional point of the 4x4 Bloch block and Omega = 1 one of every
+        # coherence pair, the detected one included
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        assert _PAIR_ROWS.tolist() == [[127, 191], [7, 11]]
+        for z in (0.0, -0.37j, -5j):
+            g0 = np.linalg.inv(z * np.eye(N_TWO - 1) - gen.A)
+            for index, pair_rows in zip((_IDX_D1, _IDX_D2), _PAIR_ROWS):
+                row = np.abs(g0[index])
+                support = np.flatnonzero(row > 1e-14 * row.max())
+                assert support.tolist() == pair_rows.tolist()
+                # packed position n - 1 of (l, m), n = 16 l + m: one atom's
+                # coherences, one block of B_a = M_a[1:, 1:]
+                l, m = np.divmod(support + 1, N_SINGLE)
+                single = l if index == _IDX_D1 else m
+                assert not np.any(m if index == _IDX_D1 else l)
+                assert tuple(single - 1) in BLOCKS
 
     def test_non_finite_density_raises(self):
         # a broken input must fail the run, not be interpolated over
