@@ -204,10 +204,10 @@ def _emit(fmt, header, columns, rows, stream):
 
 
 def run_spectrum(cfg):
-    gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
-                   Geometry.backscattering(cfg["k0_r12"]))
     if cfg["points"] < 2 or cfg["nu_min"] >= cfg["nu_max"]:
         raise ConfigurationError("need nu_min < nu_max and points >= 2")
+    gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
+                   Geometry.backscattering(cfg["k0_r12"]))
     nu_grid = np.linspace(cfg["nu_min"], cfg["nu_max"], cfg["points"])
     spec, ib = compute_spectrum(gen, nu_grid=nu_grid)
     sum_rule = check_sum_rule(spec, ib)

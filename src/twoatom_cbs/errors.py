@@ -6,4 +6,5 @@ class ConfigurationError(ValueError):
 
 
 class ResolventError(Exception):
-    """Singular or hopelessly ill-conditioned resolvent solve, or a failed Schur form."""
+    """Numerical failure: a singular solve, a non-finite spectral density, a
+    non-positive ladder intensity or a violated sum rule."""

@@ -328,9 +328,9 @@ def rabi_phases(geom):
 class GeneratorSet:
     """Matrices of the linear master equation d<Q>/dt = (A + V)<Q> + j.
 
-    `resolvent` applies G0(z) = (z - A)^{-1} from the Schur forms of the
-    two single-atom blocks of A, and A itself from its Kronecker factors;
-    every solve and product with A goes through it.  j and the resolvent
+    `resolvent` applies G0(z) = (z - A)^{-1} tile by tile from the two
+    single-atom Kronecker factors of A, the only copy of A the package
+    keeps; every solve with A goes through it.  j and the resolvent
     carry the configuration axes cfg.shape in front; V, the geometry and g
     are shared by every configuration.
     """

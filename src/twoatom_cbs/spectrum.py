@@ -17,21 +17,22 @@ _IDX_D2 with (0, k) and B2.  B_a is block diagonal under
 `resolvent.BLOCKS`, so both rows live on one 2x2 block, the detected
 coherence pair (`_PAIR_INDICES`, at the packed positions `_PAIR_ROWS`).
 
-The sweep takes the grid in fixed blocks of frequencies.  Each block is
-one full solve: the refined stage-1 solve (`steady_state.refined_solve`)
-of [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's
-block-Schur resolvent (`resolvent.KroneckerResolvent`, built once per
-configuration), whose four right-hand sides enter Schur coordinates once,
-before they are broadcast against the block's frequencies.  Everything
-after it is read through the detected rows: V enters through its four
-rows at the pair positions, G0(0) through the two 2x2 inverses (-a)^{-1}
-of the pair blocks, formed once per spectrum, and the stage-2 G0(z)
-through the first rows of (z - a)^{-1}.  Nothing is factored per
-frequency beyond those 2x2 blocks.  A malformed grid (empty, not 1-D or
-not finite) raises ConfigurationError before any solve, and a non-finite
-density fails the sweep with ResolventError instead of being interpolated
-over.  Spectra take one drive configuration: a generator set or state
-assembled for a stack of them raises ConfigurationError.
+The sweep takes the grid in fixed blocks of frequencies.  Its first stage
+solves G0(z) [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's
+tile resolvent (`resolvent.KroneckerResolvent`), each tile factored once
+per frequency with the four right-hand sides as its columns.  That stage is
+read only through V's four rows at the pair positions, so it solves only
+the tiles holding their non-zero columns, plus the level-1 feeders of those
+(`stage1_tiles`, derived from V's sparsity and `resolvent.BLOCKS`): 24 of
+the 80 tiles when the separation is transverse to the laser, 38 for the
+tests' shifted-tilted geometry.  Everything after it is read through the
+detected rows: G0(0) through the two 2x2 inverses (-a)^{-1} of the pair
+blocks, formed once per spectrum, and the stage-2 G0(z) through the first
+rows of (z - a)^{-1}.  A malformed grid (empty, not 1-D or not finite)
+raises ConfigurationError before any solve, and a non-finite density fails
+the sweep with ResolventError instead of being interpolated over.  Spectra
+take one drive configuration: a generator set or state assembled for a
+stack of them raises ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
@@ -41,7 +42,7 @@ import numpy as np
 from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
 from .errors import ConfigurationError
 from .liouvillian import GeneratorSet
-from .resolvent import BLOCKS
+from .resolvent import BLOCKS, needed
 from .steady_state import (
     IntensityBreakdown,
     PerturbativeState,
@@ -49,7 +50,6 @@ from .steady_state import (
     dipole_expectations,
     intensities,
     perturbative_steady_state,
-    refined_solve,
 )
 
 # packed indices of the detected-channel dipoles: sigma_12^1 = 2 B_128,
@@ -77,17 +77,21 @@ def _detected_pair(index):
 # per detected dipole d (atom 1, then atom 2): its single-atom block and
 # that block's packed positions, the only rows of G0 the sweep reads
 _PAIR_INDICES, _PAIR_ROWS = map(np.array, zip(*map(_detected_pair, (_IDX_D1, _IDX_D2))))
-# frequencies per batched solve.  Re-measured once the sweep read only the
-# detected pairs (2-core VM).  In a loop over the four spectra-wide grids in
-# a fresh process, blocks of 16/32/64 take 245/308/324 ms (medians of 10
-# alternating rounds) and the four run_spectra.py regimes peak at
-# 38.4/41.3/46.5 MB of RSS.  Inside the benchmark's worker 32 wins all 10
-# alternating spectra-wide pairs against 16 (wall_s 0.34 against 0.40 s,
-# peak RSS 49.5 against 46.4 MB).  The gap there is glibc's heap trimming and
-# mapping, not arithmetic: with MALLOC_TRIM_THRESHOLD_ and
-# MALLOC_MMAP_THRESHOLD_ at 256 MB both blocks read 0.27-0.31 s.  The block
-# stays at 32
-_BLOCK = 32
+# frequencies per batched solve.  A block's arrays are per-frequency tile
+# matrices and a (block, 256, 4) solution, and each call pays a fixed cost
+# of about 0.4 ms in small numpy operations, so larger blocks amortize it.
+# Measured with the restricted tile sweep in the benchmark worker
+# (spectra-wide, 12-s runs, seeds 601-608, blocks 32/64/128 alternating,
+# 2-core VM): median wall_s 0.124/0.118/0.121 s, 64 beating 32 in 7 of 8
+# rounds and 128 beating 64 in 4 of 8, at a peak RSS of 44.7/46.3/49.7 MB
+_BLOCK = 64
+
+
+def stage1_tiles(v_rows):
+    """Tiles of G0(z) that the sweep's first stage solves: those holding the
+    non-zero columns of V's pair rows `v_rows` [d, p, 255], and their
+    level-1 feeders."""
+    return needed(np.flatnonzero(np.any(v_rows, axis=(0, 1))))
 
 
 def _require_one_configuration(shape):
@@ -214,6 +218,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
                   in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
     static = np.linalg.inv(-a)  # G0(0) at the pair rows, [d, p, q]
     v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
+    tiles = stage1_tiles(v_rows)
 
     corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
     weights = np.array([corr.source_weight for corr in corrs])[:, None]
@@ -227,7 +232,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         z = -1j * nu_grid[block]
         # stage 1: t1 = G0(z) j, u = G0(z) u0 and x_a = G0(z) s_a^[1](0); the
         # weak-drive densities subtract nearly equal terms built from these
-        x = refined_solve(gen, z[:, None], first)
+        x = gen.resolvent.solve(z[:, None], first, tiles)
         # V x at the pair rows only, as [nu, (t1, u, x_1, x_2), d, p], and
         # the detected rows of G0(z) on the pairs, as [nu, d, p]
         vx = np.tensordot(x, v_rows, axes=(-1, -1))

@@ -3,20 +3,18 @@
 The uncoupled resolvent G0(z) = (z - A)^{-1} propagates everything; the
 steady state is expanded as G0 j + G0 V G0 j + G0 V G0 V G0 j (orders
 g^0, g^1, g^2), and the order-2 terms carry the double-scattering ladder
-and crossed intensities.  The static solves G0(0) go through the
-generator set's block-Schur resolvent (`resolvent.KroneckerResolvent`),
-built once per configuration in `assemble`, with one step of iterative
-refinement whose residual forms A x from A's two 16x16 Kronecker factors,
-so A is never formed as a dense 255x255 matrix.  All six of those solves
-share z = 0, so the resolvent inverts its 16 triangular column blocks once
-and applies them as one product per column slice of its schedule; the
-spectrum sweep's solves at z = -i nu differ per frequency and take the
-slice-wise back substitution instead.  `refined_solve` is the package's
-only refined solve, the first stage of the spectrum sweep included.
+and crossed intensities.  The three static solves G0(0) go through the
+generator set's tile resolvent (`resolvent.KroneckerResolvent`, built in
+`assemble`), which never forms A as a dense 255x255 matrix: each factors
+the 80 small diagonal tiles of -A and solves them in two passes, with no
+refinement step.  The weak-drive intensities are differences of nearly
+equal terms (L_inel = L_tot - L_el), so every component of the state needs
+full accuracy, not only its norm; the tile solves keep their rounding
+inside each tile.
 
 A generator set assembled for a stack of drive configurations (shape C,
 see `liouvillian.DriveConfig`) goes through the same calls: each order is a
-C + (255,) array, the six static solves run over the whole stack at once,
+C + (255,) array, the three static solves run over the whole stack at once,
 and the fields of `IntensityBreakdown` are arrays of shape C (floats for
 one configuration).
 """
@@ -42,27 +40,11 @@ class PerturbativeState:
         return (self.order0, self.order1, self.order2)[k]
 
 
-def refined_solve(gen: GeneratorSet, z, rhs):
-    """G0(z) rhs through `gen.resolvent`, plus one step of iterative refinement.
-
-    The unitary Schur transforms spread rounding evenly over all 255
-    components, so components far below the norm of the solution carry a
-    large relative error.  The weak-drive intensities and densities are
-    differences of nearly equal terms (at Omega = 0.1, delta = 5, L_inel is
-    1/1300 of L_el) and amplify it; one residual step, with A x formed from
-    the Kronecker factors of A (`KroneckerResolvent.matvec`), removes it.
-    z and rhs broadcast as in `KroneckerResolvent.solve`.
-    """
-    x = gen.resolvent.solve(z, rhs)
-    residual = rhs - (np.asarray(z)[..., None] * x - gen.resolvent.matvec(x))
-    return x + gen.resolvent.solve(z, residual)
-
-
 def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     """order_k = (G0 V)^k G0 j, the g-expansion of the stationary state."""
-    order0 = refined_solve(gen, 0.0, gen.j)
-    order1 = refined_solve(gen, 0.0, order0 @ gen.V.T)
-    order2 = refined_solve(gen, 0.0, order1 @ gen.V.T)
+    order0 = gen.resolvent.solve(0.0, gen.j)
+    order1 = gen.resolvent.solve(0.0, order0 @ gen.V.T)
+    order2 = gen.resolvent.solve(0.0, order1 @ gen.V.T)
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 

@@ -4,7 +4,7 @@ Spectra are the expensive objects (a batched resolvent sweep over up to
 4001 frequencies), so every parameter point used by more than one test is
 computed once per session and reused.  `resolvent_solve` and
 `nonperturbative_steady_state` solve with the dense 255x255 generator: they
-are the tests' references for the block-Schur resolvent and for the
+are the tests' references for the tile resolvent and for the
 perturbative expansion; the package's own solves never form that matrix.
 `apply_single_atom_generator` and `apply_interaction_generator` are the
 direct operator actions the generator tables are checked against, and the

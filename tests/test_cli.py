@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from twoatom_cbs import cli
 from twoatom_cbs.cli import (
     _MODES,
     EXIT_BROKEN_PIPE,
@@ -173,6 +174,16 @@ class TestExitCodes:
     def test_invalid_grid(self, capsys):
         assert main(["spectrum", "--nu-min", "5", "--nu-max", "-5"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--points", "1"], ["--nu-min", "5", "--nu-max", "-5"],
+                                      ["--nu-min", "2", "--nu-max", "2"]])
+    def test_invalid_grid_rejected_before_assembly(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before the grid was checked")
+
+        monkeypatch.setattr(cli, "assemble", refuse)
+        assert main(["spectrum"] + argv) == EXIT_CONFIG
+        assert "nu_min < nu_max and points >= 2" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG

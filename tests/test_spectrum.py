@@ -11,7 +11,7 @@ from twoatom_cbs.basis import N_SINGLE, N_TWO
 from twoatom_cbs.basis import expectation as basis_expectation
 from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
-from twoatom_cbs.resolvent import BLOCKS
+from twoatom_cbs.resolvent import BLOCKS, GROUP_OF
 from twoatom_cbs.spectrum import (
     _EXTRACT,
     _IDX_D1,
@@ -25,6 +25,7 @@ from twoatom_cbs.spectrum import (
     inelastic_spectrum,
     normalized_spectra,
     qrt_initial,
+    stage1_tiles,
 )
 from twoatom_cbs.steady_state import (
     ResolventError,
@@ -185,6 +186,30 @@ class TestDensities:
                 single = l if index == _IDX_D1 else m
                 assert not np.any(m if index == _IDX_D1 else l)
                 assert tuple(single - 1) in BLOCKS
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+                             ids=["backscattering", "shifted-tilted"])
+    def test_stage1_tiles_cover_what_v_pair_rows_read(self, geom):
+        # the first stage solves only the tiles (p, q) of resolvent.GROUPS
+        # that hold a non-zero column of V's pair rows, plus the level-1
+        # feeders (0, q) and (p, 0) of every level-2 tile among them; at
+        # those columns it equals the full solve
+        gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
+        v_rows = gen.V[_PAIR_ROWS]
+        tiles = stage1_tiles(v_rows)
+        columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
+        l, m = np.divmod(columns + 1, N_SINGLE)
+        assert tiles[GROUP_OF[l], GROUP_OF[m]].all()
+        assert not tiles[0, 0]
+        for p, q in np.argwhere(tiles):
+            if p and q:
+                assert tiles[0, q] and tiles[p, 0]
+        assert tiles.sum() < 0.5 * tiles.size
+        z = -1j * np.array([0.0, 0.4, 7.0])[:, None]
+        rhs = np.stack([gen.j, gen.V @ gen.j])
+        full = gen.resolvent.solve(z, rhs)
+        part = gen.resolvent.solve(z, rhs, tiles)
+        assert np.array_equal(part[..., columns], full[..., columns])
 
     def test_non_finite_density_raises(self):
         # a broken input must fail the run, not be interpolated over
