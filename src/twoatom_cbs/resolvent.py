@@ -105,6 +105,19 @@ class KroneckerResolvent:
             self.shape + (-1,)) for g in _BY_SIZE], axis=-1) for m in (self.m1, self.m2)]
         return (eigs[0][..., :, None] + eigs[1][..., None, :]).reshape(self.shape + (-1,))[..., 1:]
 
+    def matvec(self, x):
+        """A x for `x` of shape C + batch + (255,): M1 X + X M2^T with X[0, 0] = 0,
+        from the two 16x16 factors without forming A."""
+        x = np.asarray(x, dtype=complex)
+        n = N_SINGLE
+        full = np.zeros(x.shape[:-1] + (N_TWO,), dtype=complex)
+        full[..., 1:] = x
+        big = full.reshape(x.shape[:-1] + (n, n))
+        # the factors broadcast over the batch axes that follow C
+        factor = self.shape + (1,) * (x.ndim - 1 - len(self.shape)) + (n, n)
+        y = self.m1.reshape(factor) @ big + big @ self.m2.reshape(factor).swapaxes(-1, -2)
+        return y.reshape(full.shape)[..., 1:]
+
     def solve(self, z, rhs, tiles=None):
         """x = (z - A)^{-1} rhs.
 

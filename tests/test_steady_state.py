@@ -86,6 +86,21 @@ class TestResolvent:
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
+                                      shifted_tilted_geometry()])
+    def test_kronecker_product_matches_dense_a(self, rabi, geom):
+        # A x from the two 16x16 factors, against the dense A
+        gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(4, 3, 255)) + 1j * rng.normal(size=(4, 3, 255))
+        a = gen.A
+        for x in (gen.j, stack):
+            got = gen.resolvent.matvec(x)
+            want = x @ a.T
+            assert got.shape == x.shape
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
                                       shifted_tilted_geometry()])
     @pytest.mark.parametrize("rabi, detuning", [(0.5, 0.0), (1.3, 0.7), (100.0, 0.0)])
