@@ -109,6 +109,8 @@ def _coerce(key, value):
         ) from None
     if param.choices and value not in param.choices:
         raise ConfigurationError(f"{key} = {value!r} is not one of {param.choices}")
+    if param.type in (float, FloatList) and not np.isfinite(value).all():
+        raise ConfigurationError(f"{key} must be finite")
     return value
 
 
@@ -206,6 +208,8 @@ def _emit(fmt, header, columns, rows, stream):
 def run_spectrum(cfg):
     if cfg["points"] < 2 or cfg["nu_min"] >= cfg["nu_max"]:
         raise ConfigurationError("need nu_min < nu_max and points >= 2")
+    if not np.isfinite(cfg["nu_max"] - cfg["nu_min"]):
+        raise ConfigurationError("nu_max - nu_min overflows")
     gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
                    Geometry.backscattering(cfg["k0_r12"]))
     nu_grid = np.linspace(cfg["nu_min"], cfg["nu_max"], cfg["points"])

@@ -19,8 +19,9 @@ b_q = M2[Q, Q] (a_0 = b_0 = 0), and to nothing else but its feeders:
 So z - A is block triangular (block LU: Golub and Van Loan, Matrix
 Computations), and a solve is two passes of small dense solves, one
 `np.linalg.solve` per level and tile dimension, batched over the tiles, the
-configurations C and the frequencies, with the right-hand sides that share a
-z as the columns of one factorization; 1x1 and 2x2 tiles take closed forms.
+configurations C and the frequencies.  Every z is solved against every
+right-hand side, the right-hand sides being the columns of one factorization
+per tile and z; 1x1 and 2x2 tiles take closed forms.
 Rounding stays inside each tile, so no refinement step is needed.  The 1295
 tile entries per configuration are built once and factored on every call,
 z = 0 included: explicit inverses lose digits that the weak-drive
@@ -119,31 +120,24 @@ class KroneckerResolvent:
         return y.reshape(full.shape)[..., 1:]
 
     def solve(self, z, rhs, tiles=None):
-        """x = (z - A)^{-1} rhs.
+        """x = (z - A)^{-1} rhs for every z against every right-hand side.
 
-        `rhs` has shape C + batch + (255,); `z` is a scalar or an array that
-        broadcasts against batch, so a column of frequencies (nz, 1) against
-        a stack (k, 255) solves every pair at once, each tile factored once
-        per z.  The result has shape C + the broadcast batch shape + (255,).
-        `tiles`, a mask from `needed`, solves only those tiles and leaves
-        the entries of the others at zero.
+        `z` is a scalar or a 1-D array of frequencies, and `rhs` has shape
+        C + K + (255,): its K right-hand sides are the columns of one
+        factorization per tile and z.  The result has shape
+        C + z.shape + K + (255,).  `tiles`, a mask from `needed`, solves only
+        those tiles and leaves the entries of the others at zero.
         """
         z, rhs = np.asarray(z, dtype=complex), np.asarray(rhs, dtype=complex)
         lead, rank = self.shape, len(self.shape)
-        batch = np.broadcast_shapes(z.shape, rhs.shape[rank:-1])
-        zs = (1,) * (len(batch) - z.ndim) + z.shape
-        # the trailing batch axes along which z is constant become columns
-        cut = len(zs)
-        while cut and zs[cut - 1] == 1:
-            cut -= 1
-        z = z.reshape(zs[:cut] + (1, 1, 1))
-        # b[..., l * 16 + m, column], without the copies along z's axes
-        rs = (1,) * (len(batch) - rhs.ndim + rank + 1) + rhs.shape[rank:-1]
-        b = np.zeros(lead + rs[:cut] + (N_TWO, int(np.prod(batch[cut:]))), dtype=complex)
-        b[..., 1:, :] = np.broadcast_to(rhs, lead + rs[:cut] + batch[cut:] + rhs.shape[-1:]).reshape(
-            b.shape[:-2] + (-1, N_TWO - 1)).swapaxes(-1, -2)
-        x = np.zeros(lead + batch[:cut] + b.shape[-2:], dtype=complex)
-        c1, c2 = (m[..., :, 0].reshape(lead + (1,) * cut + (N_SINGLE, 1)) for m in (self.m1, self.m2))
+        batch = rhs.shape[rank:-1]
+        # b[..., l * 16 + m, column], with a unit axis for each axis of z
+        spread = (1,) * z.ndim
+        b = np.zeros(lead + spread + (N_TWO, int(np.prod(batch))), dtype=complex)
+        b[..., 1:, :] = rhs.reshape(b.shape[:-2] + (-1, N_TWO - 1)).swapaxes(-1, -2)
+        x = np.zeros(lead + z.shape + b.shape[-2:], dtype=complex)
+        z = z.reshape(z.shape + (1, 1, 1))
+        c1, c2 = (m[..., :, 0].reshape(lead + spread + (N_SINGLE, 1)) for m in (self.m1, self.m2))
         for (level, pq, l, m), tile in zip(_PLAN, self._tiles):
             if tiles is not None:
                 keep = tiles[pq[:, 0], pq[:, 1]]
@@ -151,11 +145,11 @@ class KroneckerResolvent:
                     continue
                 l, m, tile = l[keep], m[keep], tile[..., keep, :, :]
             flat = l * N_SINGLE + m
-            tile = z * np.eye(flat.shape[-1]) - tile.reshape(lead + (1,) * cut + tile.shape[rank:])
+            tile = z * np.eye(flat.shape[-1]) - tile.reshape(lead + spread + tile.shape[rank:])
             r = b[..., flat, :]
             if level == 2:
                 # fed by the solved level-1 tiles: c1 X[0, :] + X[:, 0] c2^T
                 r = r + c1[..., l, :] * x[..., m, :] + x[..., l * N_SINGLE, :] * c2[..., m, :]
             x[..., flat, :] = (r / tile if flat.shape[-1] == 1 else _solve2(tile, r)
                                if flat.shape[-1] == 2 else np.linalg.solve(tile, r))
-        return x[..., 1:, :].swapaxes(-1, -2).reshape(lead + batch + (N_TWO - 1,))
+        return x[..., 1:, :].swapaxes(-1, -2).reshape(x.shape[:-2] + batch + (N_TWO - 1,))

@@ -17,10 +17,14 @@ _IDX_D2 with (0, k) and B2.  B_a is block diagonal under
 `resolvent.BLOCKS`, so both rows live on one 2x2 block, the detected
 coherence pair (`_PAIR_INDICES`, at the packed positions `_PAIR_ROWS`).
 
-The sweep takes the grid in fixed blocks of frequencies.  Its first stage
-solves G0(z) [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's
-tile resolvent (`resolvent.KroneckerResolvent`), each tile factored once
-per frequency with the four right-hand sides as its columns.  That stage is
+The sweep, `inelastic_spectrum(gen, state, nu_grid)`, derives all it reads
+from the stationary state: both atoms' QRT initial conditions
+<sigma_21^a B_n>_ss in one array (`qrt_initial`), the source weights
+<sigma_21^a>_ss and the elastic weight.  It takes the grid in fixed blocks
+of frequencies.  Its first stage solves
+G0(z) [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's tile
+resolvent (`resolvent.KroneckerResolvent`), each tile factored once per
+frequency with the four right-hand sides as its columns.  That stage is
 read only through V's four rows at the pair positions, so it solves only
 the tiles holding their non-zero columns, plus the level-1 feeders of those
 (`stage1_tiles`, derived from V's sparsity and `resolvent.BLOCKS`): 24 of
@@ -100,30 +104,16 @@ def _require_one_configuration(shape):
             f"spectra take one drive configuration, not a stack of shape {shape}")
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
-    """QRT initial conditions <sigma_21^alpha Q>_ss per perturbative order."""
+def qrt_initial(state: PerturbativeState) -> np.ndarray:
+    """Initial conditions <sigma_21^a B_n>_ss of both atoms' two-time
+    correlators, as [atom, order, 255].
 
-    atom: int
-    s0_orders: np.ndarray  # (3, 255)
-    # <sigma_21^alpha>_ss at order g^1: the detected transition is dark at
-    # order g^0, and order g^2 does not enter the order-g^2 spectrum
-    source_weight: complex
-
-    def s0(self, k):
-        return self.s0_orders[k]
-
-
-def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
-    """Initial conditions for the two-time correlator of atom 1 or 2.
-
-    Each component <sigma_21^alpha B_n>_ss is obtained by expanding the
-    operator product sigma_21^alpha B_n in the basis and reading the
-    result off the stationary state, order by order in g.  The expansion
-    table is L (x) 1 (atom 1) or 1 (x) L (atom 2), L that of sigma_21,
-    applied to the state as a 16x16 array F: (L (x) 1) f = vec(L F) and
-    (1 (x) L) f = vec(F L^T), with the trace entry F[0, 0] = 1/4 at order
-    0 and 0 at orders 1 and 2.
+    Each component is obtained by expanding the operator product
+    sigma_21^a B_n in the basis and reading the result off the stationary
+    state, order by order in g.  The expansion table is L (x) 1 (atom 1) or
+    1 (x) L (atom 2), L that of sigma_21, applied to the state as a 16x16
+    array F: (L (x) 1) f = vec(L F) and (1 (x) L) f = vec(F L^T), with the
+    trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.
     """
     _require_one_configuration(state.order0.shape[:-1])
     l_sigma, _ = single_atom_tables(sigma(2, 1))
@@ -131,10 +121,7 @@ def qrt_initial(atom, state: PerturbativeState) -> CorrelationVector:
     full[0, 0] = TRACE_ELEMENT_VALUE
     full[:, 1:] = [state.order0, state.order1, state.order2]
     f = full.reshape(3, N_SINGLE, N_SINGLE)
-    product = l_sigma @ f if atom == 1 else f @ l_sigma.T
-    s0 = product.reshape(full.shape)[:, 1:]
-    weight = dipole_expectations(state, 1)[atom - 1]
-    return CorrelationVector(atom=atom, s0_orders=s0, source_weight=weight)
+    return np.stack([l_sigma @ f, f @ l_sigma.T]).reshape(2, 3, N_TWO)[..., 1:]
 
 
 @dataclass(frozen=True)
@@ -186,24 +173,26 @@ class SpectrumResult:
         return tuple(out)
 
 
-def default_nu_grid(cfg, points=2001, margin=10.0):
-    """Uniform grid covering all seven strong-field resonances."""
+def default_nu_grid(cfg, points=2001):
+    """Uniform grid covering all seven strong-field resonances, 10 gamma
+    beyond the outermost."""
     omega_mod = np.hypot(cfg.rabi, cfg.detuning)
-    half = 2.5 * omega_mod + margin * cfg.gamma
+    half = 2.5 * omega_mod + 10.0 * cfg.gamma
     return np.linspace(-half, half, points)
 
 
 def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
-                       corr1: CorrelationVector, corr2: CorrelationVector,
                        nu_grid) -> SpectrumResult:
-    """Ladder and crossed inelastic spectral densities at order g^2.
+    """Ladder and crossed inelastic spectral densities at order g^2, and the
+    elastic weight.
 
     For each z = -i nu the Laplace image of the correlator is
-    G0(z) V G0(z) s^[1](0) + G0(z) s^[2](0) plus the stabilized source
-    difference term; same-atom components give the ladder density, the
-    cross-atom components (with detection phases) the crossed density,
-    both via (1/pi) Re.  The grid need not be sorted, but must be a
-    non-empty, finite 1-D array (ConfigurationError otherwise); a
+    G0(z) V G0(z) s^[1](0) + G0(z) s^[2](0), s^[k](0) the order-k initial
+    conditions from `qrt_initial`, plus the stabilized source difference
+    term weighted by <sigma_21^a>_ss; same-atom components give the ladder
+    density, the cross-atom components (with detection phases) the crossed
+    density, both via (1/pi) Re.  The grid need not be sorted, but must be
+    a non-empty, finite 1-D array (ConfigurationError otherwise); a
     non-finite density raises ResolventError.
     """
     _require_one_configuration(gen.cfg.shape)
@@ -220,10 +209,12 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
     tiles = stage1_tiles(v_rows)
 
-    corrs = (corr1, corr2) if corr1.atom == 1 else (corr2, corr1)
-    weights = np.array([corr.source_weight for corr in corrs])[:, None]
-    first = np.stack([gen.j, state.order0] + [corr.s0(1) for corr in corrs])
-    second_source = np.stack([corr.s0(2)[_PAIR_ROWS] for corr in corrs])  # [a, d, p]
+    s0 = qrt_initial(state)  # [a, k, 255]
+    # <sigma_21^a>_ss at order g^1: the detected transition is dark at
+    # order g^0, and order g^2 does not enter the order-g^2 spectrum
+    weights = np.array(dipole_expectations(state))[:, None]
+    first = np.stack([gen.j, state.order0, *s0[:, 1]])
+    second_source = s0[:, 2][:, _PAIR_ROWS]  # [a, d, p]
 
     ladder = np.empty_like(nu_grid)
     crossed = np.empty_like(nu_grid)
@@ -232,7 +223,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         z = -1j * nu_grid[block]
         # stage 1: t1 = G0(z) j, u = G0(z) u0 and x_a = G0(z) s_a^[1](0); the
         # weak-drive densities subtract nearly equal terms built from these
-        x = gen.resolvent.solve(z[:, None], first, tiles)
+        x = gen.resolvent.solve(z, first, tiles)
         # V x at the pair rows only, as [nu, (t1, u, x_1, x_2), d, p], and
         # the detected rows of G0(z) on the pairs, as [nu, d, p]
         vx = np.tensordot(x, v_rows, axes=(-1, -1))
@@ -254,19 +245,14 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
             f"(first at nu = {nu_grid[bad][0]:.6g})"
         )
 
-    elastic = elastic_weight(state, gen)
+    # the coefficient of delta(nu): the stationary elastic intensity
+    ib = intensities(state, gen)
     return SpectrumResult(
         nu_grid=nu_grid,
         ladder_density=ladder,
         crossed_density=crossed,
-        elastic_weight=elastic,
+        elastic_weight=ib.L_el + ib.C_el,
     )
-
-
-def elastic_weight(state: PerturbativeState, gen: GeneratorSet) -> float:
-    """Coefficient of delta(nu): the stationary elastic intensity L_el + C_el."""
-    ib = intensities(state, gen)
-    return ib.L_el + ib.C_el
 
 
 @dataclass(frozen=True)
@@ -320,14 +306,9 @@ def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> Spectrum
     )
 
 
-def compute_spectrum(gen: GeneratorSet, nu_grid=None, points=2001):
-    """Convenience pipeline: steady state, QRT vectors, densities, intensities."""
+def compute_spectrum(gen: GeneratorSet, nu_grid):
+    """Convenience pipeline: steady state, densities on `nu_grid`, intensities."""
     _require_one_configuration(gen.cfg.shape)
     state = perturbative_steady_state(gen)
-    if nu_grid is None:
-        nu_grid = default_nu_grid(gen.cfg, points=points)
-    corr1 = qrt_initial(1, state)
-    corr2 = qrt_initial(2, state)
-    spec = inelastic_spectrum(gen, state, corr1, corr2, nu_grid)
-    ib = intensities(state, gen)
-    return spec, ib
+    spec = inelastic_spectrum(gen, state, nu_grid=nu_grid)
+    return spec, intensities(state, gen)

@@ -100,7 +100,7 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     l_tot = expectation(_POP2, state.order2, order=2).real
     c_tot = 2.0 * (expectation(_CROSS_12, state.order2, order=2) * phase).real
 
-    d21_1, d21_2 = dipole_expectations(state, 1)
+    d21_1, d21_2 = dipole_expectations(state)
     d12_1, d12_2 = (expectation(op, state.order1, order=1) for op in _SIGMA_12)
     l_el = (d21_1 * d12_1 + d21_2 * d12_2).real
     c_el = 2.0 * (d21_1 * d12_2 * phase).real
@@ -119,6 +119,6 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     )
 
 
-def dipole_expectations(state: PerturbativeState, order=1):
+def dipole_expectations(state: PerturbativeState):
     """Order-g expectation values (<sigma_21^1>, <sigma_21^2>)."""
-    return tuple(expectation(op, state.order(order), order=order) for op in SIGMA_21)
+    return tuple(expectation(op, state.order1, order=1) for op in SIGMA_21)

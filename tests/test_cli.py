@@ -224,6 +224,26 @@ class TestExitCodes:
         assert main(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--nu-min=-inf"], "nu_min must be finite"),
+        (["spectrum", "--nu-min", "nan"], "nu_min must be finite"),
+        (["spectrum", "--nu-min=-1e308", "--nu-max=1e308"], "nu_max - nu_min overflows"),
+        (["intensity-sweep", "--sweep-max=inf"], "sweep_max must be finite"),
+        (["compare-oracles", "--s-values", "1,inf"], "s_values must be finite"),
+    ])
+    def test_non_finite_input_rejected_before_assembly(self, argv, message, monkeypatch,
+                                                       capsys):
+        # one clear line, and no numpy warning from building a grid first
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before the input was checked")
+
+        monkeypatch.setattr(cli, "assemble", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("argv", [["--version"], ["spectrum", "--help"]])
     def test_help_and_version(self, argv, capsys):
         assert main(argv) == EXIT_OK

@@ -21,7 +21,6 @@ from twoatom_cbs.spectrum import (
     check_sum_rule,
     compute_spectrum,
     default_nu_grid,
-    elastic_weight,
     inelastic_spectrum,
     normalized_spectra,
     qrt_initial,
@@ -39,7 +38,8 @@ from conftest import generator, resolvent_solve, shifted_tilted_geometry, spectr
 
 def dense_reference_densities(gen, state, nu_grid):
     """Ladder and crossed densities from a per-nu loop of dense solves."""
-    corrs = (qrt_initial(1, state), qrt_initial(2, state))
+    s0 = qrt_initial(state)
+    weights = dipole_expectations(state)
     phase = gen.detection_phase
 
     def g0(z, rhs):
@@ -50,8 +50,8 @@ def dense_reference_densities(gen, state, nu_grid):
         z = -1j * nu
         diff = (-g0(z, g0(0.0, gen.V @ g0(z, gen.j)))
                 - g0(0.0, gen.V @ g0(z, state.order0)))
-        s1, s2 = (g0(z, gen.V @ g0(z, c.s0(1)) + c.s0(2)) + c.source_weight * diff
-                  for c in corrs)
+        s1, s2 = (g0(z, gen.V @ g0(z, s[1]) + s[2]) + weight * diff
+                  for s, weight in zip(s0, weights))
         ladder.append((_EXTRACT * (s1[_IDX_D1] + s2[_IDX_D2])).real / np.pi)
         crossed.append((_EXTRACT * (s1[_IDX_D2] * phase
                                     + s2[_IDX_D1] * np.conj(phase))).real / np.pi)
@@ -59,12 +59,6 @@ def dense_reference_densities(gen, state, nu_grid):
 
 
 class TestRegressionVectors:
-    def test_source_weight_is_first_order_dipole(self):
-        gen, state, _ = stationary(1.0)
-        corr = qrt_initial(1, state)
-        d1, _ = dipole_expectations(state, 1)
-        assert corr.source_weight == pytest.approx(d1)
-
     def test_initial_condition_matches_operator_product(self):
         # <sigma_21^a B_n>_ss must equal the expectation of the matrix
         # product sigma_21^a @ B_n, order by order, for either atom a
@@ -73,14 +67,14 @@ class TestRegressionVectors:
         gen, state, _ = stationary(2.0, 1.0)
         eye = np.eye(4, dtype=complex)
         flat = two_atom_basis_flat()
+        s0 = qrt_initial(state)
         for atom, op in ((1, np.kron(sigma(2, 1), eye)), (2, np.kron(eye, sigma(2, 1)))):
-            corr = qrt_initial(atom, state)
             rng = np.random.default_rng(5)
             for n in rng.integers(1, 256, size=6):
                 product = op @ flat[n].reshape(16, 16)
                 for order in (0, 1, 2):
                     want = basis_expectation(product, state.order(order), order=order)
-                    assert corr.s0(order)[n - 1] == pytest.approx(want, abs=1e-12)
+                    assert s0[atom - 1, order, n - 1] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("rabi, detuning, geom", [
         (0.1, 5.0, Geometry.backscattering(100.0)),
@@ -96,14 +90,15 @@ class TestRegressionVectors:
                                                    geom))
         l_sigma, _ = single_atom_tables(sigma(2, 1))
         eye = np.eye(16)
+        s0 = qrt_initial(state)
+        assert s0.shape == (2, 3, 255)
         for atom, table in ((1, np.kron(l_sigma, eye)), (2, np.kron(eye, l_sigma))):
-            corr = qrt_initial(atom, state)
             for order in (0, 1, 2):
                 want = table[1:, 1:] @ state.order(order)
                 if order == 0:
                     want = want + table[1:, 0] * TRACE_ELEMENT_VALUE
                 scale = np.abs(state.order(order)).max()
-                assert np.allclose(corr.s0(order), want, rtol=1e-13, atol=1e-15 * scale)
+                assert np.allclose(s0[atom - 1, order], want, rtol=1e-13, atol=1e-15 * scale)
 
 
 class TestDensities:
@@ -120,7 +115,8 @@ class TestDensities:
 
     def test_elastic_weight_is_stationary_elastic_intensity(self):
         gen, state, ib = stationary(1.0)
-        assert elastic_weight(state, gen) == pytest.approx(ib.L_el + ib.C_el)
+        spec = inelastic_spectrum(gen, state, [0.0, 1.0])
+        assert spec.elastic_weight == pytest.approx(ib.L_el + ib.C_el)
 
     def test_ladder_density_positive(self, weak_point):
         _, spec, _ = weak_point
@@ -154,8 +150,7 @@ class TestDensities:
         state = perturbative_steady_state(gen)
         grid = default_nu_grid(gen.cfg, points=41)
         assert 0.0 in grid
-        spec = inelastic_spectrum(gen, state, qrt_initial(1, state),
-                                  qrt_initial(2, state), grid)
+        spec = inelastic_spectrum(gen, state, grid)
         ladder, crossed = dense_reference_densities(gen, state, grid)
         peak = np.abs(ladder).max()
         assert np.abs(spec.ladder_density - ladder).max() <= 1e-12 * peak
@@ -205,7 +200,7 @@ class TestDensities:
             if p and q:
                 assert tiles[0, q] and tiles[p, 0]
         assert tiles.sum() < 0.5 * tiles.size
-        z = -1j * np.array([0.0, 0.4, 7.0])[:, None]
+        z = -1j * np.array([0.0, 0.4, 7.0])
         rhs = np.stack([gen.j, gen.V @ gen.j])
         full = gen.resolvent.solve(z, rhs)
         part = gen.resolvent.solve(z, rhs, tiles)
@@ -220,23 +215,21 @@ class TestDensities:
         broken = replace(gen, j=j)
         grid = np.linspace(-5.0, 5.0, 11)
         with pytest.raises(ResolventError, match="11 grid points .* nu = -5"):
-            inelastic_spectrum(broken, state, qrt_initial(1, state),
-                               qrt_initial(2, state), grid)
+            inelastic_spectrum(broken, state, grid)
 
 
     def test_malformed_grids_are_rejected(self):
         # an empty or non-finite grid is a configuration error before any
         # solve; a descending grid gives the right densities, but no integral
         gen, state, ib = stationary(1.0)
-        corrs = (qrt_initial(1, state), qrt_initial(2, state))
         for grid in ([], [-1.0, np.nan, 1.0], np.zeros((2, 3))):
             with pytest.raises(ConfigurationError, match="frequency grid"):
-                inelastic_spectrum(gen, state, *corrs, grid)
+                inelastic_spectrum(gen, state, grid)
         with pytest.raises(ConfigurationError, match="frequency grid"):
             compute_spectrum(gen, nu_grid=[])
         grid = np.linspace(-3.0, 3.0, 601)
-        ascending = inelastic_spectrum(gen, state, *corrs, grid)
-        descending = inelastic_spectrum(gen, state, *corrs, grid[::-1])
+        ascending = inelastic_spectrum(gen, state, grid)
+        descending = inelastic_spectrum(gen, state, grid[::-1])
         assert np.allclose(descending.ladder_density, ascending.ladder_density[::-1],
                            rtol=1e-12, atol=0.0)
         check_sum_rule(ascending, ib, tolerance=1.0)
@@ -251,11 +244,10 @@ class TestDensities:
         stack = assemble(DriveConfig(rabi=[0.5, 1.0]), Geometry.backscattering(100.0))
         stack_state = perturbative_steady_state(stack)
         gen, state, _ = stationary(1.0)
-        corrs = (qrt_initial(1, state), qrt_initial(2, state))
         with pytest.raises(ConfigurationError, match="one drive configuration"):
-            qrt_initial(1, stack_state)
+            qrt_initial(stack_state)
         with pytest.raises(ConfigurationError, match="one drive configuration"):
-            inelastic_spectrum(stack, state, *corrs, [0.0, 1.0])
+            inelastic_spectrum(stack, state, [0.0, 1.0])
         with pytest.raises(ConfigurationError, match="one drive configuration"):
             compute_spectrum(stack, nu_grid=[0.0, 1.0])
 

@@ -63,11 +63,30 @@ class TestResolvent:
         rng = np.random.default_rng(3)
         rhs = np.stack([gen.j, gen.V @ gen.j,
                         rng.normal(size=255) + 1j * rng.normal(size=255)])
-        got = gen.resolvent.solve(zs[:, None], rhs)
+        got = gen.resolvent.solve(zs, rhs)
         assert got.shape == (len(zs), len(rhs), 255)
         for z, x in zip(zs, got):
             want = resolvent_solve(gen.A, z, rhs.T).T
             assert np.allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
+                                      shifted_tilted_geometry()])
+    def test_stack_solves_every_z_against_every_rhs(self, geom):
+        # a stack C = (2,) against a 1-D z of 3 frequencies and K = (2,)
+        # right-hand sides per configuration: C + z.shape + K + (255,)
+        rabi = np.array([0.5, 20.0])
+        stack = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
+        zs = np.array([0.0, -0.7j, 5j])
+        rng = np.random.default_rng(11)
+        rhs = np.stack([stack.j, rng.normal(size=(2, 255)) + 1j * rng.normal(size=(2, 255))],
+                       axis=-2)
+        got = stack.resolvent.solve(zs, rhs)
+        assert got.shape == (2, 3, 2, 255)
+        for c, r in enumerate(rabi):
+            a = assemble(DriveConfig(rabi=r, detuning=0.3), geom).A
+            for k, z in enumerate(zs):
+                want = resolvent_solve(a, z, rhs[c].T).T
+                assert np.allclose(got[c, k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
