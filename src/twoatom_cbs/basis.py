@@ -58,6 +58,15 @@ def two_atom_basis_flat():
     return rows
 
 
+def expand_single_atom_operator(op):
+    """The 16 coefficients c_n = Tr(q_n^dag op) of a 4x4 operator.
+
+    A product X (x) Y has the two-atom coefficients np.kron(c_X, c_Y).
+    """
+    op = np.asarray(op, dtype=complex)
+    return single_atom_basis().reshape(N_SINGLE, -1).conj() @ op.ravel()
+
+
 def expand_two_atom_operator(op):
     """Project a 16x16 operator onto the tensor-product basis.
 

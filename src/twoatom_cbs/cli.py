@@ -152,20 +152,6 @@ def read_config_file(path):
     return values
 
 
-def read_output_header(path):
-    """Recover the configuration dict from a CSV output's '#' header."""
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, raw = body.split("=", 1)
-                values[key.strip()] = _parse_value(raw)
-    return values
-
-
 def build_config(mode, file_values, overrides):
     """Merge defaults, config file, and flag overrides with strict keys and types.
 
@@ -210,9 +196,12 @@ def run_spectrum(cfg):
         raise ConfigurationError("need nu_min < nu_max and points >= 2")
     if not np.isfinite(cfg["nu_max"] - cfg["nu_min"]):
         raise ConfigurationError("nu_max - nu_min overflows")
+    nu_grid = np.linspace(cfg["nu_min"], cfg["nu_max"], cfg["points"])
+    if not np.all(np.diff(nu_grid) > 0):
+        raise ConfigurationError(
+            f"grid of {cfg['points']} points from nu_min to nu_max is not strictly increasing")
     gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
                    Geometry.backscattering(cfg["k0_r12"]))
-    nu_grid = np.linspace(cfg["nu_min"], cfg["nu_max"], cfg["points"])
     spec, ib = compute_spectrum(gen, nu_grid=nu_grid)
     sum_rule = check_sum_rule(spec, ib)
     if cfg["normalize"]:

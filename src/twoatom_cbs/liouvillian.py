@@ -69,14 +69,15 @@ class DriveConfig:
 
     `rabi` and `detuning` may be arrays (stored as read-only float copies):
     their broadcast shape is the configuration shape `shape`, () for two
-    scalars.  `gamma` and `laser_polarization` are scalars shared by every
-    configuration, as V is built once per gamma.
+    scalars.  `gamma` is a scalar shared by every configuration, as V is
+    built once per gamma.  The laser has positive helicity: it drives
+    |1> <-> |4>, and the detected channel and `resolvent.BLOCKS` are those
+    of that drive.
     """
 
     rabi: float | np.ndarray
     detuning: float | np.ndarray = 0.0
     gamma: float = 1.0
-    laser_polarization: int = 1
 
     def __post_init__(self):
         for name in ("rabi", "detuning"):
@@ -84,9 +85,8 @@ class DriveConfig:
                 value = np.array(getattr(self, name), dtype=float)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
-        for name in ("gamma", "laser_polarization"):
-            if np.ndim(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a scalar")
+        if np.ndim(self.gamma):
+            raise ConfigurationError("gamma must be a scalar")
         try:
             self.shape
         except ValueError:
@@ -101,8 +101,6 @@ class DriveConfig:
             raise ConfigurationError("rabi must be positive")
         if self.gamma <= 0:
             raise ConfigurationError("gamma must be positive")
-        if self.laser_polarization != 1:
-            raise ConfigurationError("only the +1 helicity drive channel is supported")
 
     @property
     def shape(self):
@@ -141,14 +139,13 @@ class Geometry:
             raise ConfigurationError("atoms must not coincide")
 
     @classmethod
-    def backscattering(cls, k0_r12, separation_dir=(1.0, 0.0, 0.0)):
-        """Atoms separated by k0_r12 transverse to the laser, detection at theta=0."""
+    def backscattering(cls, k0_r12):
+        """Atoms separated by k0_r12 along x, transverse to the laser, detection
+        at theta=0."""
         if k0_r12 <= 0:
-            # a negative separation would silently flip separation_dir
+            # a negative separation would silently flip the atoms
             raise ConfigurationError("k0_r12 must be positive")
-        d = np.asarray(separation_dir, dtype=float)
-        d = d / np.linalg.norm(d)
-        return cls(r1=np.zeros(3), r2=-k0_r12 * d)
+        return cls(r1=np.zeros(3), r2=-k0_r12 * np.array([1.0, 0.0, 0.0]))
 
     @property
     def r12(self):
@@ -215,13 +212,13 @@ def angular_weight(n_hat, g):
 _I16 = np.eye(N_SINGLE, dtype=complex)
 
 
-def _unit_drive(laser_polarization, rabi_phase):
+def _unit_drive(rabi_phase):
     """Drive term Omega_a D^dag.eps_L + Omega_a^* D.eps_L^* at Omega = 1 (4x4).
 
     Omega_a = Omega * rabi_phase, so the drive term at Omega is Omega times
-    this operator.
+    this operator; eps_L = E_PLUS, the positive-helicity laser.
     """
-    eps_l = _HELICITY_VECS[laser_polarization]
+    eps_l = E_PLUS
     drive = np.zeros((4, 4), dtype=complex)
     for q in HELICITY:
         d_q = _DIPOLE_COMPONENTS[q]
@@ -262,7 +259,7 @@ def _single_atom_matrix(cfg, rabi_phase):
     term at Omega = 1 (`_unit_drive`), whose table is built once per call,
     and the other two tables are cached.  Shape cfg.shape + (16, 16).
     """
-    l_h, r_h = single_atom_tables(_unit_drive(cfg.laser_polarization, rabi_phase))
+    l_h, r_h = single_atom_tables(_unit_drive(rabi_phase))
     excited, dissipator = _drive_independent_tables()
     detuning = np.asarray(cfg.detuning)[..., None, None]
     rabi = np.asarray(cfg.rabi)[..., None, None]

@@ -1,26 +1,29 @@
 """CBS spectrum from the quantum regression theorem in the Laplace domain.
 
 The first-order field correlator obeys the same linear equation of motion
-as the one-time expectation values; its Laplace image is assembled from
+as the one-time averages <B_n>; its Laplace image is assembled from
 resolvent solves at z = -i nu on a frequency grid.  The elastic component
 is a delta function at the laser frequency, carried separately as a
 weight; the inelastic densities are evaluated with a stabilized form of
 the 1/z difference term so that nu -> 0 is regular.
 
-The densities read the correlator only at the two detected dipoles, and
-each is a single-atom coherence: _IDX_D1 is the packed entry (l, m) =
-(8, 0) of atom 1, _IDX_D2 the entry (0, 8) of atom 2.  Row 0 of each
-single-atom generator M_a vanishes (trace conservation), so the row
-_IDX_D1 of G0(z) = (z - A)^{-1} is supported on the entries (k, 0) alone,
-where it is the matching row of (z - B1)^{-1}, B1 = M1[1:, 1:]; likewise
-_IDX_D2 with (0, k) and B2.  B_a is block diagonal under
-`resolvent.BLOCKS`, so both rows live on one 2x2 block, the detected
-coherence pair (`_PAIR_INDICES`, at the packed positions `_PAIR_ROWS`).
+The densities read the correlator only at the two detected dipoles
+sigma_12^a, through the read-out rows `steady_state.SIGMA_12_ROWS` that the
+intensities use too.  Each row has a single non-zero, at a single-atom
+coherence: the packed entry (l, m) = (8, 0) of atom 1 and (0, 8) of atom 2
+(`_IDX_D`, both of weight `_EXTRACT` = 2).  Row 0 of each single-atom
+generator M_a vanishes (trace conservation), so atom 1's detected row of
+G0(z) = (z - A)^{-1} is supported on the entries (k, 0) alone, where it is
+the matching row of (z - B1)^{-1}, B1 = M1[1:, 1:]; likewise atom 2's with
+(0, k) and B2.  B_a is block diagonal under `resolvent.BLOCKS`, so both rows
+live on one 2x2 block, the detected coherence pair (`_PAIR_INDICES`, at the
+packed positions `_PAIR_ROWS`), all derived from the rows.
 
 The sweep, `inelastic_spectrum(gen, state, nu_grid)`, derives all it reads
 from the stationary state: both atoms' QRT initial conditions
-<sigma_21^a B_n>_ss in one array (`qrt_initial`), the source weights
-<sigma_21^a>_ss and the elastic weight.  It takes the grid in fixed blocks
+<sigma_21^a B_n>_ss in one array (`qrt_initial`), and the source weights
+<sigma_21^a>_ss and the elastic weight from the elastic read-out it shares
+with `steady_state.intensities`.  It takes the grid in fixed blocks
 of frequencies.  Its first stage solves
 G0(z) [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's tile
 resolvent (`resolvent.KroneckerResolvent`), each tile factored once per
@@ -46,41 +49,27 @@ import numpy as np
 from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
 from .errors import ConfigurationError
 from .liouvillian import GeneratorSet
-from .resolvent import BLOCKS, needed
+from .resolvent import GROUP_OF, GROUPS, needed
 from .steady_state import (
+    SIGMA_12_ROWS,
     IntensityBreakdown,
     PerturbativeState,
     ResolventError,
-    dipole_expectations,
+    _elastic_readout,
     intensities,
     perturbative_steady_state,
 )
 
-# packed indices of the detected-channel dipoles: sigma_12^1 = 2 B_128,
-# sigma_12^2 = 2 B_8 (0-based positions in the 255-vector are n - 1)
-_IDX_D1 = 128 - 1
-_IDX_D2 = 8 - 1
-_EXTRACT = 2.0
-
-
-def _detected_pair(index):
-    """Single-atom indices and packed positions of the block holding a dipole.
-
-    The dipole at packed `index` is (l, 0), an atom-1 coherence, or (0, m),
-    an atom-2 one.  Its row of G0(z) vanishes outside the entries (k, 0),
-    resp. (0, k), with k in the dipole's block of `resolvent.BLOCKS`: there
-    it is row 0 of (z - a)^{-1}, a that block of M1, resp. M2, so the
-    dipole must head its block.
-    """
-    l, m = divmod(index + 1, N_SINGLE)
-    home = l if m == 0 else m
-    pair, = [np.array(b) + 1 for b in BLOCKS if b[0] == home - 1]
-    return pair, (pair * N_SINGLE if m == 0 else pair) - 1
-
-
-# per detected dipole d (atom 1, then atom 2): its single-atom block and
-# that block's packed positions, the only rows of G0 the sweep reads
-_PAIR_INDICES, _PAIR_ROWS = map(np.array, zip(*map(_detected_pair, (_IDX_D1, _IDX_D2))))
+# The detected dipoles sigma_12^1, sigma_12^2: each read-out row holds one
+# non-zero, _EXTRACT, at the packed position n - 1 of a single-atom
+# coherence, (l, m) = (h, 0) of atom 1 and (0, h) of atom 2, n = 16 l + m,
+# so h = l + m.  h heads its group of resolvent.GROUPS, the detected
+# coherence pair: per dipole, its single-atom indices and packed positions,
+# the only rows of G0 the sweep reads.
+_IDX_D = np.array([np.flatnonzero(row).item() for row in SIGMA_12_ROWS])
+_EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
+_PAIR_INDICES = np.array([GROUPS[GROUP_OF[sum(divmod(i + 1, N_SINGLE))]] for i in _IDX_D])
+_PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
 # frequencies per batched solve.  A block's arrays are per-frequency tile
 # matrices and a (block, 256, 4) solution, and each call pays a fixed cost
 # of about 0.4 ms in small numpy operations, so larger blocks amortize it.
@@ -138,7 +127,7 @@ class SpectrumResult:
     elastic_weight: float
     normalized: bool = False
 
-    def integrals(self, tail_correction=True):
+    def integrals(self):
         """Trapezoid integrals of both densities, with a 1/nu^2 tail estimate.
 
         The grid must be strictly increasing with at least 2 points: the
@@ -147,13 +136,9 @@ class SpectrumResult:
         if len(self.nu_grid) < 2 or not np.all(np.diff(self.nu_grid) > 0):
             raise ConfigurationError(
                 "integrals need a strictly increasing frequency grid of at least 2 points")
-        lad = np.trapezoid(self.ladder_density, self.nu_grid)
-        cro = np.trapezoid(self.crossed_density, self.nu_grid)
-        if tail_correction:
-            tl, tc = self.tail_estimates()
-            lad += tl
-            cro += tc
-        return lad, cro
+        tl, tc = self.tail_estimates()
+        return (np.trapezoid(self.ladder_density, self.nu_grid) + tl,
+                np.trapezoid(self.crossed_density, self.nu_grid) + tc)
 
     def tail_estimates(self):
         """Estimated mass beyond the grid assuming C/nu^2 far tails.
@@ -201,8 +186,8 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         raise ConfigurationError(
             f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
     phase = gen.detection_phase
-    # the rows _IDX_D1, _IDX_D2 of G0(z) are the first rows of (z - a_d)^{-1},
-    # a_d the detected pair's block of M1, resp. M2, placed at _PAIR_ROWS
+    # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, a_d
+    # the detected pair's block of M1, resp. M2, placed at _PAIR_ROWS
     a = np.stack([m[np.ix_(pair, pair)] for m, pair
                   in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
     static = np.linalg.inv(-a)  # G0(0) at the pair rows, [d, p, q]
@@ -212,7 +197,8 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     s0 = qrt_initial(state)  # [a, k, 255]
     # <sigma_21^a>_ss at order g^1: the detected transition is dark at
     # order g^0, and order g^2 does not enter the order-g^2 spectrum
-    weights = np.array(dipole_expectations(state))[:, None]
+    dipoles, l_el, c_el = _elastic_readout(state, phase)
+    weights = np.array(dipoles)[:, None]
     first = np.stack([gen.j, state.order0, *s0[:, 1]])
     second_source = s0[:, 2][:, _PAIR_ROWS]  # [a, d, p]
 
@@ -246,12 +232,11 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         )
 
     # the coefficient of delta(nu): the stationary elastic intensity
-    ib = intensities(state, gen)
     return SpectrumResult(
         nu_grid=nu_grid,
         ladder_density=ladder,
         crossed_density=crossed,
-        elastic_weight=ib.L_el + ib.C_el,
+        elastic_weight=l_el + c_el,
     )
 
 
@@ -273,7 +258,7 @@ class SumRuleReport:
 def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
                    tolerance=1e-3) -> SumRuleReport:
     """Verify that the density integrals reproduce the stationary intensities."""
-    lad, cro = spec.integrals(tail_correction=True)
+    lad, cro = spec.integrals()
     tail_l, tail_c = spec.tail_estimates()
     scale = abs(ib.L_inel)
     report = SumRuleReport(

@@ -12,6 +12,12 @@ equal terms (L_inel = L_tot - L_el), so every component of the state needs
 full accuracy, not only its norm; the tile solves keep their rounding
 inside each tile.
 
+Every observable is read from one detected channel, the |1> <-> |2> dipole
+of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
+one packed read-out row np.kron(c_X, c_Y)[1:] of single-atom expansions, and
+its value at order g^k, k >= 1, is state.order(k) @ row.  The spectrum sweep
+reads through the same rows and the same elastic read-out.
+
 A generator set assembled for a stack of drive configurations (shape C,
 see `liouvillian.DriveConfig`) goes through the same calls: each order is a
 C + (255,) array, the three static solves run over the whole stack at once,
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import expectation, sigma
+from .basis import expand_single_atom_operator, sigma
 from .errors import ResolventError
 from .liouvillian import GeneratorSet
 
@@ -48,12 +54,15 @@ def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 
-# detected-channel operators (atom 1 (x) atom 2); SIGMA_21[a - 1] acts on atom a
-_I4 = np.eye(4, dtype=complex)
-SIGMA_21 = (np.kron(sigma(2, 1), _I4), np.kron(_I4, sigma(2, 1)))
-_SIGMA_12 = (np.kron(sigma(1, 2), _I4), np.kron(_I4, sigma(1, 2)))
-_POP2 = np.kron(sigma(2, 2), _I4) + np.kron(_I4, sigma(2, 2))
-_CROSS_12 = np.kron(sigma(2, 1), sigma(1, 2))
+# read-out rows, as (atom 1, atom 2) pairs; they leave out the trace element,
+# which enters at order g^0 only
+_ONE, _S21, _S12, _S22 = map(expand_single_atom_operator,
+                             (np.eye(4), sigma(2, 1), sigma(1, 2), sigma(2, 2)))
+
+SIGMA_21_ROWS = np.kron(_S21, _ONE)[1:], np.kron(_ONE, _S21)[1:]
+SIGMA_12_ROWS = np.kron(_S12, _ONE)[1:], np.kron(_ONE, _S12)[1:]
+_POP2_ROW = (np.kron(_S22, _ONE) + np.kron(_ONE, _S22))[1:]
+_CROSS_ROW = np.kron(_S21, _S12)[1:]
 
 
 @dataclass(frozen=True)
@@ -93,21 +102,15 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
 
     Ladder: summed level-|2> populations at order g^2.  Crossed:
     2 Re{<sigma_21^1 sigma_12^2> e^{i k.r12}} at order g^2.  Elastic parts
-    from products of the order-g dipole expectation values; inelastic by
-    subtraction.
+    from products of the order-g dipoles <sigma_21^a> and <sigma_12^a>;
+    inelastic by subtraction.
     """
     phase = gen.detection_phase
-    l_tot = expectation(_POP2, state.order2, order=2).real
-    c_tot = 2.0 * (expectation(_CROSS_12, state.order2, order=2) * phase).real
-
-    d21_1, d21_2 = dipole_expectations(state)
-    d12_1, d12_2 = (expectation(op, state.order1, order=1) for op in _SIGMA_12)
-    l_el = (d21_1 * d12_1 + d21_2 * d12_2).real
-    c_el = 2.0 * (d21_1 * d12_2 * phase).real
-
+    l_tot = (state.order2 @ _POP2_ROW).real
+    c_tot = 2.0 * ((state.order2 @ _CROSS_ROW) * phase).real
+    _, l_el, c_el = _elastic_readout(state, phase)
     if np.any(l_tot <= 0):
-        raise ResolventError(
-            f"non-positive ladder intensity {np.min(l_tot)}: numerical failure")
+        raise ResolventError(f"non-positive ladder intensity {np.min(l_tot)}")
     return IntensityBreakdown(
         L_el=l_el,
         C_el=c_el,
@@ -119,6 +122,11 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     )
 
 
-def dipole_expectations(state: PerturbativeState):
-    """Order-g expectation values (<sigma_21^1>, <sigma_21^2>)."""
-    return tuple(expectation(op, state.order1, order=1) for op in SIGMA_21)
+def _elastic_readout(state: PerturbativeState, phase):
+    """The order-g dipoles (<sigma_21^1>, <sigma_21^2>) and the elastic ladder
+    and crossed intensities built from them, phase = exp(i k.r12)."""
+    d21_1, d21_2 = (state.order1 @ row for row in SIGMA_21_ROWS)
+    d12_1, d12_2 = (state.order1 @ row for row in SIGMA_12_ROWS)
+    l_el = (d21_1 * d12_1 + d21_2 * d12_2).real
+    c_el = 2.0 * (d21_1 * d12_2 * phase).real
+    return (d21_1, d21_2), l_el, c_el

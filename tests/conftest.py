@@ -92,7 +92,7 @@ def apply_single_atom_generator(cfg, Q, atom, rabi_phase=1.0):
     """
     Q = np.asarray(Q, dtype=complex)
     excited = _embed(_EXCITED, atom)
-    drive = _embed(cfg.rabi * _unit_drive(cfg.laser_polarization, rabi_phase), atom)
+    drive = _embed(cfg.rabi * _unit_drive(rabi_phase), atom)
     out = -1j * cfg.detuning * (excited @ Q - Q @ excited)
     out += -0.5j * (drive @ Q - Q @ drive)
     for q in HELICITY:

@@ -9,6 +9,7 @@ from twoatom_cbs.basis import (
     N_SINGLE,
     N_TWO,
     TRACE_ELEMENT_VALUE,
+    expand_single_atom_operator,
     expand_two_atom_operator,
     expectation,
     sigma,
@@ -62,6 +63,16 @@ def test_expand_reconstruct_round_trip(seed):
     op = random_operator(seed)
     coeffs = expand_two_atom_operator(op)
     assert np.allclose(reconstruct_two_atom_operator(coeffs), op, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_product_expands_as_kron_of_single_atom_expansions(seed):
+    # X (x) Y has the coefficients kron(c_X, c_Y), n = 16 l + m
+    x, y = random_operator(seed, dim=4), random_operator(seed + 1, dim=4)
+    c_x, c_y = expand_single_atom_operator(x), expand_single_atom_operator(y)
+    assert np.allclose(np.einsum("n,nab->ab", c_x, single_atom_basis()), x, atol=1e-13)
+    assert np.allclose(np.kron(c_x, c_y), expand_two_atom_operator(np.kron(x, y)), atol=1e-12)
 
 
 def test_expand_rejects_wrong_shape():

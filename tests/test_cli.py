@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from twoatom_cbs.cli import (
     build_parser,
     main,
     read_config_file,
-    read_output_header,
 )
 from twoatom_cbs.liouvillian import ConfigurationError
 
@@ -78,6 +78,15 @@ class TestConfigParsing:
             build_config("spectrum", {"format": "xml"}, {})
 
 
+def replay_config(out_path, cfg_path):
+    """The README's replay: the header lines of a CSV output, '# ' stripped,
+    written to `cfg_path` and read back as a config file."""
+    lines = [line[2:] for line in out_path.read_text().splitlines(keepends=True)
+             if line.startswith("# ")]
+    cfg_path.write_text("".join(lines))
+    return read_config_file(cfg_path)
+
+
 class TestRuns:
     def run(self, argv, capsys):
         code = main(argv)
@@ -114,9 +123,8 @@ class TestRuns:
         for name, args in runs:
             out_path = tmp_path / f"{name}.csv"
             assert main([mode, *args, "--output", str(out_path)]) == EXIT_OK
-            header = read_output_header(out_path)
             cfg_path = tmp_path / f"{name}.cfg"
-            cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in header.items()))
+            header = replay_config(out_path, cfg_path)
             replay_path = tmp_path / f"{name}-replay.csv"
             assert main([mode, "--config", str(cfg_path),
                          "--output", str(replay_path)]) == EXIT_OK
@@ -130,7 +138,7 @@ class TestRuns:
     def test_flags_are_the_echoed_keys(self, mode, tmp_path):
         out_path = tmp_path / "a.csv"
         assert main([mode, *NON_DEFAULT_ARGS[mode], "--output", str(out_path)]) == EXIT_OK
-        header = read_output_header(out_path)
+        header = replay_config(out_path, tmp_path / "a.cfg")
         echoed = set(header) - {"mode", "version", *_MODES[mode].results}
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
@@ -214,6 +222,20 @@ class TestExitCodes:
         assert main(argv) == EXIT_NUMERICAL
         assert "numerical failure: sum rule violated" in capsys.readouterr().err
 
+    def test_numerical_failure_is_one_line(self, monkeypatch, capsys):
+        # a state with no order-g^2 population fails the intensities; the
+        # message carries the "numerical failure" prefix once
+        real = cli.perturbative_steady_state
+
+        def empty_order2(gen):
+            state = real(gen)
+            return replace(state, order2=np.zeros_like(state.order2))
+
+        monkeypatch.setattr(cli, "perturbative_steady_state", empty_order2)
+        assert main(["intensity-sweep", "--sweep-points", "3"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: non-positive ladder intensity 0.0\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--points", "abc"], "invalid int value: 'abc'"),
         (["compare-oracles", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
@@ -230,6 +252,11 @@ class TestExitCodes:
         (["spectrum", "--nu-min=-1e308", "--nu-max=1e308"], "nu_max - nu_min overflows"),
         (["intensity-sweep", "--sweep-max=inf"], "sweep_max must be finite"),
         (["compare-oracles", "--s-values", "1,inf"], "s_values must be finite"),
+        # finite limits too close for the points: equal or unordered grid points
+        (["spectrum", "--nu-min", "1", "--nu-max", "1.0000000000000002", "--points", "5"],
+         "grid of 5 points from nu_min to nu_max is not strictly increasing"),
+        (["spectrum", "--nu-min", "0", "--nu-max", "5e-324", "--points", "3"],
+         "grid of 3 points from nu_min to nu_max is not strictly increasing"),
     ])
     def test_non_finite_input_rejected_before_assembly(self, argv, message, monkeypatch,
                                                        capsys):

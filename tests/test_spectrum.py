@@ -7,15 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twoatom_cbs.basis import N_SINGLE, N_TWO
+from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_two_atom_operator, sigma
 from twoatom_cbs.basis import expectation as basis_expectation
 from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.resolvent import BLOCKS, GROUP_OF
 from twoatom_cbs.spectrum import (
-    _EXTRACT,
-    _IDX_D1,
-    _IDX_D2,
     _PAIR_ROWS,
     SpectrumResult,
     check_sum_rule,
@@ -28,7 +25,6 @@ from twoatom_cbs.spectrum import (
 )
 from twoatom_cbs.steady_state import (
     ResolventError,
-    dipole_expectations,
     intensities,
     perturbative_steady_state,
 )
@@ -36,10 +32,19 @@ from twoatom_cbs.steady_state import (
 from conftest import generator, resolvent_solve, shifted_tilted_geometry, spectrum_at, stationary
 
 
+_EYE4 = np.eye(4, dtype=complex)
+#: sigma_21 (the sources) and sigma_12 (the detected dipoles) of atom 1 and
+#: of atom 2 as packed rows, by projection onto the two-atom basis: <X> at
+#: order g^k, k >= 1, is row @ order_k
+SOURCE_ROWS, DETECTED_ROWS = (
+    [expand_two_atom_operator(op)[1:] for op in (np.kron(x, _EYE4), np.kron(_EYE4, x))]
+    for x in (sigma(2, 1), sigma(1, 2)))
+
+
 def dense_reference_densities(gen, state, nu_grid):
     """Ladder and crossed densities from a per-nu loop of dense solves."""
     s0 = qrt_initial(state)
-    weights = dipole_expectations(state)
+    weights = [state.order1 @ row for row in SOURCE_ROWS]
     phase = gen.detection_phase
 
     def g0(z, rhs):
@@ -52,9 +57,10 @@ def dense_reference_densities(gen, state, nu_grid):
                 - g0(0.0, gen.V @ g0(z, state.order0)))
         s1, s2 = (g0(z, gen.V @ g0(z, s[1]) + s[2]) + weight * diff
                   for s, weight in zip(s0, weights))
-        ladder.append((_EXTRACT * (s1[_IDX_D1] + s2[_IDX_D2])).real / np.pi)
-        crossed.append((_EXTRACT * (s1[_IDX_D2] * phase
-                                    + s2[_IDX_D1] * np.conj(phase))).real / np.pi)
+        # <sigma_12^d> read from the regression vector s_a of atom a: [a, d]
+        (d11, d12), (d21, d22) = [[row @ s for row in DETECTED_ROWS] for s in (s1, s2)]
+        ladder.append((d11 + d22).real / np.pi)
+        crossed.append((d12 * phase + d21 * np.conj(phase)).real / np.pi)
     return np.array(ladder), np.array(crossed)
 
 
@@ -161,9 +167,10 @@ class TestDensities:
     @pytest.mark.parametrize("rabi, detuning", [(0.1, 5.0), (0.5, 0.0), (1.0, 0.0),
                                                 (100.0, 0.0)])
     def test_detected_rows_of_g0_live_on_one_coherence_pair(self, rabi, detuning, geom):
-        # the sweep reads G0(z) only through rows _IDX_D1 and _IDX_D2, and
-        # those rows vanish outside the detected coherence pair: atom 1's
-        # entries (8, 0), (12, 0), atom 2's (0, 8), (0, 12), i.e. the block
+        # the sweep reads G0(z) only through the rows of the detected dipoles,
+        # the packed entries (8, 0) and (0, 8), and those rows vanish outside
+        # the detected coherence pair: atom 1's entries (8, 0), (12, 0), atom
+        # 2's (0, 8), (0, 12), i.e. the block
         # (7, 11) of resolvent.BLOCKS.  At delta = 0, Omega = 0.5 is an
         # exceptional point of the 4x4 Bloch block and Omega = 1 one of every
         # coherence pair, the detected one included
@@ -171,15 +178,17 @@ class TestDensities:
         assert _PAIR_ROWS.tolist() == [[127, 191], [7, 11]]
         for z in (0.0, -0.37j, -5j):
             g0 = np.linalg.inv(z * np.eye(N_TWO - 1) - gen.A)
-            for index, pair_rows in zip((_IDX_D1, _IDX_D2), _PAIR_ROWS):
+            for atom, detected, pair_rows in zip((1, 2), DETECTED_ROWS, _PAIR_ROWS):
+                index, = np.flatnonzero(detected)
+                assert index == pair_rows[0]
                 row = np.abs(g0[index])
                 support = np.flatnonzero(row > 1e-14 * row.max())
                 assert support.tolist() == pair_rows.tolist()
                 # packed position n - 1 of (l, m), n = 16 l + m: one atom's
                 # coherences, one block of B_a = M_a[1:, 1:]
                 l, m = np.divmod(support + 1, N_SINGLE)
-                single = l if index == _IDX_D1 else m
-                assert not np.any(m if index == _IDX_D1 else l)
+                single = l if atom == 1 else m
+                assert not np.any(m if atom == 1 else l)
                 assert tuple(single - 1) in BLOCKS
 
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
@@ -283,7 +292,7 @@ class TestSumRules:
         # magnitude (it overshoots somewhat because the outermost pole
         # sits far from nu = 0, so it brackets the true missing mass)
         _, spec, ib = strong_point
-        bare_l, _ = spec.integrals(tail_correction=False)
+        bare_l = np.trapezoid(spec.ladder_density, spec.nu_grid)
         tail_l, tail_c = spec.tail_estimates()
         missing = ib.L_inel - bare_l
         assert missing > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoatom_cbs.basis import expectation, sigma
+from twoatom_cbs.basis import expand_two_atom_operator, expectation, sigma
 from twoatom_cbs.liouvillian import (
     ConfigurationError,
     DriveConfig,
@@ -17,7 +17,15 @@ from twoatom_cbs.liouvillian import (
 )
 from twoatom_cbs.resolvent import GROUP_OF, KroneckerResolvent
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
-from twoatom_cbs.steady_state import PerturbativeState, intensities, perturbative_steady_state
+from twoatom_cbs.steady_state import (
+    _CROSS_ROW,
+    _POP2_ROW,
+    SIGMA_12_ROWS,
+    SIGMA_21_ROWS,
+    PerturbativeState,
+    intensities,
+    perturbative_steady_state,
+)
 
 from conftest import (
     generator,
@@ -223,6 +231,18 @@ class TestStaticSolveAccuracy:
 
 
 class TestIntensities:
+    def test_readout_rows_are_the_projected_operators(self):
+        # kron(c_X, c_Y)[1:] is the two-atom projection of X (x) Y, value for
+        # value (up to the signs of zero imaginary parts)
+        eye = np.eye(4, dtype=complex)
+        for (row_1, row_2), op in ((SIGMA_21_ROWS, sigma(2, 1)), (SIGMA_12_ROWS, sigma(1, 2))):
+            assert np.array_equal(row_1, expand_two_atom_operator(np.kron(op, eye))[1:])
+            assert np.array_equal(row_2, expand_two_atom_operator(np.kron(eye, op))[1:])
+        pop2 = np.kron(sigma(2, 2), eye) + np.kron(eye, sigma(2, 2))
+        assert np.array_equal(_POP2_ROW, expand_two_atom_operator(pop2)[1:])
+        cross = np.kron(sigma(2, 1), sigma(1, 2))
+        assert np.array_equal(_CROSS_ROW, expand_two_atom_operator(cross)[1:])
+
     def test_enhancement_matches_closed_form(self):
         for s in (0.05, 0.5, 5.0, 50.0):
             rabi = np.sqrt(2 * s)
