@@ -25,6 +25,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -307,7 +308,9 @@ _MODES = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argparse tree of every mode, built once per process."""
     parser = argparse.ArgumentParser(
         prog="twoatom-cbs",
         description="Double-scattering CBS intensities and spectra for two driven atoms.",

@@ -23,11 +23,17 @@ configurations C and the frequencies.  Every z is solved against every
 right-hand side, the right-hand sides being the columns of one factorization
 per tile and z; 1x1 and 2x2 tiles take closed forms.
 Rounding stays inside each tile, so no refinement step is needed.  The 1295
-tile entries per configuration are built once and factored on every call,
-z = 0 included: explicit inverses lose digits that the weak-drive
-intensities, differences of nearly equal terms, need.  `needed` gives the
-tiles a solve must visit to read given entries: their own and their feeders.
+tile entries per configuration are built once, as the tiles of z - A at
+z = 0, and factored on every call, z = 0 included: explicit inverses lose
+digits that the weak-drive intensities, differences of nearly equal terms,
+need.  A solve at z = 0 factors the stored tiles themselves; any other z is
+added on the diagonal of a copy.  `needed` gives the tiles a solve must visit
+to read given entries: their own and their feeders.  Each mask's plan (which
+tiles, which entries) is checked and built once per process and cached, as
+every `assemble` builds a new resolvent.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +49,7 @@ GROUPS = ((0,),) + tuple(tuple(i + 1 for i in b) for b in BLOCKS)
 #: the group of each single-atom index
 GROUP_OF = np.repeat(np.arange(len(GROUPS)), [len(g) for g in GROUPS])[np.argsort(sum(GROUPS, ()))]
 _OFF_BLOCK = GROUP_OF[1:, None] != GROUP_OF[None, 1:]
+_MASK_SHAPE = (len(GROUPS),) * 2
 
 
 def _plan():
@@ -74,11 +81,47 @@ def needed(columns):
     """Mask [p, q] of the tiles a solve read at packed `columns` needs:
     the tiles holding them, and the level-1 feeders of the level-2 ones."""
     l, m = np.divmod(np.asarray(columns) + 1, N_SINGLE)
-    mask = np.zeros((len(GROUPS),) * 2, dtype=bool)
+    mask = np.zeros(_MASK_SHAPE, dtype=bool)
     mask[GROUP_OF[l], GROUP_OF[m]] = True
     mask[1:, 0] |= mask[1:, 1:].any(axis=1)
     mask[0, 1:] |= mask[1:, 1:].any(axis=0)
     return mask
+
+
+@lru_cache(maxsize=64)
+def _mask_plan(key):
+    """The groups of _PLAN a solve restricted to a tile mask visits, as
+    (level, group, kept tiles, flat, l, m): the kept tiles index the group's
+    tiles, and l, m, flat = 16 l + m are their entries X[l, m].  `key` is
+    None (every tile) or the bytes of a 9x9 boolean mask, so each mask is
+    checked and planned once per process, whichever resolvent solves it."""
+    mask = (np.ones(_MASK_SHAPE, dtype=bool) if key is None
+            else np.frombuffer(key, dtype=bool).reshape(_MASK_SHAPE))
+    orphans = np.argwhere(mask[1:, 1:] & ~(mask[1:, :1] & mask[:1, 1:])) + 1
+    if orphans.size:
+        p, q = orphans[0]
+        raise ConfigurationError(
+            f"tile mask holds the level-2 tile ({p}, {q}) without its level-1 "
+            f"feeders ({p}, 0) and (0, {q})")
+    plan = []
+    for group, (level, pq, l, m) in enumerate(_PLAN):
+        kept = mask[pq[:, 0], pq[:, 1]]
+        if kept.any():
+            keep = slice(None) if kept.all() else np.flatnonzero(kept)
+            plan.append((level, group, keep, l[keep] * N_SINGLE + m[keep], l[keep], m[keep]))
+    return tuple(plan)
+
+
+def _plan_of(tiles):
+    """The plan of the mask `tiles`, None for every tile."""
+    if tiles is not None:
+        tiles = np.asarray(tiles)
+        if tiles.dtype != bool or tiles.shape != _MASK_SHAPE:
+            raise ConfigurationError(
+                f"tile mask must be a boolean array of shape {_MASK_SHAPE}, "
+                f"not {tiles.dtype} of shape {tiles.shape}")
+        tiles = tiles.tobytes()
+    return _mask_plan(tiles)
 
 
 class KroneckerResolvent:
@@ -93,9 +136,11 @@ class KroneckerResolvent:
                     "single-atom generator is not block diagonal under resolvent.BLOCKS")
         self.m1, self.m2 = m1, m2
         self.shape = m1.shape[:-2]
-        # a_p (x) 1 + 1 (x) b_q of every tile, [..., tile, row, column]
-        self._tiles = [m1[..., l[:, :, None], l[:, None, :]] * (m[:, :, None] == m[:, None, :])
-                       + m2[..., m[:, :, None], m[:, None, :]] * (l[:, :, None] == l[:, None, :])
+        # the tiles of z - A at z = 0, 0 - (a_p (x) 1 + 1 (x) b_q): the
+        # subtraction keeps z - A's zeros +0, where a negation would flip
+        # their sign, [..., tile, row, column]
+        self._tiles = [0.0 - (m1[..., l[:, :, None], l[:, None, :]] * (m[:, :, None] == m[:, None, :])
+                              + m2[..., m[:, :, None], m[:, None, :]] * (l[:, :, None] == l[:, None, :]))
                        for _, _, l, m in _PLAN]
 
     @property
@@ -126,30 +171,32 @@ class KroneckerResolvent:
         C + K + (255,): its K right-hand sides are the columns of one
         factorization per tile and z.  The result has shape
         C + z.shape + K + (255,).  `tiles`, a mask from `needed`, solves only
-        those tiles and leaves the entries of the others at zero.
+        those tiles and leaves the entries of the others at zero; a mask that
+        is not a 9x9 boolean array, or that holds a level-2 tile without its
+        feeders, raises ConfigurationError.
         """
         z, rhs = np.asarray(z, dtype=complex), np.asarray(rhs, dtype=complex)
         lead, rank = self.shape, len(self.shape)
         batch = rhs.shape[rank:-1]
+        plan = _plan_of(tiles)
         # b[..., l * 16 + m, column], with a unit axis for each axis of z
         spread = (1,) * z.ndim
         b = np.zeros(lead + spread + (N_TWO, int(np.prod(batch))), dtype=complex)
         b[..., 1:, :] = rhs.reshape(b.shape[:-2] + (-1, N_TWO - 1)).swapaxes(-1, -2)
         x = np.zeros(lead + z.shape + b.shape[-2:], dtype=complex)
-        z = z.reshape(z.shape + (1, 1, 1))
+        # z on the diagonal of every tile, [z..., tile, entry]; none at z = 0
+        shift = z.reshape(z.shape + (1, 1)) if z.any() else None
         c1, c2 = (m[..., :, 0].reshape(lead + spread + (N_SINGLE, 1)) for m in (self.m1, self.m2))
-        for (level, pq, l, m), tile in zip(_PLAN, self._tiles):
-            if tiles is not None:
-                keep = tiles[pq[:, 0], pq[:, 1]]
-                if not keep.any():
-                    continue
-                l, m, tile = l[keep], m[keep], tile[..., keep, :, :]
-            flat = l * N_SINGLE + m
-            tile = z * np.eye(flat.shape[-1]) - tile.reshape(lead + spread + tile.shape[rank:])
+        for level, group, keep, flat, l, m in plan:
+            size = flat.shape[-1]
+            tile = self._tiles[group][..., keep, :, :].reshape(lead + spread + (-1, size, size))
+            if shift is not None:
+                tile = np.array(np.broadcast_to(tile, lead + z.shape + tile.shape[-3:]))
+                tile.reshape(tile.shape[:-2] + (-1,))[..., ::size + 1] += shift
             r = b[..., flat, :]
             if level == 2:
                 # fed by the solved level-1 tiles: c1 X[0, :] + X[:, 0] c2^T
                 r = r + c1[..., l, :] * x[..., m, :] + x[..., l * N_SINGLE, :] * c2[..., m, :]
-            x[..., flat, :] = (r / tile if flat.shape[-1] == 1 else _solve2(tile, r)
-                               if flat.shape[-1] == 2 else np.linalg.solve(tile, r))
+            x[..., flat, :] = (r / tile if size == 1 else _solve2(tile, r)
+                               if size == 2 else np.linalg.solve(tile, r))
         return x[..., 1:, :].swapaxes(-1, -2).reshape(x.shape[:-2] + batch + (N_TWO - 1,))

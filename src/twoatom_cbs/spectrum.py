@@ -30,9 +30,11 @@ resolvent (`resolvent.KroneckerResolvent`), each tile factored once per
 frequency with the four right-hand sides as its columns.  That stage is
 read only through V's four rows at the pair positions, so it solves only
 the tiles holding their non-zero columns, plus the level-1 feeders of those
-(`stage1_tiles`, derived from V's sparsity and `resolvent.BLOCKS`): 24 of
-the 80 tiles when the separation is transverse to the laser, 38 for the
-tests' shifted-tilted geometry.  Everything after it is read through the
+(`steady_state.stage1_tiles`, derived from V's sparsity and
+`resolvent.BLOCKS`): 24 of the 80 tiles when the separation is transverse to
+the laser, 38 for the tests' shifted-tilted geometry.  The stationary state
+solves order 1 where `qrt_initial` reads it for those tiles, and order 2
+where it reads it for the detected pairs.  Everything after it is read through the
 detected rows: G0(0) through the two 2x2 inverses (-a)^{-1} of the pair
 blocks, formed once per spectrum, and the stage-2 G0(z) through the first
 rows of (z - a)^{-1}.  A malformed grid (empty, not 1-D or not finite)
@@ -46,11 +48,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, sigma, single_atom_tables
+from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE
 from .errors import ConfigurationError
 from .liouvillian import GeneratorSet
-from .resolvent import GROUP_OF, GROUPS, needed
 from .steady_state import (
+    _IDX_D,
+    _PAIR_INDICES,
+    _PAIR_ROWS,
+    L_SIGMA_21,
     SIGMA_12_ROWS,
     IntensityBreakdown,
     PerturbativeState,
@@ -58,18 +63,11 @@ from .steady_state import (
     _elastic_readout,
     intensities,
     perturbative_steady_state,
+    stage1_tiles,
 )
 
-# The detected dipoles sigma_12^1, sigma_12^2: each read-out row holds one
-# non-zero, _EXTRACT, at the packed position n - 1 of a single-atom
-# coherence, (l, m) = (h, 0) of atom 1 and (0, h) of atom 2, n = 16 l + m,
-# so h = l + m.  h heads its group of resolvent.GROUPS, the detected
-# coherence pair: per dipole, its single-atom indices and packed positions,
-# the only rows of G0 the sweep reads.
-_IDX_D = np.array([np.flatnonzero(row).item() for row in SIGMA_12_ROWS])
+# the weight of each detected dipole's single non-zero, at _IDX_D
 _EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
-_PAIR_INDICES = np.array([GROUPS[GROUP_OF[sum(divmod(i + 1, N_SINGLE))]] for i in _IDX_D])
-_PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
 # frequencies per batched solve.  A block's arrays are per-frequency tile
 # matrices and a (block, 256, 4) solution, and each call pays a fixed cost
 # of about 0.4 ms in small numpy operations, so larger blocks amortize it.
@@ -78,13 +76,6 @@ _PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
 # 2-core VM): median wall_s 0.124/0.118/0.121 s, 64 beating 32 in 7 of 8
 # rounds and 128 beating 64 in 4 of 8, at a peak RSS of 44.7/46.3/49.7 MB
 _BLOCK = 64
-
-
-def stage1_tiles(v_rows):
-    """Tiles of G0(z) that the sweep's first stage solves: those holding the
-    non-zero columns of V's pair rows `v_rows` [d, p, 255], and their
-    level-1 feeders."""
-    return needed(np.flatnonzero(np.any(v_rows, axis=(0, 1))))
 
 
 def _require_one_configuration(shape):
@@ -102,15 +93,17 @@ def qrt_initial(state: PerturbativeState) -> np.ndarray:
     state, order by order in g.  The expansion table is L (x) 1 (atom 1) or
     1 (x) L (atom 2), L that of sigma_21, applied to the state as a 16x16
     array F: (L (x) 1) f = vec(L F) and (1 (x) L) f = vec(F L^T), with the
-    trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.
+    trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.  The
+    state holds orders 1 and 2 only on the tiles that are read, so the
+    order-1 and order-2 components are exact where the sweep reads them: on
+    the stage-1 tiles and at the detected coherence pairs.
     """
     _require_one_configuration(state.order0.shape[:-1])
-    l_sigma, _ = single_atom_tables(sigma(2, 1))
     full = np.zeros((3, N_TWO), dtype=complex)
     full[0, 0] = TRACE_ELEMENT_VALUE
     full[:, 1:] = [state.order0, state.order1, state.order2]
     f = full.reshape(3, N_SINGLE, N_SINGLE)
-    return np.stack([l_sigma @ f, f @ l_sigma.T]).reshape(2, 3, N_TWO)[..., 1:]
+    return np.stack([L_SIGMA_21 @ f, f @ L_SIGMA_21.T]).reshape(2, 3, N_TWO)[..., 1:]
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,25 @@ g^0, g^1, g^2), and the order-2 terms carry the double-scattering ladder
 and crossed intensities.  The three static solves G0(0) go through the
 generator set's tile resolvent (`resolvent.KroneckerResolvent`, built in
 `assemble`), which never forms A as a dense 255x255 matrix: each factors
-the 80 small diagonal tiles of -A and solves them in two passes, with no
+small diagonal tiles of -A and solves them in two passes, with no
 refinement step.  The weak-drive intensities are differences of nearly
 equal terms (L_inel = L_tot - L_el), so every component of the state needs
 full accuracy, not only its norm; the tile solves keep their rounding
 inside each tile.
+
+Each order is solved only on the tiles its readers read (`resolvent.needed`
+of the entries, so feeders included).  Order 0 is solved on all 80: the
+order-1 right-hand side V order0 cancels analytically, as two ground-state
+atoms do not interact, and the tile solve's rounding survives that
+cancellation least.  Order 2 is solved on `ORDER2_TILES`, where the
+intensities read it (the non-zeros of `_POP2_ROW` and `_CROSS_ROW`) and
+where the spectrum's QRT initial conditions read it at the detected
+coherence pair (the pull-back of `_PAIR_ROWS` through the sigma_21 table):
+10 of the 80 tiles.  Order 1 is solved on `order1_tiles(V)`: where V reads
+it to form order 2's right-hand side on `ORDER2_TILES`, where the elastic
+read-out reads it (the sigma rows), and where `spectrum.qrt_initial` reads
+it for the sweep's first stage (the pull-back of `stage1_tiles`): 44 of the
+80 tiles when the separation is transverse to the laser.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
 of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
@@ -29,29 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import expand_single_atom_operator, sigma
+from .basis import N_SINGLE, N_TWO, expand_single_atom_operator, sigma, single_atom_tables
 from .errors import ResolventError
 from .liouvillian import GeneratorSet
-
-
-@dataclass(frozen=True)
-class PerturbativeState:
-    """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each)."""
-
-    order0: np.ndarray
-    order1: np.ndarray
-    order2: np.ndarray
-
-    def order(self, k):
-        return (self.order0, self.order1, self.order2)[k]
-
-
-def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
-    """order_k = (G0 V)^k G0 j, the g-expansion of the stationary state."""
-    order0 = gen.resolvent.solve(0.0, gen.j)
-    order1 = gen.resolvent.solve(0.0, order0 @ gen.V.T)
-    order2 = gen.resolvent.solve(0.0, order1 @ gen.V.T)
-    return PerturbativeState(order0=order0, order1=order1, order2=order2)
+from .resolvent import GROUP_OF, GROUPS, needed
 
 
 # read-out rows, as (atom 1, atom 2) pairs; they leave out the trace element,
@@ -63,6 +58,86 @@ SIGMA_21_ROWS = np.kron(_S21, _ONE)[1:], np.kron(_ONE, _S21)[1:]
 SIGMA_12_ROWS = np.kron(_S12, _ONE)[1:], np.kron(_ONE, _S12)[1:]
 _POP2_ROW = (np.kron(_S22, _ONE) + np.kron(_ONE, _S22))[1:]
 _CROSS_ROW = np.kron(_S21, _S12)[1:]
+
+# The detected dipoles sigma_12^1, sigma_12^2: each read-out row holds one
+# non-zero at the packed position n - 1 of a single-atom coherence,
+# (l, m) = (h, 0) of atom 1 and (0, h) of atom 2, n = 16 l + m, so
+# h = l + m.  h heads its group of resolvent.GROUPS, the detected coherence
+# pair: per dipole, its single-atom indices and packed positions, the only
+# rows of G0 the spectrum sweep reads.
+_IDX_D = np.array([np.flatnonzero(row).item() for row in SIGMA_12_ROWS])
+_PAIR_INDICES = np.array([GROUPS[GROUP_OF[sum(divmod(i + 1, N_SINGLE))]] for i in _IDX_D])
+_PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
+
+#: left multiplication table L of sigma_21: the QRT initial conditions
+#: <sigma_21^a B_n> are L (x) 1 (atom 1) and 1 (x) L (atom 2) of the state
+L_SIGMA_21 = single_atom_tables(sigma(2, 1))[0]
+_L_READS = L_SIGMA_21 != 0
+# indexes a [p, q] tile mask as the 16x16 grid [l, m] of the tiles' entries
+_TILE_OF = (GROUP_OF[:, None], GROUP_OF[None, :])
+
+
+def _qrt_pullback(grid):
+    """Packed columns of the state that the QRT initial conditions read at
+    the entries of the 16x16 boolean `grid`: L F reads F[k, m] where
+    L[l, k] != 0 (atom 1), F L^T reads F[l, k] where L[m, k] != 0 (atom 2).
+    The trace entry is left out, a constant that is zero at orders 1, 2."""
+    return np.flatnonzero(((_L_READS.T @ grid) | (grid @ _L_READS)).ravel()[1:])
+
+
+def stage1_tiles(v_rows):
+    """Tiles of G0(z) that the spectrum sweep's first stage solves: those
+    holding the non-zero columns of V's pair rows `v_rows` [d, p, 255], and
+    their level-1 feeders."""
+    return needed(np.flatnonzero(np.any(v_rows, axis=(0, 1))))
+
+
+#: tiles of order 2 that are read: the intensities' ladder and crossed rows
+#: and the QRT pull-back of the detected coherence pairs
+ORDER2_TILES = needed(np.concatenate([
+    np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
+    _qrt_pullback(np.isin(np.arange(-1, N_TWO - 1), _PAIR_ROWS).reshape(N_SINGLE, N_SINGLE))]))
+ORDER2_TILES.setflags(write=False)
+# packed entries of the order-2 tiles: the rows of V order 2 reads
+_ORDER2_ENTRIES = np.flatnonzero(ORDER2_TILES[_TILE_OF].ravel()[1:])
+_SIGMA_COLUMNS = np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0))
+
+
+def order1_tiles(v):
+    """Tiles of order 1 that are read, for the coupling `v`: the columns V
+    reads on the entries of ORDER2_TILES (order 2's right-hand side), the
+    sigma rows of the elastic read-out, and the QRT pull-back of the
+    spectrum's stage-1 tiles."""
+    stage1 = stage1_tiles(v[_PAIR_ROWS])
+    return needed(np.concatenate([np.flatnonzero(np.any(v[_ORDER2_ENTRIES], axis=0)),
+                                  _SIGMA_COLUMNS, _qrt_pullback(stage1[_TILE_OF])]))
+
+
+@dataclass(frozen=True)
+class PerturbativeState:
+    """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each).
+
+    Order 0 is complete.  Orders 1 and 2 hold their values on the tiles
+    they are read on, `order1_tiles(gen.V)` and `ORDER2_TILES`, and zeros
+    outside them; a full order is `gen.resolvent.solve(0.0, ...)` of the
+    order before it.
+    """
+
+    order0: np.ndarray
+    order1: np.ndarray
+    order2: np.ndarray
+
+    def order(self, k):
+        return (self.order0, self.order1, self.order2)[k]
+
+
+def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
+    """order_k = (G0 V)^k G0 j, the g-expansion of the stationary state,
+    orders 1 and 2 on the tiles that are read."""
+    order0 = gen.resolvent.solve(0.0, gen.j)
+    order1 = gen.resolvent.solve(0.0, order0 @ gen.V.T, order1_tiles(gen.V))
+    order2 = gen.resolvent.solve(0.0, order1 @ gen.V.T, ORDER2_TILES)
+    return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_two_atom_operator, sigma
 from twoatom_cbs.basis import expectation as basis_expectation
 from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
-from twoatom_cbs.resolvent import BLOCKS, GROUP_OF
+from twoatom_cbs.resolvent import BLOCKS, GROUP_OF, needed
 from twoatom_cbs.spectrum import (
     _PAIR_ROWS,
     SpectrumResult,
@@ -24,8 +24,13 @@ from twoatom_cbs.spectrum import (
     stage1_tiles,
 )
 from twoatom_cbs.steady_state import (
+    L_SIGMA_21,
+    ORDER2_TILES,
+    SIGMA_12_ROWS,
+    SIGMA_21_ROWS,
     ResolventError,
     intensities,
+    order1_tiles,
     perturbative_steady_state,
 )
 
@@ -214,6 +219,28 @@ class TestDensities:
         full = gen.resolvent.solve(z, rhs)
         part = gen.resolvent.solve(z, rhs, tiles)
         assert np.array_equal(part[..., columns], full[..., columns])
+
+    @pytest.mark.parametrize("geom, count", [(Geometry.backscattering(100.0), 44),
+                                             (shifted_tilted_geometry(), 72)],
+                             ids=["backscattering", "shifted-tilted"])
+    def test_order1_tiles_cover_what_order2_elastic_and_stage1_read(self, geom, count):
+        # order 1 is solved where V reads it on the entries of the order-2
+        # tiles, at the non-zeros of the sigma rows, and at the entries
+        # qrt_initial reads to form the first stage's tiles
+        gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
+        l, m = np.divmod(np.arange(1, N_TWO), N_SINGLE)
+        tile = (GROUP_OF[l], GROUP_OF[m])
+        eye = np.eye(N_SINGLE)
+        tables = np.stack([np.kron(L_SIGMA_21, eye), np.kron(eye, L_SIGMA_21)])[:, 1:, 1:]
+        stage1 = np.flatnonzero(stage1_tiles(gen.V[_PAIR_ROWS])[tile])
+        read = [np.flatnonzero(np.any(gen.V[ORDER2_TILES[tile]], axis=0)),
+                np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0)),
+                np.flatnonzero(np.any(tables[:, stage1], axis=(0, 1)))]
+        tiles = order1_tiles(gen.V)
+        for columns in read:
+            assert columns.size and tiles[tile][columns].all()
+        assert np.array_equal(tiles, needed(np.concatenate(read)))
+        assert tiles.sum() == count
 
     def test_non_finite_density_raises(self):
         # a broken input must fail the run, not be interpolated over

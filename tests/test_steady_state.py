@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoatom_cbs.basis import expand_two_atom_operator, expectation, sigma
+from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_two_atom_operator, expectation, sigma
 from twoatom_cbs.liouvillian import (
     ConfigurationError,
     DriveConfig,
@@ -15,15 +15,19 @@ from twoatom_cbs.liouvillian import (
     _single_atom_matrix,
     assemble,
 )
-from twoatom_cbs.resolvent import GROUP_OF, KroneckerResolvent
+from twoatom_cbs.resolvent import GROUP_OF, KroneckerResolvent, needed
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
     _CROSS_ROW,
+    _PAIR_ROWS,
     _POP2_ROW,
+    L_SIGMA_21,
+    ORDER2_TILES,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     PerturbativeState,
     intensities,
+    order1_tiles,
     perturbative_steady_state,
 )
 
@@ -34,6 +38,10 @@ from conftest import (
     shifted_tilted_geometry,
     stationary,
 )
+
+
+#: the tile of each packed position n - 1, as indices into a [p, q] mask
+_TILE = tuple(GROUP_OF[np.array(np.divmod(np.arange(1, N_TWO), N_SINGLE))])
 
 
 class TestResolvent:
@@ -155,6 +163,27 @@ class TestResolvent:
         with pytest.raises(ConfigurationError, match="block diagonal"):
             KroneckerResolvent(*((bad, m) if atom == 1 else (m, bad)))
 
+    @pytest.mark.parametrize("z", [0.0, -0.5j])
+    @pytest.mark.parametrize("feeder", [(1, 0), (0, 1)])
+    def test_mask_without_feeders_is_rejected(self, feeder, z):
+        # the level-2 tile (1, 1) is fed by (1, 0) and (0, 1): without them
+        # its right-hand side would read their entries as zero
+        gen = generator(1.0)
+        tiles = needed(np.arange(N_TWO - 1))
+        assert tiles.sum() == 80
+        tiles[feeder] = False
+        with pytest.raises(ConfigurationError, match=r"tile \(1, 1\) without its level-1 feeders"):
+            gen.resolvent.solve(z, gen.j, tiles)
+
+    @pytest.mark.parametrize("mask", [np.ones((9, 9), dtype=int), np.ones((9, 9), dtype=np.uint8),
+                                      np.ones((3, 27), dtype=bool), np.ones(81, dtype=bool),
+                                      np.ones((9, 9, 1), dtype=bool), [[1] * 9] * 9],
+                             ids=["int", "uint8", "3x27", "flat", "9x9x1", "int-list"])
+    def test_mask_that_is_not_a_9x9_boolean_array_is_rejected(self, mask):
+        gen = generator(1.0)
+        with pytest.raises(ConfigurationError, match="boolean array of shape"):
+            gen.resolvent.solve(0.0, gen.j, mask)
+
     def test_resolvent_eigenvalues_are_those_of_a(self):
         gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
         eigs = gen.resolvent.eigenvalues
@@ -167,15 +196,17 @@ class TestResolvent:
 class TestPerturbativeExpansion:
     def test_matches_exact_solution_to_third_order(self):
         # the expansion truncates at g^2, so the residual against the
-        # all-orders solve must scale like |g|^3
+        # all-orders solve must scale like |g|^3; compared on the
+        # components where order 2 is solved
         cfg = DriveConfig(rabi=1.5, detuning=0.5)
+        solved = ORDER2_TILES[_TILE]
         errs = []
         for sep in (50.0, 100.0, 200.0):
             gen = assemble(cfg, Geometry.backscattering(sep))
             state = perturbative_steady_state(gen)
             total = state.order0 + state.order1 + state.order2
             exact = nonperturbative_steady_state(gen)
-            errs.append(np.linalg.norm(total - exact))
+            errs.append(np.linalg.norm((total - exact)[solved]))
         assert errs[0] < 20.0 * abs(1.5 / 50.0) ** 3
         # halving |g| cuts the residual by about eight
         assert errs[1] / errs[0] == pytest.approx(1 / 8, rel=0.15)
@@ -200,6 +231,42 @@ class TestPerturbativeExpansion:
             pop = expectation(np.kron(sigma(4, 4), np.eye(4)), state.order0, order=0)
             assert pop.real == pytest.approx(s / (2 * (1 + s)), rel=1e-10)
             assert abs(pop.imag) < 1e-12
+
+
+def qrt_reads(entries):
+    """Packed columns of the state that qrt_initial reads to form its
+    `entries`, from the 256x256 tables L (x) 1 and 1 (x) L of sigma_21."""
+    eye = np.eye(N_SINGLE)
+    tables = np.stack([np.kron(L_SIGMA_21, eye), np.kron(eye, L_SIGMA_21)])[:, 1:, 1:]
+    return np.flatnonzero(np.any(tables[:, entries], axis=(0, 1)))
+
+
+class TestReadTiles:
+    """Orders 1 and 2 are solved only on the tiles their readers read."""
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+                             ids=["backscattering", "shifted_tilted"])
+    @pytest.mark.parametrize("rabi", [1.3, np.geomspace(1.0, 100.0, 41)], ids=["one", "stack41"])
+    def test_orders_equal_full_solves_on_their_tiles(self, rabi, geom):
+        gen = assemble(DriveConfig(rabi=rabi, detuning=0.7), geom)
+        state = perturbative_steady_state(gen)
+        full1 = gen.resolvent.solve(0.0, state.order0 @ gen.V.T)
+        full2 = gen.resolvent.solve(0.0, full1 @ gen.V.T)
+        for got, full, tiles in ((state.order1, full1, order1_tiles(gen.V)),
+                                 (state.order2, full2, ORDER2_TILES)):
+            inside = tiles[_TILE]
+            assert got.shape == full.shape
+            assert np.array_equal(got[..., inside], full[..., inside])
+            assert not got[..., ~inside].any()
+
+    def test_order2_tiles_cover_what_is_read(self):
+        # the intensities' ladder and crossed rows, and the order-2 entries
+        # qrt_initial reads to form the detected coherence pairs
+        read = np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
+                               qrt_reads(_PAIR_ROWS.ravel())])
+        assert ORDER2_TILES[_TILE][read].all()
+        assert np.array_equal(ORDER2_TILES, needed(read))
+        assert ORDER2_TILES.sum() == 10
 
 
 def refined_dense_solve(m, rhs, steps=2):
