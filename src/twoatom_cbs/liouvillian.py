@@ -88,11 +88,13 @@ class DriveConfig:
         if np.ndim(self.gamma):
             raise ConfigurationError("gamma must be a scalar")
         try:
-            self.shape
+            shape = self.shape
         except ValueError:
             raise ConfigurationError(
                 f"rabi {np.shape(self.rabi)} and detuning {np.shape(self.detuning)} "
                 "do not broadcast to one configuration shape") from None
+        if 0 in shape:
+            raise ConfigurationError(f"configuration shape {shape} is empty")
         for name in ("rabi", "detuning", "gamma"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")

@@ -2,10 +2,10 @@
 
 The first-order field correlator obeys the same linear equation of motion
 as the one-time averages <B_n>; its Laplace image is assembled from
-resolvent solves at z = -i nu on a frequency grid.  The elastic component
-is a delta function at the laser frequency, carried separately as a
-weight; the inelastic densities are evaluated with a stabilized form of
-the 1/z difference term so that nu -> 0 is regular.
+resolvent solves at z = -i nu on a frequency grid.  Its elastic part, a
+delta function at the laser frequency, is carried as a weight; the
+inelastic densities are the image of the connected correlator
+<delta sigma_21^a(0) delta B(tau)>, delta X = X - <X>_ss, with no pole at 0.
 
 The densities read the correlator only at the two detected dipoles
 sigma_12^a, through the read-out rows `steady_state.SIGMA_12_ROWS` that the
@@ -23,25 +23,25 @@ The sweep, `inelastic_spectrum(gen, state, nu_grid)`, derives all it reads
 from the stationary state: both atoms' QRT initial conditions
 <sigma_21^a B_n>_ss in one array (`qrt_initial`), and the source weights
 <sigma_21^a>_ss and the elastic weight from the elastic read-out it shares
-with `steady_state.intensities`.  It takes the grid in fixed blocks
-of frequencies.  Its first stage solves
-G0(z) [j, u0, s_1^[1](0), s_2^[1](0)] through the generator set's tile
+with `steady_state.intensities`.  It takes the grid in fixed blocks of
+frequencies.  Its first stage solves G0(z) [c_1^[1], c_2^[1]], over the
+connected initial conditions c_a^[k], through the generator set's tile
 resolvent (`resolvent.KroneckerResolvent`), each tile factored once per
-frequency with the four right-hand sides as its columns.  That stage is
-read only through V's four rows at the pair positions, so it solves only
-the tiles holding their non-zero columns, plus the level-1 feeders of those
+frequency with the two right-hand sides as its columns.  That stage is read
+only through V's four rows at the pair positions, so it solves only the
+tiles holding their non-zero columns, plus the level-1 feeders of those
 (`steady_state.stage1_tiles`, derived from V's sparsity and
 `resolvent.BLOCKS`): 24 of the 80 tiles when the separation is transverse to
 the laser, 38 for the tests' shifted-tilted geometry.  The stationary state
-solves order 1 where `qrt_initial` reads it for those tiles, and order 2
-where it reads it for the detected pairs.  Everything after it is read through the
-detected rows: G0(0) through the two 2x2 inverses (-a)^{-1} of the pair
-blocks, formed once per spectrum, and the stage-2 G0(z) through the first
-rows of (z - a)^{-1}.  A malformed grid (empty, not 1-D or not finite)
-raises ConfigurationError before any solve, and a non-finite density fails
-the sweep with ResolventError instead of being interpolated over.  Spectra
-take one drive configuration: a generator set or state assembled for a
-stack of them raises ConfigurationError.
+solves order 1 where `qrt_initial` reads it for those tiles and at the
+pairs, order 2 where it reads it for the pairs.  The second stage is read
+through the detected rows: the first rows of (z - a)^{-1}, a the pair blocks
+of M1 and M2, applied to V x_a + c_a^[2] at the pair positions.  A malformed
+grid (empty, not 1-D or not finite) raises ConfigurationError before any
+solve, and a non-finite density fails the sweep with ResolventError instead
+of being interpolated over.  Spectra take one drive configuration: a
+generator set or state assembled for a stack of them raises
+ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
@@ -69,7 +69,7 @@ from .steady_state import (
 # the weight of each detected dipole's single non-zero, at _IDX_D
 _EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
 # frequencies per batched solve.  A block's arrays are per-frequency tile
-# matrices and a (block, 256, 4) solution, and each call pays a fixed cost
+# matrices and a (block, 2, 255) solution, and each call pays a fixed cost
 # of about 0.4 ms in small numpy operations, so larger blocks amortize it.
 # Measured with the restricted tile sweep in the benchmark worker
 # (spectra-wide, 12-s runs, seeds 601-608, blocks 32/64/128 alternating,
@@ -164,14 +164,17 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     """Ladder and crossed inelastic spectral densities at order g^2, and the
     elastic weight.
 
-    For each z = -i nu the Laplace image of the correlator is
-    G0(z) V G0(z) s^[1](0) + G0(z) s^[2](0), s^[k](0) the order-k initial
-    conditions from `qrt_initial`, plus the stabilized source difference
-    term weighted by <sigma_21^a>_ss; same-atom components give the ladder
-    density, the cross-atom components (with detection phases) the crossed
-    density, both via (1/pi) Re.  The grid need not be sorted, but must be
-    a non-empty, finite 1-D array (ConfigurationError otherwise); a
-    non-finite density raises ResolventError.
+    For each z = -i nu the Laplace image of the connected correlator is
+    G0(z) V G0(z) c^[1] + G0(z) c^[2], over the connected initial conditions
+    c_a^[k] = s_a^[k](0) - <sigma_21^a>_ss order(k-1), s^[k](0) from
+    `qrt_initial`: two right-hand sides, and no 1/z term.  It is exact:
+    (z - A - V) x_ss = z x_ss + j makes the full image minus its elastic
+    pole <sigma_21^a>_ss x_ss / z equal G(z) [C(0) - <sigma_21^a>_ss x_ss].
+    Same-atom components give the ladder density, the cross-atom components
+    (with detection phases) the crossed density, both via (1/pi) Re.  The
+    grid need not be sorted, but must be a non-empty, finite 1-D array
+    (ConfigurationError otherwise); a non-finite density raises
+    ResolventError.
     """
     _require_one_configuration(gen.cfg.shape)
     nu_grid = np.asarray(nu_grid, dtype=float)
@@ -183,7 +186,6 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     # the detected pair's block of M1, resp. M2, placed at _PAIR_ROWS
     a = np.stack([m[np.ix_(pair, pair)] for m, pair
                   in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
-    static = np.linalg.inv(-a)  # G0(0) at the pair rows, [d, p, q]
     v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
     tiles = stage1_tiles(v_rows)
 
@@ -192,27 +194,22 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     # order g^0, and order g^2 does not enter the order-g^2 spectrum
     dipoles, l_el, c_el = _elastic_readout(state, phase)
     weights = np.array(dipoles)[:, None]
-    first = np.stack([gen.j, state.order0, *s0[:, 1]])
-    second_source = s0[:, 2][:, _PAIR_ROWS]  # [a, d, p]
+    # the connected initial conditions c_a^[k] = s_a^[k](0) - w_a order(k-1)
+    first = s0[:, 1] - weights * state.order0
+    second = (s0[:, 2] - weights * state.order1)[:, _PAIR_ROWS]  # [a, d, p]
 
     ladder = np.empty_like(nu_grid)
     crossed = np.empty_like(nu_grid)
     for start in range(0, len(nu_grid), _BLOCK):
         block = slice(start, start + _BLOCK)
         z = -1j * nu_grid[block]
-        # stage 1: t1 = G0(z) j, u = G0(z) u0 and x_a = G0(z) s_a^[1](0); the
-        # weak-drive densities subtract nearly equal terms built from these
+        # stage 1: x_a = G0(z) c_a^[1], and V x_a at the pair rows only, as
+        # [nu, a, d, p]; the detected rows of G0(z) on the pairs, as [nu, d, p]
         x = gen.resolvent.solve(z, first, tiles)
-        # V x at the pair rows only, as [nu, (t1, u, x_1, x_2), d, p], and
-        # the detected rows of G0(z) on the pairs, as [nu, d, p]
         vx = np.tensordot(x, v_rows, axes=(-1, -1))
         row = np.linalg.inv(z[:, None, None, None] * np.eye(a.shape[-1]) - a)[..., 0, :]
-        # stabilized [G0(z) V G0(z) - G0 V G0] j / z
-        #   = -G0(z) G0 V G0(z) j - G0 V G0(z) G0 j = -diff, and y_a = G0(z)
-        # (V x_a + s_a^[2](0)): s~_a = y_a - w_a diff, as [nu, a, d]
-        diff = (np.einsum("zdp,dpq,zdq->zd", row, static, vx[:, 0])
-                + np.einsum("dq,zdq->zd", static[:, 0], vx[:, 1]))
-        s = np.einsum("zdp,zadp->zad", row, vx[:, 2:] + second_source) - weights * diff[:, None]
+        # G0(z) (V x_a + c_a^[2]) read at the detected rows, as [nu, a, d]
+        s = np.einsum("zdp,zadp->zad", row, vx + second)
         (s1_d1, s1_d2), (s2_d1, s2_d2) = s.transpose(1, 2, 0)
         ladder[block] = (_EXTRACT * (s1_d1 + s2_d2)).real / np.pi
         crossed[block] = (_EXTRACT * (s1_d2 * phase + s2_d1 * np.conj(phase))).real / np.pi

@@ -22,9 +22,9 @@ where the spectrum's QRT initial conditions read it at the detected
 coherence pair (the pull-back of `_PAIR_ROWS` through the sigma_21 table):
 10 of the 80 tiles.  Order 1 is solved on `order1_tiles(V)`: where V reads
 it to form order 2's right-hand side on `ORDER2_TILES`, where the elastic
-read-out reads it (the sigma rows), and where `spectrum.qrt_initial` reads
-it for the sweep's first stage (the pull-back of `stage1_tiles`): 44 of the
-80 tiles when the separation is transverse to the laser.
+read-out and the sweep's connected sources read it (the sigma rows' tiles,
+which hold the detected pairs), and where `qrt_initial` reads it for the
+sweep's stage 1 (`stage1_tiles` pulled back): 44 of 80 for a transverse r12.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
 of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is

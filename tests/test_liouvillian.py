@@ -92,6 +92,8 @@ class TestConfigs:
         ({"rabi": [1.0, 0.0]}, "rabi must be positive"),
         ({"rabi": 1.0, "gamma": [1.0, 2.0]}, "gamma must be a scalar"),
         ({"rabi": [1.0, 2.0], "detuning": [0.0, 1.0, 2.0]}, "do not broadcast"),
+        ({"rabi": np.array([])}, r"shape \(0,\) is empty"),
+        ({"rabi": 1.0, "detuning": np.zeros((3, 0))}, r"shape \(3, 0\) is empty"),
     ])
     def test_rejects_invalid_configuration_stack(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -135,7 +135,9 @@ class TestDensities:
 
     def test_stabilized_source_term_matches_naive_form(self):
         # [G0(z) V G0(z) - G0 V G0] j / z evaluated naively loses digits
-        # as nu -> 0; the rewritten form must agree where both are sound
+        # as nu -> 0; the rewritten form must agree where both are sound.
+        # The sweep's connected initial conditions rest on a third form,
+        # -G0(z)(order1 + V G0(z) order0), order1 = G0 V order0
         gen = generator(1.0)
         g0 = gen.resolvent.solve
         u0 = g0(0.0, gen.j)
@@ -146,6 +148,8 @@ class TestDensities:
             stabilized = -g0(z, g0(0.0, gen.V @ g0(z, gen.j))) - g0(0.0, gen.V @ g0(z, u0))
             scale = np.linalg.norm(stabilized)
             assert np.linalg.norm(naive - stabilized) / scale < 1e-6
+            connected = -g0(z, static + gen.V @ g0(z, u0))
+            assert np.linalg.norm(connected - stabilized) / scale < 1e-13
 
     @pytest.mark.parametrize("rabi, detuning, geom", [
         (0.1, 5.0, Geometry.backscattering(100.0)),
@@ -246,12 +250,12 @@ class TestDensities:
         # a broken input must fail the run, not be interpolated over
         gen = generator(1.0)
         state = perturbative_steady_state(gen)
-        j = gen.j.copy()
-        j[0] = np.nan
-        broken = replace(gen, j=j)
+        order0 = state.order0.copy()
+        order0[0] = np.nan
+        broken = replace(state, order0=order0)
         grid = np.linspace(-5.0, 5.0, 11)
         with pytest.raises(ResolventError, match="11 grid points .* nu = -5"):
-            inelastic_spectrum(broken, state, grid)
+            inelastic_spectrum(gen, broken, grid)
 
 
     def test_malformed_grids_are_rejected(self):
