@@ -4,13 +4,14 @@ Each parameter is declared once in `_PARAMS` (type, default, choices) and
 each mode once in `_MODES` (its parameters in header order, its result
 keys, its runner); flags, config-file checks and output headers derive
 from them. A mode accepts exactly the parameters its header echoes, plus
-`format` and `output`: `intensity-sweep` takes no `--rabi` and
-`compare-oracles` neither `--rabi` nor `--detuning`. Configuration comes
+`format` and `output`: `intensity-sweep` takes no `--rabi`,
+`compare-oracles` neither `--rabi` nor `--detuning`, and only `cone`, the
+one mode that draws random numbers, takes `--seed`. Configuration comes
 from an optional flat key=value file plus flag overrides; unknown keys and
 mistyped values are rejected. Output is CSV (with a '#'-prefixed header
 that is a valid config file, its floats written exactly so that a replay
 reads the same values) or JSON, deterministic byte for byte under a fixed
-configuration and seed.
+configuration.
 
 Exit codes: 0 success, 1 invalid configuration (including usage errors and
 an unwritable output path), 2 numerical failure (including a spectrum
@@ -33,8 +34,7 @@ import numpy as np
 from . import __version__
 from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone,
                              monte_carlo_average)
-from .liouvillian import (ConfigurationError, DriveConfig, Geometry, angular_weight,
-                          assemble, coupling_constant)
+from .liouvillian import ConfigurationError, DriveConfig, Geometry, assemble
 from .oracles import alpha_closed_form
 from .spectrum import check_sum_rule, compute_spectrum, normalized_spectra
 from .steady_state import ResolventError, intensities, perturbative_steady_state
@@ -242,12 +242,11 @@ def run_compare_oracles(cfg):
     s = np.array(cfg["s_values"])
     if not s.size or np.any(s <= 0):
         raise ConfigurationError("s_values must be positive saturation parameters")
-    weight = angular_weight(geometry.n_hat, coupling_constant(cfg["k0_r12"]))
     gen = assemble(DriveConfig(rabi=np.sqrt(2.0 * s)), geometry)
     ib = intensities(perturbative_steady_state(gen), gen)
     alpha_ref = alpha_closed_form(s)
     # reduced elastic oracle s/(1+s)^4 rescaled by the geometric weight
-    el_ref = s / (1.0 + s) ** 4 * weight
+    el_ref = s / (1.0 + s) ** 4 * gen.angular_weight
     rows = np.column_stack([
         s, ib.alpha, alpha_ref, np.abs(ib.alpha - alpha_ref) / alpha_ref,
         ib.L_el, el_ref, np.abs(ib.L_el - el_ref) / el_ref,
@@ -292,15 +291,15 @@ class _Mode(NamedTuple):
 
 _MODES = {
     "spectrum": _Mode(
-        ("rabi", "detuning", "k0_r12", "nu_min", "nu_max", "points", "normalize", "seed"),
+        ("rabi", "detuning", "k0_r12", "nu_min", "nu_max", "points", "normalize"),
         ("elastic_weight", "L_inel", "C_inel", "alpha", "ladder_integral",
          "crossed_integral", "ladder_sum_rule_error", "crossed_sum_rule_error"),
         run_spectrum),
     "intensity-sweep": _Mode(
-        ("detuning", "k0_r12", "sweep_min", "sweep_max", "sweep_points", "sweep_scale",
-         "seed"), (), run_intensity_sweep),
+        ("detuning", "k0_r12", "sweep_min", "sweep_max", "sweep_points", "sweep_scale"),
+        (), run_intensity_sweep),
     "compare-oracles": _Mode(
-        ("k0_r12", "s_values", "seed"), ("max_alpha_rel_err", "max_elastic_rel_err"),
+        ("k0_r12", "s_values"), ("max_alpha_rel_err", "max_elastic_rel_err"),
         run_compare_oracles),
     "cone": _Mode(
         ("rabi", "detuning", "k0_r12", "k_ell", "theta_max", "theta_points", "mc_samples",

@@ -12,8 +12,8 @@ P_ij-weighted sum of Kronecker products of single-atom multiplication
 tables.  A is kept only as its two factors (in the resolvent); V stays
 dense, as a product through its 24 factor pairs costs about 3x the dense
 one.  V does not depend on the drive: it is built, checked and cached
-(read-only) once per (gamma, n_hat, g), so a sweep over the drive at one
-geometry pays for it once.  The direct operator actions the matrices are
+(read-only) once per (n_hat, g), so a sweep over the drive at one geometry
+pays for it once.  The direct operator actions the matrices are
 tested against, apply_*_generator, live in tests/conftest.py.
 
 A drive sweep is one call.  `DriveConfig.rabi` and `.detuning` may be
@@ -21,12 +21,13 @@ arrays, and their broadcast shape is the configuration shape C (() for
 scalars).  M1 and M2 are affine in (Omega, delta), so both are built for
 all of C at once as arrays of shape C + (16, 16); j has shape C + (255,),
 the resolvent carries C in front of its own axes, and every check runs per
-configuration.  gamma stays a scalar, so V is shared by the whole sweep.
+configuration; V is shared by the whole sweep.
 
-Frequencies are in units of gamma (half the spontaneous decay rate),
-lengths in units of 1/k0.  The quantization axis is along the laser wave
-vector; the laser drives |1> <-> |4> with positive-helicity polarization
-and the backscattered channel with flipped helicity comes from |1> <-> |2>.
+Frequencies are in units of gamma (half the spontaneous decay rate), which
+is the unit and not a parameter; lengths are in units of 1/k0.  The laser
+propagates along +z, the quantization axis; it drives |1> <-> |4> with
+positive-helicity polarization, and the backscattered channel with flipped
+helicity comes from |1> <-> |2>.
 """
 
 import warnings
@@ -65,19 +66,18 @@ FAR_FIELD_WARN_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Laser drive parameters, all in units of gamma.
+    """Laser drive parameters in units of gamma, which is the unit and
+    cannot be set: gamma != 1 is the same physics at (Omega/gamma,
+    delta/gamma) with every rate rescaled.
 
     `rabi` and `detuning` may be arrays (stored as read-only float copies):
     their broadcast shape is the configuration shape `shape`, () for two
-    scalars.  `gamma` is a scalar shared by every configuration, as V is
-    built once per gamma.  The laser has positive helicity: it drives
-    |1> <-> |4>, and the detected channel and `resolvent.BLOCKS` are those
-    of that drive.
+    scalars.  The laser has positive helicity: it drives |1> <-> |4>, and
+    the detected channel and `resolvent.BLOCKS` are those of that drive.
     """
 
     rabi: float | np.ndarray
     detuning: float | np.ndarray = 0.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         for name in ("rabi", "detuning"):
@@ -85,8 +85,6 @@ class DriveConfig:
                 value = np.array(getattr(self, name), dtype=float)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
-        if np.ndim(self.gamma):
-            raise ConfigurationError("gamma must be a scalar")
         try:
             shape = self.shape
         except ValueError:
@@ -95,14 +93,12 @@ class DriveConfig:
                 "do not broadcast to one configuration shape") from None
         if 0 in shape:
             raise ConfigurationError(f"configuration shape {shape} is empty")
-        for name in ("rabi", "detuning", "gamma"):
+        for name in ("rabi", "detuning"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
         # an undriven pair scatters nothing: every intensity vanishes
         if np.any(self.rabi <= 0):
             raise ConfigurationError("rabi must be positive")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
 
     @property
     def shape(self):
@@ -111,28 +107,29 @@ class DriveConfig:
 
     @property
     def saturation(self):
-        """s = Omega^2 / 2(gamma^2 + delta^2)."""
-        return self.rabi ** 2 / (2.0 * (self.gamma ** 2 + self.detuning ** 2))
+        """s = Omega^2 / 2(1 + delta^2)."""
+        return self.rabi ** 2 / (2.0 * (1.0 + self.detuning ** 2))
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """Atom positions and propagation directions (positions in 1/k0 units)."""
+    """Atom positions (in 1/k0 units) and the detection direction.
+
+    The laser propagates along +z, the quantization axis its positive
+    helicity is defined on, so its direction is not a field.
+    """
 
     r1: np.ndarray
     r2: np.ndarray
-    k_laser_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     k_out_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -1.0]))
 
     def __post_init__(self):
-        for name in ("r1", "r2", "k_laser_dir", "k_out_dir"):
+        for name in ("r1", "r2", "k_out_dir"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
-        for name in ("k_laser_dir", "k_out_dir"):
-            v = getattr(self, name)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ConfigurationError(f"{name} must be a unit vector")
+        if abs(np.linalg.norm(self.k_out_dir) - 1.0) > 1e-12:
+            raise ConfigurationError("k_out_dir must be a unit vector")
         # finite positions can still be too far apart for |r12| to be a float
         with np.errstate(over="ignore"):
             if not np.isfinite(self.k0_r12):
@@ -255,7 +252,7 @@ def _single_atom_matrix(cfg, rabi_phase):
     """16x16 coefficient matrices of one atom's generator, one per configuration.
 
     -i delta (L_E - R_E) - (i/2) Omega (L_H1 - R_H1)
-    + gamma sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
+    + sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
     the table form of the direct action `apply_single_atom_generator` in
     tests/conftest.py.  It is affine in (delta, Omega): H1 is the drive
     term at Omega = 1 (`_unit_drive`), whose table is built once per call,
@@ -265,22 +262,21 @@ def _single_atom_matrix(cfg, rabi_phase):
     excited, dissipator = _drive_independent_tables()
     detuning = np.asarray(cfg.detuning)[..., None, None]
     rabi = np.asarray(cfg.rabi)[..., None, None]
-    return -1j * detuning * excited - 0.5j * rabi * (l_h - r_h) + cfg.gamma * dissipator
+    return -1j * detuning * excited - 0.5j * rabi * (l_h - r_h) + dissipator
 
 
-def _interaction_matrix(gamma, n_hat, g):
+def _interaction_matrix(n_hat, g):
     """256x256 coefficient matrix of L_12 + L_21.
 
     The table form of the direct action `apply_interaction_generator` in
-    tests/conftest.py, contracted over one
-    helicity index: with w = gamma P, Y_k = sum_j w_kj d_j and
-    Z_k = sum_i w_ik d_i^dag,
+    tests/conftest.py, contracted over one helicity index: with w = P, the
+    helicity projector, Y_k = sum_j w_kj d_j and Z_k = sum_i w_ik d_i^dag,
     L_12 = sum_k g L_{d_k^dag} (x) (R_{Y_k} - L_{Y_k})
            + g^* R_{d_k} (x) (L_{Z_k} - R_{Z_k}),
     and L_21 is the same sum with the two Kronecker factors swapped, so
     both come from one sum over the concatenated factor lists.
     """
-    w = gamma * helicity_projector(n_hat)
+    w = helicity_projector(n_hat)
     dips = np.array([_DIPOLE_COMPONENTS[q] for q in HELICITY])
     dips_dag = dips.conj().transpose(0, 2, 1)
     ys = np.tensordot(w, dips, axes=1)
@@ -299,13 +295,13 @@ def _interaction_matrix(gamma, n_hat, g):
 
 
 @lru_cache(maxsize=4)
-def _coupling_matrix(gamma, n_hat, g):
-    """Read-only V, the 255-block of L_12 + L_21, checked once per (gamma, n_hat, g).
+def _coupling_matrix(n_hat, g):
+    """Read-only V, the 255-block of L_12 + L_21, checked once per (n_hat, g).
 
     V does not depend on the drive, so a sweep over (Omega, delta) at one
     geometry builds and checks it once; `n_hat` is a tuple, `g` a complex.
     """
-    m_int = _interaction_matrix(gamma, np.array(n_hat), g)
+    m_int = _interaction_matrix(np.array(n_hat), g)
     # the identity must be stationary, and the interaction has no
     # inhomogeneous part
     if np.abs(m_int[0]).max() > 1e-12:
@@ -318,9 +314,8 @@ def _coupling_matrix(gamma, n_hat, g):
 
 
 def rabi_phases(geom):
-    """Position-dependent laser phase factor exp(i k_L . r_alpha) per atom."""
-    k_l = geom.k_laser_dir
-    return np.exp(1j * (k_l @ geom.r1)), np.exp(1j * (k_l @ geom.r2))
+    """Laser phase factor exp(i z_alpha) per atom, the laser propagating along +z."""
+    return np.exp(1j * geom.r1[2]), np.exp(1j * geom.r2[2])
 
 
 @dataclass(frozen=True)
@@ -358,21 +353,18 @@ class GeneratorSet:
         return np.exp(1j * self.geom.k0_r12 * (self.geom.k_out_dir @ self.geom.n_hat))
 
 
-def assemble(cfg, geom, g=None):
+def assemble(cfg, geom):
     """Build the GeneratorSet for the given drive and geometry.
 
-    The coupling g defaults to the far-field value at the interatomic
-    distance but may be overridden (e.g. rescaled) independently of the
-    geometric phases.  An array-valued `cfg` assembles every configuration
-    in one call; each is checked on its own, and one that fails fails the
-    call.
+    The coupling g is the far-field value at the interatomic distance.  An
+    array-valued `cfg` assembles every configuration in one call; each is
+    checked on its own, and one that fails fails the call.
     """
-    if g is None:
-        g = coupling_constant(geom.k0_r12)
+    g = coupling_constant(geom.k0_r12)
     ph1, ph2 = rabi_phases(geom)
     m1 = _single_atom_matrix(cfg, ph1)
     m2 = _single_atom_matrix(cfg, ph2)
-    v = _coupling_matrix(cfg.gamma, tuple(geom.n_hat), complex(g))
+    v = _coupling_matrix(tuple(geom.n_hat), complex(g))
 
     # identity must be stationary under both single-atom generators
     if max(np.abs(m[..., 0, :]).max() for m in (m1, m2)) > 1e-12:
@@ -384,10 +376,15 @@ def assemble(cfg, geom, g=None):
     source[..., 0, :] += m2[..., :, 0]
     j = source.reshape(cfg.shape + (N_TWO,))[..., 1:] * TRACE_ELEMENT_VALUE
 
+    # A's entries are at most max|M1| + max|M2|; a drive for which twice
+    # that is not a float overflows while the tiles are built and solved
+    with np.errstate(over="ignore"):
+        scale = np.abs(m1).max(axis=(-2, -1)) + np.abs(m2).max(axis=(-2, -1))
+        if not np.isfinite(2.0 * scale).all():
+            raise ConfigurationError("drive overflows the generator matrix A")
     resolvent = KroneckerResolvent(m1, m2)
     # singular to working precision: an eigenvalue at the rounding level of
-    # A, whose largest entry is at most max|M1| + max|M2|, per configuration
-    scale = np.abs(m1).max(axis=(-2, -1)) + np.abs(m2).max(axis=(-2, -1))
+    # A, per configuration
     smallest = np.abs(resolvent.eigenvalues).min(axis=-1)
     if not np.all(smallest > (N_TWO - 1) * np.finfo(float).eps * scale):
         raise ConfigurationError("single-atom generator matrix A is singular")

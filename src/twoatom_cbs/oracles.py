@@ -128,6 +128,21 @@ def weak_field_master_spectra(nu, rabi):
     return ladder, crossed
 
 
+def _kernel_sum(weights, nu, rabi):
+    """sum of weight * lorentzian_kernel(width, nu - offset * Omega) over
+    `weights`, each offset != 0 at both signs."""
+    out = np.zeros_like(nu)
+    for weight, width, offset in weights:
+        w = float(weight)
+        x1 = float(width)
+        if offset == 0:
+            out += w * lorentzian_kernel(x1, nu)
+        else:
+            off = float(offset) * rabi
+            out += w * (lorentzian_kernel(x1, nu - off) + lorentzian_kernel(x1, nu + off))
+    return out
+
+
 def strong_field_spectra(nu, rabi):
     """Leading-order strong-field spectra as printed kernel sums.
 
@@ -137,30 +152,8 @@ def strong_field_spectra(nu, rabi):
     """
     nu = np.asarray(nu, dtype=float)
     scale = 1.0 / rabi**2
-
-    ladder = np.zeros_like(nu)
-    for weight, width, offset in LADDER_WEIGHTS:
-        w = float(weight)
-        x1 = float(width)
-        if offset == 0:
-            ladder += w * lorentzian_kernel(x1, nu)
-        else:
-            off = float(offset) * rabi
-            ladder += w * (lorentzian_kernel(x1, nu - off)
-                           + lorentzian_kernel(x1, nu + off))
-    ladder *= scale
-
-    crossed = np.zeros_like(nu)
-    for weight, width, offset in CROSSED_WEIGHTS:
-        w = float(weight)
-        x1 = float(width)
-        if offset == 0:
-            crossed += w * lorentzian_kernel(x1, nu)
-        else:
-            off = float(offset) * rabi
-            crossed += w * (lorentzian_kernel(x1, nu - off)
-                            + lorentzian_kernel(x1, nu + off))
-    crossed *= scale
+    ladder = _kernel_sum(LADDER_WEIGHTS, nu, rabi) * scale
+    crossed = _kernel_sum(CROSSED_WEIGHTS, nu, rabi) * scale
     crossed += (208.0 / 45.0) / rabi**3 * (
         lorentzian_kernel(nu + rabi / 2, 1.5) - lorentzian_kernel(nu - rabi / 2, 1.5)
     )
@@ -169,8 +162,8 @@ def strong_field_spectra(nu, rabi):
 
 def strong_field_integrals(rabi):
     """(14/3)(1/Omega)^2 and (4/9)(1/Omega)^2, the exact kernel areas."""
-    lad = float(sum(w * (1 if off == 0 else 2) for w, _, off in LADDER_WEIGHTS))
-    cro = float(sum(w * (1 if off == 0 else 2) for w, _, off in CROSSED_WEIGHTS))
+    lad, cro = (float(sum(w * (1 if off == 0 else 2) for w, _, off in weights))
+                for weights in (LADDER_WEIGHTS, CROSSED_WEIGHTS))
     return lad / rabi**2, cro / rabi**2
 
 

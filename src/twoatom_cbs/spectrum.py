@@ -153,9 +153,9 @@ class SpectrumResult:
 
 def default_nu_grid(cfg, points=2001):
     """Uniform grid covering all seven strong-field resonances, 10 gamma
-    beyond the outermost."""
+    (the frequency unit) beyond the outermost."""
     omega_mod = np.hypot(cfg.rabi, cfg.detuning)
-    half = 2.5 * omega_mod + 10.0 * cfg.gamma
+    half = 2.5 * omega_mod + 10.0
     return np.linspace(-half, half, points)
 
 
@@ -269,9 +269,10 @@ def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
 
 
 def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> SpectrumResult:
-    """Divide densities by the stationary inelastic ladder intensity."""
+    """Divide densities by the stationary inelastic ladder intensity; a
+    non-positive one raises ResolventError."""
     if ib.L_inel <= 0:
-        raise ValueError("normalization requires a positive inelastic ladder intensity")
+        raise ResolventError("normalization requires a positive inelastic ladder intensity")
     return replace(
         spec,
         ladder_density=spec.ladder_density / ib.L_inel,

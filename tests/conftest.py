@@ -86,7 +86,7 @@ def apply_single_atom_generator(cfg, Q, atom, rabi_phase=1.0):
     """Direct action of the independent-atom generator on a two-atom operator.
 
     Implements -i delta [D^dag.D, Q] - (i/2)[Omega_a D^dag.eps_L
-    + Omega_a^* D.eps_L^*, Q] + gamma sum_q (d_q^dag [Q, d_q]
+    + Omega_a^* D.eps_L^*, Q] + sum_q (d_q^dag [Q, d_q]
     + [d_q^dag, Q] d_q) by plain matrix algebra; this is the reference
     path against which the assembled matrix A is cross-validated.
     """
@@ -98,22 +98,22 @@ def apply_single_atom_generator(cfg, Q, atom, rabi_phase=1.0):
     for q in HELICITY:
         d = _embed(_DIPOLE_COMPONENTS[q], atom)
         dd = d.conj().T
-        out += cfg.gamma * (dd @ (Q @ d - d @ Q) + (dd @ Q - Q @ dd) @ d)
+        out += dd @ (Q @ d - d @ Q) + (dd @ Q - Q @ dd) @ d
     return out
 
 
-def apply_interaction_generator(cfg, geom, g, Q, alpha, beta):
+def apply_interaction_generator(geom, g, Q, alpha, beta):
     """Direct action of the photon-exchange generator L_{alpha beta}.
 
     Implements D_a^dag . T . [Q, D_b] + [D_b^dag, Q] . T^* . D_a with
-    T = gamma g Delta(n_hat).
+    T = g Delta(n_hat).
     """
     Q = np.asarray(Q, dtype=complex)
     ph = helicity_projector(geom.n_hat)
     out = np.zeros_like(Q)
     for i, q in enumerate(HELICITY):
         for j, qp in enumerate(HELICITY):
-            w = cfg.gamma * ph[i, j]
+            w = ph[i, j]
             if w == 0:
                 continue
             da_dag = _embed(_DIPOLE_COMPONENTS[q].conj().T, alpha)

@@ -363,7 +363,7 @@ def test_criterion_10_property_suites(weak_point):
 
 def test_criterion_11_intensity_crossings():
     cfg = {
-        "rabi": 1.0, "detuning": 20.0, "k0_r12": 100.0, "seed": 0,
+        "rabi": 1.0, "detuning": 20.0, "k0_r12": 100.0,
         "format": "csv", "output": "",
         "sweep_min": 2.0, "sweep_max": 80.0, "sweep_points": 17,
         "sweep_scale": "log",

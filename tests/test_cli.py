@@ -28,12 +28,11 @@ from twoatom_cbs.liouvillian import ConfigurationError
 #: per mode, small inputs with a non-default value for every key it echoes
 NON_DEFAULT_ARGS = {
     "spectrum": ["--rabi", "0.15", "--detuning", "0.3", "--k0-r12", "80",
-                 "--nu-min", "-12", "--nu-max", "12", "--points", "121", "--normalize",
-                 "--seed", "3"],
+                 "--nu-min", "-12", "--nu-max", "12", "--points", "121", "--normalize"],
     "intensity-sweep": ["--detuning", "2", "--k0-r12", "80", "--sweep-min", "0.5",
                         "--sweep-max", "3", "--sweep-points", "3",
-                        "--sweep-scale", "linear", "--seed", "4"],
-    "compare-oracles": ["--k0-r12", "80", "--s-values", "0.5,2", "--seed", "5"],
+                        "--sweep-scale", "linear"],
+    "compare-oracles": ["--k0-r12", "80", "--s-values", "0.5,2"],
     "cone": ["--rabi", "0.5", "--detuning", "1", "--k0-r12", "80", "--k-ell", "50",
              "--theta-max", "0.01", "--theta-points", "5", "--mc-samples", "100",
              "--seed", "6"],
@@ -155,6 +154,13 @@ class TestRuns:
         header_line = [l for l in out.splitlines() if not l.startswith("#")][0]
         assert header_line == "rabi,detuning,L_el,C_el,L_inel,C_inel,alpha"
 
+    def test_compare_oracles_warns_once_in_near_field(self, capsys):
+        # the far-field warning comes from the one coupling assemble computes
+        with pytest.warns(UserWarning, match="far-field") as record:
+            code, _ = self.run(["compare-oracles", "--k0-r12", "5"], capsys)
+        assert code == EXIT_OK
+        assert len(record) == 1
+
     def test_compare_oracles_reports_tiny_errors(self, capsys):
         code, out = self.run(["compare-oracles", "--s-values", "0.5,5"], capsys)
         assert code == EXIT_OK
@@ -236,11 +242,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: non-positive ladder intensity 0.0\n")
 
+    def test_normalization_failure_is_one_line(self, monkeypatch, capsys):
+        # a non-positive inelastic ladder intensity cannot normalize a spectrum
+        real = cli.compute_spectrum
+
+        def no_inelastic_ladder(gen, nu_grid):
+            spec, ib = real(gen, nu_grid=nu_grid)
+            return spec, replace(ib, L_inel=0.0)
+
+        # the sum rule, checked first, has no scale at L_inel = 0
+        monkeypatch.setattr(cli, "check_sum_rule", lambda spec, ib: None)
+        monkeypatch.setattr(cli, "compute_spectrum", no_inelastic_ladder)
+        assert main(["spectrum", "--points", "81", "--normalize"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: normalization requires a positive inelastic ladder "
+            "intensity\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--points", "abc"], "invalid int value: 'abc'"),
         (["compare-oracles", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
         (["intensity-sweep", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
         (["compare-oracles", "--detuning", "3"], "unrecognized arguments: --detuning 3"),
+        # nothing random in these modes: only cone takes a seed
+        (["spectrum", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["intensity-sweep", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["compare-oracles", "--seed", "3"], "unrecognized arguments: --seed 3"),
     ])
     def test_usage_error(self, argv, message, capsys):
         assert main(argv) == EXIT_CONFIG

@@ -74,10 +74,6 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="rabi must be positive"):
             DriveConfig(rabi=rabi)
 
-    def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ConfigurationError):
-            DriveConfig(rabi=1.0, gamma=0.0)
-
     def test_rejects_coincident_atoms(self):
         with pytest.raises(ConfigurationError):
             Geometry(r1=np.zeros(3), r2=np.zeros(3))
@@ -90,7 +86,7 @@ class TestConfigs:
     @pytest.mark.parametrize("kwargs, message", [
         ({"rabi": [1.0, np.nan]}, "rabi must be finite"),
         ({"rabi": [1.0, 0.0]}, "rabi must be positive"),
-        ({"rabi": 1.0, "gamma": [1.0, 2.0]}, "gamma must be a scalar"),
+        ({"rabi": 1.0, "detuning": [0.0, np.inf]}, "detuning must be finite"),
         ({"rabi": [1.0, 2.0], "detuning": [0.0, 1.0, 2.0]}, "do not broadcast"),
         ({"rabi": np.array([])}, r"shape \(0,\) is empty"),
         ({"rabi": 1.0, "detuning": np.zeros((3, 0))}, r"shape \(3, 0\) is empty"),
@@ -112,36 +108,42 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="k0_r12 must be positive"):
             Geometry.backscattering(k0_r12)
 
-    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("field", ["rabi", "detuning"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_drive(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             DriveConfig(**{"rabi": 1.0, field: value})
 
-    @pytest.mark.parametrize("field", ["r1", "r2", "k_laser_dir", "k_out_dir"])
+    @pytest.mark.parametrize("field", ["r1", "r2", "k_out_dir"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_geometry(self, field, value):
         geom = Geometry.backscattering(50.0)
         fields = {name: getattr(geom, name).copy()
-                  for name in ("r1", "r2", "k_laser_dir", "k_out_dir")}
+                  for name in ("r1", "r2", "k_out_dir")}
         fields[field][0] = value
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             Geometry(**fields)
 
-    @pytest.mark.parametrize("gamma", [1e-20, float(np.nextafter(0.0, 1.0))])
-    def test_rejects_singular_generator(self, gamma):
-        # a vanishing decay rate puts eigenvalues of A at the rounding level;
-        # the check must fire before anything divides by them (at the
-        # smallest subnormal rate that division overflows)
+    @pytest.mark.parametrize("drive, message", [
+        pytest.param({"rabi": 1e14}, "singular", id="rabi=1e14"),
+        pytest.param({"rabi": 1.0, "detuning": 1e20}, "singular", id="detuning=1e20"),
+        pytest.param({"rabi": 1.7e308}, "overflows", id="rabi=1.7e308"),
+        pytest.param({"rabi": 1.0, "detuning": 1e308}, "overflows", id="detuning=1e308"),
+    ])
+    def test_rejects_singular_generator(self, drive, message):
+        # a drive so strong that the unit decay rate sits at the rounding
+        # level of A leaves eigenvalues there, and a stronger one overflows;
+        # both checks must fire before the tiles are summed or divided by
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigurationError, match="singular"):
-                assemble(DriveConfig(rabi=1.0, gamma=gamma), Geometry.backscattering(50.0))
+            with pytest.raises(ConfigurationError, match=message):
+                assemble(DriveConfig(**drive), Geometry.backscattering(50.0))
 
     def test_backscattering_geometry(self):
         geom = Geometry.backscattering(50.0)
         assert geom.k0_r12 == pytest.approx(50.0)
-        assert np.allclose(geom.k_out_dir, -geom.k_laser_dir)
+        # detection against the laser, which propagates along +z
+        assert np.array_equal(geom.k_out_dir, [0.0, 0.0, -1.0])
         # both atoms sit in the plane transverse to the laser: equal phases
         ph1, ph2 = rabi_phases(geom)
         assert ph1 == pytest.approx(ph2) == pytest.approx(1.0)
@@ -207,13 +209,12 @@ class TestGeneratorCrossValidation:
     @given(st.integers(0, 2**32 - 1))
     def test_interaction_matrix_matches_direct_action(self, seed):
         cfg = DriveConfig(rabi=2.0, detuning=0.0)
-        g = coupling_constant(40.0)
         q = random_two_atom_operator(seed)
         for geom in GEOMETRIES:
-            gen = assemble(cfg, geom, g=g)
+            gen = assemble(cfg, geom)
             via_matrix = matrix_action(gen.V, np.zeros(255), q)
-            direct = (apply_interaction_generator(cfg, geom, g, q, 1, 2)
-                      + apply_interaction_generator(cfg, geom, g, q, 2, 1))
+            direct = (apply_interaction_generator(geom, gen.g, q, 1, 2)
+                      + apply_interaction_generator(geom, gen.g, q, 2, 1))
             assert np.allclose(via_matrix, direct, atol=1e-12)
 
     def test_coefficient_matrix_expands_generator_output(self):
@@ -235,7 +236,7 @@ class TestAssembledGenerators:
         m1 = _single_atom_matrix(cfg, 1.0)
         m = np.kron(m1, np.eye(16)) + np.kron(np.eye(16), m1)
         assert np.abs(m[0]).max() < 1e-12
-        m_int = _interaction_matrix(cfg.gamma, geom.n_hat, coupling_constant(60.0))
+        m_int = _interaction_matrix(geom.n_hat, coupling_constant(60.0))
         assert np.abs(m_int[0]).max() < 1e-12
 
     def test_interaction_has_no_source(self):

@@ -343,5 +343,5 @@ class TestNormalization:
     def test_normalization_requires_positive_ladder(self, weak_point):
         _, spec, ib = weak_point
         bad = replace(ib, L_inel=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ResolventError, match="positive inelastic ladder"):
             normalized_spectra(spec, bad)
