@@ -7,18 +7,20 @@ from them. A mode accepts exactly the parameters its header echoes, plus
 `format` and `output`: `intensity-sweep` takes no `--rabi`,
 `compare-oracles` neither `--rabi` nor `--detuning`, and only `cone`, the
 one mode that draws random numbers, takes `--seed`. Configuration comes
-from an optional flat key=value file plus flag overrides; unknown keys and
-mistyped values are rejected. Output is CSV (with a '#'-prefixed header
-that is a valid config file, its floats written exactly so that a replay
-reads the same values) or JSON, deterministic byte for byte under a fixed
-configuration.
+from an optional flat key=value file plus flag overrides. Both only give
+text, which `_coerce` alone turns into values, so both accept the same
+spellings (`points = 801.0` is rejected like `--points 801.0`); unknown
+keys are rejected, and a flag's value may begin with '-' (`--nu-min -1e1`).
+Output is CSV (its '#' header a config file with floats written exactly, so
+that a replay reads the same values) or JSON (native values in its metadata),
+deterministic byte for byte under a fixed configuration.
 
 Exit codes: 0 success, 1 invalid configuration (including usage errors and
-an unwritable output path), 2 numerical failure (including a spectrum
-whose sum rule misses by more than 1e-3; both errors are in its header as
-`ladder_sum_rule_error` and `crossed_sum_rule_error`), 141 (128 + SIGPIPE,
-as a shell reports a writer killed by a closed pipe) when the reader of
-standard output goes away first, e.g. `| head -1`.
+an unwritable output path; each is one line on stderr), 2 numerical failure
+(including a spectrum whose sum rule misses by more than 1e-3; both errors
+are in its header as `ladder_sum_rule_error` and `crossed_sum_rule_error`),
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader of standard output goes away first, e.g. `| head -1`.
 """
 
 import argparse
@@ -53,7 +55,7 @@ class FloatList(tuple):
     """Comma-separated numbers such as `0.1,1,10`; prints back the same way."""
 
     def __new__(cls, raw):
-        return super().__new__(cls, (float(tok) for tok in str(raw).split(",") if tok.strip()))
+        return super().__new__(cls, (float(tok) for tok in raw.split(",") if tok.strip()))
 
     def __str__(self):
         return ",".join(repr(x) for x in self)
@@ -94,20 +96,15 @@ _PARAMS = {
 _IO_KEYS = ("format", "output")
 
 
-def _coerce(key, value):
-    """`value` as the type of parameter `key`, or ConfigurationError."""
+def _coerce(key, text):
+    """The value of parameter `key` written as `text`, or ConfigurationError:
+    the one text-to-value path of flags and config files alike."""
     param = _PARAMS[key]
     try:
-        # booleans are not numbers here, and 2.5 is not an int
-        if isinstance(value, bool) != (param.type is bool):
-            raise ValueError
-        if param.type is int and float(value) != int(value):
-            raise ValueError
-        value = param.type(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(
-            f"{key} = {value!r} is not a valid {param.type.__name__}"
-        ) from None
+        value = (param.type(text) if param.type is not bool
+                 else {"true": True, "false": False}[text.lower()])
+    except (KeyError, ValueError):
+        raise ConfigurationError(f"{key} = {text!r} is not a valid {param.type.__name__}") from None
     if param.choices and value not in param.choices:
         raise ConfigurationError(f"{key} = {value!r} is not one of {param.choices}")
     if param.type in (float, FloatList) and not np.isfinite(value).all():
@@ -116,30 +113,13 @@ def _coerce(key, value):
 
 
 def _echo(value):
-    """A configuration value or result as written to the output header.
-
-    Floats keep every digit they need to replay exactly (rows keep `_fmt`);
-    float() first, as numpy 2 writes repr(np.float64) as `np.float64(...)`.
-    """
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value) if isinstance(value, FloatList) else value
-
-
-def _parse_value(raw):
-    raw = raw.strip()
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    for number in (int, float):
-        try:
-            return number(raw)
-        except ValueError:
-            pass
-    return raw
+    """A value as a CSV header writes it: repr(float()) keeps every digit a replay needs
+    (rows keep `_fmt`); float() first, as numpy 2 writes repr(np.float64) as `np.float64(...)`."""
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 def read_config_file(path):
-    """Parse a flat key = value file; '#' starts a comment."""
+    """The text of each key in a flat key = value file; '#' starts a comment."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -149,12 +129,12 @@ def read_config_file(path):
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key = value")
             key, raw = line.split("=", 1)
-            values[key.strip()] = _parse_value(raw)
+            values[key.strip()] = raw.strip()
     return values
 
 
 def build_config(mode, file_values, overrides):
-    """Merge defaults, config file, and flag overrides with strict keys and types.
+    """Merge defaults, config-file text and flag text with strict keys and types.
 
     The keys a run writes into its own header (mode, version, results) are
     ignored, so a run can be reproduced directly from that header.
@@ -181,7 +161,7 @@ def build_config(mode, file_values, overrides):
 def _emit(fmt, header, columns, rows, stream):
     if fmt == "csv":
         for key, value in header.items():
-            stream.write(f"# {key} = {value}\n")
+            stream.write(f"# {key} = {_echo(value)}\n")
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(x) for x in row) + "\n")
@@ -307,10 +287,29 @@ _MODES = {
 }
 
 
+def _join_dash_values(argv=None):
+    """argv (default: the command line) with each `--name -1e1` written `--name=-1e1`,
+    as argparse takes a token that begins with '-' for an option unless it reads like -0.5."""
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1][:2] == "--" and token[:1] == "-" and token[:2] != "--":
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigurationError, one line each."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 @lru_cache(maxsize=1)
 def build_parser():
-    """The argparse tree of every mode, built once per process."""
-    parser = argparse.ArgumentParser(
+    """The argparse tree of every mode, built once per process; it only tokenizes."""
+    parser = _Parser(
         prog="twoatom-cbs",
         description="Double-scattering CBS intensities and spectra for two driven atoms.",
     )
@@ -323,22 +322,21 @@ def build_parser():
             param = _PARAMS[key]
             flag = "--" + key.replace("_", "-")
             if param.type is bool:
-                p.add_argument(flag, action="store_const", const=True, help=param.help)
+                p.add_argument(flag, action="store_const", const="true", help=param.help)
             else:
-                p.add_argument(flag, type=param.type, choices=param.choices or None,
-                               help=param.help)
+                metavar = "{" + ",".join(param.choices) + "}" if param.choices else None
+                p.add_argument(flag, metavar=metavar, help=param.help)
     return parser
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed the help, the version or the usage error
-        return EXIT_CONFIG if exc.code else EXIT_OK
-    overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
-    mode = _MODES[args.mode]
-    try:
+        try:
+            args = build_parser().parse_args(_join_dash_values(argv))
+        except SystemExit:
+            return EXIT_OK  # argparse has printed the help or the version
+        overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
+        mode = _MODES[args.mode]
         file_values = read_config_file(args.config) if args.config else {}
         cfg = build_config(args.mode, file_values, overrides)
         results, columns, rows = mode.run(cfg)
@@ -349,8 +347,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     header = {"mode": args.mode}
-    header.update((k, _echo(cfg[k])) for k in mode.params)
-    header.update((k, _echo(v)) for k, v in results.items())
+    header.update((k, cfg[k]) for k in mode.params)
+    header.update(results)
     header["version"] = __version__
     try:
         with (open(cfg["output"], "w") if cfg["output"]

@@ -199,8 +199,9 @@ def helicity_projector(n_hat):
 
 
 def delta_plus_plus(n_hat):
-    """Tensor element e_{+1} . Delta . e_{+1} of the transverse projector (no conjugation)."""
-    return E_PLUS @ transverse_projector(n_hat) @ E_PLUS
+    """Tensor element e_{+1} . Delta . e_{+1} of the transverse projector (no conjugation)
+    for unit vectors n_hat (..., 3); e_{+1} . e_{+1} = 0 reduces it to -(n_hat . e_{+1})^2."""
+    return -(np.asarray(n_hat) @ E_PLUS) ** 2
 
 
 def angular_weight(n_hat, g):

@@ -47,12 +47,20 @@ EXTRA_REPLAY_ARGS = {
 }
 
 
+@pytest.fixture
+def echo_only(monkeypatch):
+    """Every mode's runner computes nothing, so its header echoes the parsed
+    configuration alone."""
+    for mode, spec in _MODES.items():
+        monkeypatch.setitem(_MODES, mode, spec._replace(run=lambda cfg: ({}, ("x",), ())))
+
+
 class TestConfigParsing:
     def test_flat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rabi = 2.5\n# a comment\ndetuning = 1  # inline\nnormalize = true\n")
         values = read_config_file(path)
-        assert values == {"rabi": 2.5, "detuning": 1, "normalize": True}
+        assert values == {"rabi": "2.5", "detuning": "1", "normalize": "true"}
 
     def test_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -69,12 +77,58 @@ class TestConfigParsing:
             build_config("spectrum", {"mode": "cone"}, {})
 
     def test_overrides_beat_file(self):
-        cfg = build_config("spectrum", {"rabi": 1.0}, {"rabi": 3.0})
+        cfg = build_config("spectrum", {"rabi": "1.0"}, {"rabi": "3.0"})
         assert cfg["rabi"] == 3.0
 
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigurationError):
             build_config("spectrum", {"format": "xml"}, {})
+
+    @pytest.mark.parametrize("mode, key, text, expected", [
+        ("spectrum", "points", "801", "# points = 801"),
+        ("spectrum", "points", "801.0", "configuration error: points = '801.0' is not a valid int"),
+        ("spectrum", "points", "1e3", "configuration error: points = '1e3' is not a valid int"),
+        ("spectrum", "points", "2.5", "configuration error: points = '2.5' is not a valid int"),
+        ("spectrum", "points", "abc", "configuration error: points = 'abc' is not a valid int"),
+        ("spectrum", "format", "xml",
+         "configuration error: format = 'xml' is not one of ('csv', 'json')"),
+        ("compare-oracles", "s_values", "0.5,2", "# s_values = 0.5,2.0"),
+        ("compare-oracles", "s_values", "1,inf", "configuration error: s_values must be finite"),
+    ])
+    def test_flags_and_files_agree(self, mode, key, text, expected, echo_only, tmp_path,
+                                   capsys):
+        # one text, once as `--flag=text` and once as a config line: the
+        # same value in the header, or the same one-line error
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        flag = "--" + key.replace("_", "-")
+        outcomes = [(main(argv), *capsys.readouterr())
+                    for argv in ([mode, f"{flag}={text}"], [mode, "--config", str(path)])]
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        if expected.startswith("#"):
+            assert code == EXIT_OK and err == "" and expected + "\n" in out
+        else:
+            assert code == EXIT_CONFIG and out == "" and err == expected + "\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("true", "# normalize = True"),
+        ("True", "# normalize = True"),
+        ("1", "configuration error: normalize = '1' is not a valid bool"),
+        ("yes", "configuration error: normalize = 'yes' is not a valid bool"),
+    ])
+    def test_bool_flag_and_file_agree(self, text, expected, echo_only, tmp_path, capsys):
+        # the bare flag stores the text `true`, which a config line may spell
+        path = tmp_path / "run.cfg"
+        path.write_text(f"normalize = {text}\n")
+        code = main(["spectrum", "--config", str(path)])
+        out, err = capsys.readouterr()
+        if expected.startswith("#"):
+            assert code == EXIT_OK and expected + "\n" in out
+            assert main(["spectrum", "--normalize"]) == EXIT_OK
+            assert capsys.readouterr() == (out, "")
+        else:
+            assert code == EXIT_CONFIG and out == "" and err == expected + "\n"
 
 
 def replay_config(out_path, cfg_path):
@@ -112,6 +166,24 @@ class TestRuns:
         assert len(doc["rows"]) == len(data_lines) - 1  # minus column header
         first_csv = [float(tok) for tok in data_lines[1].split(",")]
         assert np.allclose(doc["rows"][0], first_csv)
+        # metadata holds native values, each float equal to the CSV header's
+        oracles = ["compare-oracles", "--s-values", "0.5,2"]
+        for argv, csv_out in ((base, csv_out), (oracles, self.run(oracles, capsys)[1])):
+            meta = json.loads(self.run(argv + ["--format", "json"], capsys)[1])["metadata"]
+            header = dict(l[2:].split(" = ", 1) for l in csv_out.splitlines()
+                          if l.startswith("# "))
+            assert list(meta) == list(header)
+            for key, value in meta.items():
+                if key in ("mode", "version"):
+                    assert value == header[key]
+                elif key == "s_values":
+                    assert value == [0.5, 2.0] and header[key] == "0.5,2.0"
+                elif key == "points":
+                    assert type(value) is int and value == int(header[key])
+                elif key == "normalize":
+                    assert value is False and header[key] == "False"
+                else:
+                    assert type(value) is float and value == float(header[key]), key
 
     @pytest.mark.parametrize("mode", list(NON_DEFAULT_ARGS))
     def test_reproducible_from_own_header(self, mode, tmp_path, capsys):
@@ -259,7 +331,7 @@ class TestExitCodes:
             "intensity\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["spectrum", "--points", "abc"], "invalid int value: 'abc'"),
+        (["spectrum", "--points", "abc"], "points = 'abc' is not a valid int"),
         (["compare-oracles", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
         (["intensity-sweep", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
         (["compare-oracles", "--detuning", "3"], "unrecognized arguments: --detuning 3"),
@@ -267,10 +339,17 @@ class TestExitCodes:
         (["spectrum", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["intensity-sweep", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["compare-oracles", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        # argparse's own errors, one line each without the usage block
+        (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["spectrum", "--rabi"], "argument --rabi: expected one argument"),
+        (["bogus"], "argument mode: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: mode"),
     ])
     def test_usage_error(self, argv, message, capsys):
         assert main(argv) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--nu-min=-inf"], "nu_min must be finite"),
@@ -283,6 +362,8 @@ class TestExitCodes:
          "grid of 5 points from nu_min to nu_max is not strictly increasing"),
         (["spectrum", "--nu-min", "0", "--nu-max", "5e-324", "--points", "3"],
          "grid of 3 points from nu_min to nu_max is not strictly increasing"),
+        # a value that begins with '-' is the flag's value, not an option
+        (["spectrum", "--nu-min", "-inf"], "nu_min must be finite"),
     ])
     def test_non_finite_input_rejected_before_assembly(self, argv, message, monkeypatch,
                                                        capsys):
@@ -297,10 +378,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"configuration error: {message}\n"
 
-    @pytest.mark.parametrize("argv", [["--version"], ["spectrum", "--help"]])
+    @pytest.mark.parametrize("argv", [["--version"], ["spectrum", "--help"],
+                                      ["intensity-sweep", "--help"]])
     def test_help_and_version(self, argv, capsys):
         assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out
+        # the flags take text, but the help still lists the choices
+        if "--help" in argv:
+            assert "--format {csv,json}" in out
+        if argv[0] == "intensity-sweep":
+            assert "--sweep-scale {log,linear}" in out
 
     @pytest.mark.parametrize("line", ["rabi = fast", "points = 2.5", "normalize = 1"])
     def test_malformed_file_value(self, line, tmp_path, capsys):
@@ -318,10 +406,28 @@ class TestExitCodes:
         ["cone", "--k-ell", "inf", "--mc-samples", "10"],
         # |r12| overflows although both positions are finite
         ["intensity-sweep", "--k0-r12", "1e300"],
+        # (k_ell theta)^2 overflows: no -inf rows
+        ["cone", "--k-ell", "1e200", "--theta-points", "3"],
     ])
     def test_out_of_range(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, plain", [
+        (["spectrum", "--nu-min", "-1e1", "--nu-max", "1e1"],
+         ["spectrum", "--nu-min", "-10", "--nu-max", "10"]),
+        (["intensity-sweep", "--detuning", "-2.5e0"], ["intensity-sweep", "--detuning", "-2.5"]),
+    ])
+    def test_negative_value_with_exponent(self, argv, plain, capsys):
+        # argparse alone would take `-1e1` for an option
+        small = {"spectrum": ["--points", "81"], "intensity-sweep": ["--sweep-points", "3"]}
+        outputs = []
+        for args in (argv, plain):
+            assert main(args + small[args[0]]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
 
     def test_unwritable_output(self, capsys):
         argv = ["compare-oracles", "--s-values", "1", "--output", "/nonexistent/x.csv"]

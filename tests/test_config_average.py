@@ -118,3 +118,9 @@ class TestCone:
     def test_warns_past_validity(self):
         with pytest.warns(UserWarning, match="validity"):
             cbs_cone(np.array([0.5]), 1.0, 100.0)
+
+    def test_rejects_overflowing_profile(self):
+        # (k_ell theta)^2 = 1e398 is no float: an error, not -inf contrast
+        # (and no RuntimeWarning, which the suite turns into an error)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            cbs_cone(np.array([0.0, 0.01, 0.02]), 1.0, 1e200)

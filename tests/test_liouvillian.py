@@ -12,7 +12,9 @@ from twoatom_cbs.basis import (
     expand_two_atom_operator,
     two_atom_basis_flat,
 )
+from twoatom_cbs.config_average import angular_weight_evaluator
 from twoatom_cbs.liouvillian import (
+    E_PLUS,
     ConfigurationError,
     DriveConfig,
     Geometry,
@@ -182,6 +184,16 @@ class TestGeometryFactors:
 
     def test_delta_plus_plus_longitudinal_separation(self):
         assert delta_plus_plus(np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
+
+    @given(st.lists(unit_vectors, min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_delta_plus_plus_is_the_projector_element(self, n_hats):
+        # e_+1 . (1 - n n^T) . e_+1, one configuration at a time and stacked
+        n_hats = np.array(n_hats)
+        direct = [E_PLUS @ transverse_projector(n) @ E_PLUS for n in n_hats]
+        assert np.allclose(delta_plus_plus(n_hats), direct, rtol=0, atol=1e-15)
+        assert np.allclose(angular_weight_evaluator(n_hats, None), np.abs(direct) ** 2,
+                           rtol=0, atol=1e-15)
 
     def test_angular_weight(self):
         n_hat = np.array([1.0, 0.0, 0.0])
