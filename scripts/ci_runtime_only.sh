@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# The checks of the CI job `runtime-only`: the package installed without its
+# test extra (numpy is the only runtime dependency) runs every mode, and each
+# CLI promise below holds.  Run it where `twoatom-cbs` is on PATH and scipy
+# is not importable:
+#
+#     bash scripts/ci_runtime_only.sh [WORKDIR]
+#
+# WORKDIR (default: a new temporary directory) receives the outputs.  Every
+# check is its own command, so that `set -e` stops at the first that fails:
+# only the last command of an && list can stop a `set -e` script.
+set -euo pipefail
+
+work="${1:-$(mktemp -d)}"
+mkdir -p "$work"
+cd "$work"
+
+echo "== no scipy installed"
+python -c 'import importlib.util, sys; sys.exit(importlib.util.find_spec("scipy") is not None)'
+
+echo "== one small run of each mode, stderr empty"
+# a warning on stderr breaks the one-line promise
+twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err
+twoatom-cbs intensity-sweep --sweep-points 3 --output sweep.csv 2> sweep.err
+twoatom-cbs compare-oracles --s-values 0.5,2 --output oracles.csv 2> oracles.err
+twoatom-cbs cone --theta-points 5 --mc-samples 100 --output cone.csv 2> cone.err
+for err in spectrum.err sweep.err oracles.err cone.err; do
+  [ ! -s "$err" ] || { cat "$err"; exit 1; }
+done
+
+# `expect_one_line_error FILE ARGS...`: twoatom-cbs ARGS exits 1 and writes
+# exactly one line, to FILE
+expect_one_line_error() {
+  local err="$1" status=0
+  shift
+  twoatom-cbs "$@" 2> "$err" || status=$?
+  cat "$err"
+  [ "$status" -eq 1 ]
+  [ "$(wc -l < "$err")" -eq 1 ]
+}
+
+echo "== a drive that overflows the generator is one configuration error"
+expect_one_line_error overflow.err spectrum --detuning 1e308
+
+echo "== a usage error is one configuration error"
+# a mistyped value and an unknown flag: one stderr line, no usage block
+expect_one_line_error usage.err spectrum --points abc
+expect_one_line_error usage.err spectrum --bogus 1
+
+echo "== a negative value with an exponent is a flag value"
+twoatom-cbs spectrum --nu-min -1e1 --nu-max 1e1 --points 81 --output exponent.csv
+twoatom-cbs spectrum --nu-min -10 --nu-max 10 --points 81 --output plain.csv
+cmp exponent.csv plain.csv
+
+echo "== a cone profile that overflows is one configuration error"
+expect_one_line_error cone.err cone --k-ell 1e200 --theta-points 3
+
+echo "== replay a run from its own header"
+# the README's replay: the '#' header of a CSV output is a config file
+twoatom-cbs spectrum --rabi 0.1 --detuning 5 --nu-min -22.502499750049985 \
+  --nu-max 22.502499750049985 --points 181 --normalize --output run.csv
+grep '^# ' run.csv | sed 's/^# //' > run.cfg
+twoatom-cbs spectrum --config run.cfg --output rerun.csv
+cmp run.csv rerun.csv
+
+echo "runtime-only checks passed"

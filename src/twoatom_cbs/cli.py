@@ -10,7 +10,9 @@ one mode that draws random numbers, takes `--seed`. Configuration comes
 from an optional flat key=value file plus flag overrides. Both only give
 text, which `_coerce` alone turns into values, so both accept the same
 spellings (`points = 801.0` is rejected like `--points 801.0`); unknown
-keys are rejected, and a flag's value may begin with '-' (`--nu-min -1e1`).
+keys and a key repeated in a file are rejected, and a flag's value may begin
+with '-' (`--nu-min -1e1`).  In a file, '#' starts a comment where it opens
+a line or follows whitespace, so `output = run#1.csv` keeps its '#'.
 Output is CSV (its '#' header a config file with floats written exactly, so
 that a replay reads the same values) or JSON (native values in its metadata),
 deterministic byte for byte under a fixed configuration.
@@ -27,6 +29,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -119,17 +122,22 @@ def _echo(value):
 
 
 def read_config_file(path):
-    """The text of each key in a flat key = value file; '#' starts a comment."""
-    values = {}
+    """The text of each key in a flat key = value file.  A '#' that opens a
+    line or follows whitespace starts a comment, so a value may hold one
+    (`output = run#1.csv`); a key given twice is rejected."""
+    values, first_line = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.sub(r"(^|\s)#.*", "", line).strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = raw.strip()
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: key {key!r} is already given on line {first_line[key]}")
+            values[key], first_line[key] = raw, lineno
     return values
 
 

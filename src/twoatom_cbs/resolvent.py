@@ -1,4 +1,5 @@
-"""Uncoupled resolvent G0(z) = (z - A)^{-1} as a two-level tile solve.
+"""Uncoupled resolvent G0(z) = (z - A)^{-1}: tile solves at z = 0 and a
+Schur-coordinate substitution for frequency sweeps.
 
 A is the 255-block (trace element removed) of the Kronecker sum
 M1 (x) 1 + 1 (x) M2 of the two 16x16 single-atom generators.  Written as a
@@ -17,20 +18,35 @@ b_q = M2[Q, Q] (a_0 = b_0 = 0), and to nothing else but its feeders:
   columns c_a = M_a[:, 0]: its right-hand side is B + c1 X[0, :] + X[:, 0] c2^T.
 
 So z - A is block triangular (block LU: Golub and Van Loan, Matrix
-Computations), and a solve is two passes of small dense solves, one
-`np.linalg.solve` per level and tile dimension, batched over the tiles, the
-configurations C and the frequencies.  Every z is solved against every
-right-hand side, the right-hand sides being the columns of one factorization
-per tile and z; 1x1 and 2x2 tiles take closed forms.
-Rounding stays inside each tile, so no refinement step is needed.  The 1295
-tile entries per configuration are built once, as the tiles of z - A at
-z = 0, and factored on every call, z = 0 included: explicit inverses lose
-digits that the weak-drive intensities, differences of nearly equal terms,
-need.  A solve at z = 0 factors the stored tiles themselves; any other z is
-added on the diagonal of a copy.  `needed` gives the tiles a solve must visit
-to read given entries: their own and their feeders.  Each mask's plan (which
-tiles, which entries) is checked and built once per process and cached, as
-every `assemble` builds a new resolvent.
+Computations).  `KroneckerResolvent.solve` applies G0(0) = -A^{-1}, the
+stationary state's static solves, in two passes of small dense solves, one
+`np.linalg.solve` per level and tile dimension, batched over the tiles and
+the configurations C, with the right-hand sides as the columns of one
+factorization per tile; 1x1 and 2x2 tiles take closed forms.  Rounding stays
+inside each tile, so no refinement step is needed.  The 1295 tile entries
+per configuration are built once, as the tiles of -A, and factored on every
+call: explicit inverses and unitary rotations both lose digits that the
+weak-drive intensities, differences of nearly equal terms, need.
+
+`KroneckerResolvent.sweep` reads rows . G0(z) . rhs over a 1-D array of
+frequencies with nothing factored per frequency (Bartels and Stewart,
+CACM 15 (1972) 820, applied per block).  Once per call it takes a
+block-diagonal unitary Schur basis Q_a of each M_a over `GROUPS`, so that
+T_a = Q_a^H M_a Q_a is upper triangular inside every group and keeps the
+feeds Q_a^H c_a in column 0: closed forms for the four coherence pairs, and
+for the Bloch block deflation (an eigenpair of the trailing block and a
+Householder reflector, twice) ahead of the closed form.  In the coordinates
+Y = Q1^H X conj(Q2) the equation is z Y - T1 Y - Y T2^T = Q1^H B conj(Q2),
+so each entry is (z - T1[l, l] - T2[m, m])^{-1} times its right-hand side
+plus at most 8 entries solved before it: the later ones of its row and
+column inside its tile, and its two feeds.  The entries fall into at most 8
+dependency waves, and each wave is one gather, multiply-add and division
+over a block of frequencies.  The rows and right-hand sides are rotated
+once per call, and Schur coordinates never leave this module.
+
+`needed` gives the tiles a solve must visit to read given entries: their own
+and their feeders.  Each mask's plans are checked and built once per process
+and cached, as every `assemble` builds a new resolvent.
 """
 
 from functools import lru_cache
@@ -38,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import N_SINGLE, N_TWO
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResolventError
 
 #: diagonal blocks of each single-atom block B = M[1:, 1:], as 0-based
 #: indices into B: the |1> <-> |4> block, the four coherence pairs it does
@@ -50,6 +66,24 @@ GROUPS = ((0,),) + tuple(tuple(i + 1 for i in b) for b in BLOCKS)
 GROUP_OF = np.repeat(np.arange(len(GROUPS)), [len(g) for g in GROUPS])[np.argsort(sum(GROUPS, ()))]
 _OFF_BLOCK = GROUP_OF[1:, None] != GROUP_OF[None, 1:]
 _MASK_SHAPE = (len(GROUPS),) * 2
+# the entries of T_a = Q_a^H M_a Q_a below the diagonal of a group, zero in
+# exact arithmetic
+_LOWER = np.tril(GROUP_OF[:, None] == GROUP_OF[None, :], -1)
+# frequencies per block of a sweep.  A block holds the solved entries,
+# (84 + 1, 2, block) complex for the spectrum, and each wave costs three
+# numpy operations per block, which larger blocks amortize.  Measured on a
+# 2-core VM, in process, medians of 30 interleaved rounds at blocks of
+# 32/64/128: the four spectra-wide grids (1002 points) took 9.7/8.4/7.8 ms
+# and six 81-point spectra 9.1/8.6/8.0 ms, while the resident memory after
+# a 521-point spectrum was 35.6/36.0/36.6 MB (35.1 MB with the tile sweep
+# this replaced): larger blocks leave more of glibc's heap behind
+_BLOCK = 64
+# a Schur basis is accepted when T_a's lower triangle and the residual
+# ||Q_a T_a Q_a^H - B_a|| stay below this many eps ||B_a|| (Frobenius).
+# Over 772 drives (Omega from 1e-8 to 1e12, exceptional points included) at
+# three laser phases, the largest was 5.8 eps ||B_a||; a broken basis misses
+# by orders of magnitude more
+_SCHUR_TOL = 64
 
 
 def _plan():
@@ -67,6 +101,10 @@ def _plan():
 
 _PLAN = _plan()
 _BY_SIZE = [np.array([g for g in GROUPS if len(g) == size]) for size in (1, 2, 4)]
+# the 2x2 blocks the Schur bases take in closed form: the four coherence
+# pairs and the last two indices of the deflated Bloch block, as indices
+_TWO_BY_TWO = np.concatenate([_BY_SIZE[1], [GROUPS[1][-2:]]])
+_TWO_BY_TWO = _TWO_BY_TWO[:, :, None], _TWO_BY_TWO[:, None, :]
 
 
 def _solve2(m, r):
@@ -88,13 +126,21 @@ def needed(columns):
     return mask
 
 
-@lru_cache(maxsize=64)
-def _mask_plan(key):
-    """The groups of _PLAN a solve restricted to a tile mask visits, as
-    (level, group, kept tiles, flat, l, m): the kept tiles index the group's
-    tiles, and l, m, flat = 16 l + m are their entries X[l, m].  `key` is
-    None (every tile) or the bytes of a 9x9 boolean mask, so each mask is
-    checked and planned once per process, whichever resolvent solves it."""
+def _mask_key(tiles):
+    """The cache key of the mask `tiles`: None for every tile, else the
+    bytes of a 9x9 boolean array."""
+    if tiles is None:
+        return None
+    tiles = np.asarray(tiles)
+    if tiles.dtype != bool or tiles.shape != _MASK_SHAPE:
+        raise ConfigurationError(
+            f"tile mask must be a boolean array of shape {_MASK_SHAPE}, "
+            f"not {tiles.dtype} of shape {tiles.shape}")
+    return tiles.tobytes()
+
+
+def _mask(key):
+    """The mask of a cache key, checked: every level-2 tile with its feeders."""
     mask = (np.ones(_MASK_SHAPE, dtype=bool) if key is None
             else np.frombuffer(key, dtype=bool).reshape(_MASK_SHAPE))
     orphans = np.argwhere(mask[1:, 1:] & ~(mask[1:, :1] & mask[:1, 1:])) + 1
@@ -103,6 +149,16 @@ def _mask_plan(key):
         raise ConfigurationError(
             f"tile mask holds the level-2 tile ({p}, {q}) without its level-1 "
             f"feeders ({p}, 0) and (0, {q})")
+    return mask
+
+
+@lru_cache(maxsize=64)
+def _mask_plan(key):
+    """The groups of _PLAN a solve restricted to a tile mask visits, as
+    (level, group, kept tiles, flat, l, m): the kept tiles index the group's
+    tiles, and l, m, flat = 16 l + m are their entries X[l, m].  Each mask
+    is checked and planned once per process, whichever resolvent solves it."""
+    mask = _mask(key)
     plan = []
     for group, (level, pq, l, m) in enumerate(_PLAN):
         kept = mask[pq[:, 0], pq[:, 1]]
@@ -112,16 +168,130 @@ def _mask_plan(key):
     return tuple(plan)
 
 
-def _plan_of(tiles):
-    """The plan of the mask `tiles`, None for every tile."""
-    if tiles is not None:
-        tiles = np.asarray(tiles)
-        if tiles.dtype != bool or tiles.shape != _MASK_SHAPE:
-            raise ConfigurationError(
-                f"tile mask must be a boolean array of shape {_MASK_SHAPE}, "
-                f"not {tiles.dtype} of shape {tiles.shape}")
-        tiles = tiles.tobytes()
-    return _mask_plan(tiles)
+@lru_cache(maxsize=64)
+def _wave_plan(key):
+    """The substitution a sweep restricted to a tile mask runs, as
+    (flat, diagonal, outside, waves).  `flat` = 16 l + m are the entries
+    Y[l, m] of the mask's tiles, ordered by wave; `diagonal` indexes
+    T1[l, l] and T2[m, m] in the stacked, raveled (T1, T2); `outside` marks
+    the packed positions off the mask.  Each wave is (start, stop, deps,
+    coefficients): its entries start:stop, the positions of the at most 8
+    entries each of them reads, padded with the zero slot past the last
+    entry, and the indices of their coefficients in (T1, T2)."""
+    grid = _mask(key)[GROUP_OF[:, None], GROUP_OF[None, :]]
+    grid[0, 0] = False
+    entries = [tuple(e) for e in np.argwhere(grid)]
+    # the entries Y[l, m] reads: through T1[l, k] the entries (k, m) after
+    # it in its group and the feed (0, m); through T2[m, k] likewise
+    reads = {}
+    for l, m in entries:
+        reads[l, m] = ([((k, m), l * N_SINGLE + k) for k in GROUPS[GROUP_OF[l]] if k > l]
+                       + [((l, k), N_TWO + m * N_SINGLE + k) for k in GROUPS[GROUP_OF[m]] if k > m]
+                       + ([((0, m), l * N_SINGLE), ((l, 0), N_TWO + m * N_SINGLE)] if l and m else []))
+    wave = {}
+
+    def depth(entry):
+        if entry not in wave:
+            wave[entry] = 1 + max((depth(e) for e, _ in reads[entry]), default=-1)
+        return wave[entry]
+
+    for entry in entries:
+        depth(entry)
+    order = sorted(entries, key=lambda e: (wave[e], e))
+    position = {e: i for i, e in enumerate(order)}
+    flat = np.array([l * N_SINGLE + m for l, m in order])
+    diagonal = np.array([[l * (N_SINGLE + 1), N_TWO + m * (N_SINGLE + 1)] for l, m in order])
+    waves, start = [], 0
+    for w in range(max(wave.values()) + 1):
+        stop = start + sum(1 for e in order if wave[e] == w)
+        width = max(len(reads[e]) for e in order[start:stop])
+        deps = np.full((stop - start, width), len(order))
+        coefficients = np.zeros((stop - start, width), dtype=int)
+        for i, e in enumerate(order[start:stop]):
+            for j, (dep, coefficient) in enumerate(reads[e]):
+                deps[i, j], coefficients[i, j] = position[dep], coefficient
+        waves.append((start, stop, deps, coefficients))
+        start = stop
+    return flat, diagonal, ~grid.ravel()[1:], tuple(waves)
+
+
+def _schur2(b):
+    """Unitary U with U^H b U upper triangular, for a stack of 2x2 `b`, in
+    closed form.  Its first column is the unit eigenvector (h + s, c) of the
+    eigenvalue (a + d)/2 + s, h = (a - d)/2 and s = sqrt(h^2 + bc) with the
+    sign that keeps h + s free of cancellation, so that U tends to the
+    identity as c does; (1, 0) where that vector vanishes, b already upper
+    triangular."""
+    a, b01, c, d = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    h = 0.5 * (a - d)
+    s = np.sqrt(h * h + b01 * c)
+    x = h + np.where((h.conj() * s).real < 0, -s, s)
+    norm = np.hypot(np.abs(x), np.abs(c))
+    vanishes = norm == 0
+    norm[vanishes] = 1.0
+    x, y = np.where(vanishes, 1.0, x / norm), c / norm
+    u = np.empty(b.shape, dtype=complex)
+    u[..., 0, 0], u[..., 1, 0], u[..., 0, 1], u[..., 1, 1] = x, y, -y.conj(), x.conj()
+    return u
+
+
+def _reflector(v):
+    """Householder reflector H = H^H = H^{-1} whose first column is a unit
+    multiple of the unit vector `v`, for a stack of them: w = v + e0 v0/|v0|
+    leaves no cancellation in w0."""
+    v0 = v[..., :1]
+    w = v.copy()
+    w[..., :1] += np.where(v0 != 0, v0 / np.where(v0 != 0, np.abs(v0), 1.0), 1.0)
+    scale = 2.0 / np.sum(np.abs(w) ** 2, axis=-1)[..., None, None]
+    return np.eye(v.shape[-1]) - scale * w[..., :, None] * w[..., None, :].conj()
+
+
+def _grid(x):
+    """The vectors x [..., 255] as 16x16 arrays X [n, 16, 16], n the product
+    of the leading axes, with the trace entry X[0, 0] = 0."""
+    full = np.zeros((int(np.prod(x.shape[:-1])), N_TWO), dtype=complex)
+    full[:, 1:] = x.reshape(-1, N_TWO - 1)
+    return full.reshape(-1, N_SINGLE, N_SINGLE)
+
+
+def _rotate(q, m):
+    """Q^H m Q for stacks of matrices."""
+    return q.conj().swapaxes(-1, -2) @ m @ q
+
+
+def _schur_bases(m):
+    """Block-diagonal unitary Q and T = Q^H m Q for the stacked single-atom
+    generators `m` [atom, 16, 16], T upper triangular inside every group of
+    GROUPS.  A basis that misses its tolerance raises ResolventError."""
+    # the Bloch block: deflate two eigenpairs, each the one whose eigenvalue
+    # is nearest the diagonal entry it replaces, so that the basis stays
+    # near the identity where the drive is weak
+    bloch = np.ix_(GROUPS[1], GROUPS[1])
+    b = m[:, bloch[0], bloch[1]]
+    atoms = np.arange(len(b))
+    u = np.array(np.broadcast_to(np.eye(len(b[0]), dtype=complex), b.shape))
+    for k in range(len(b[0]) - 2):
+        t = _rotate(u, b)
+        eigenvalues, eigenvectors = np.linalg.eig(t[:, k:, k:])
+        nearest = np.abs(eigenvalues - t[:, k, k, None]).argmin(axis=-1)
+        u[:, :, k:] = u[:, :, k:] @ _reflector(eigenvectors[atoms, :, nearest])
+    eye = np.broadcast_to(np.eye(N_SINGLE, dtype=complex), m.shape)
+    q, v = np.array(eye), np.array(eye)
+    q[:, bloch[0], bloch[1]] = u
+    # then the closed form, at once for the four coherence pairs and the
+    # last two indices of the Bloch block
+    v[:, _TWO_BY_TWO[0], _TWO_BY_TWO[1]] = _schur2(_rotate(q, m)[:, _TWO_BY_TWO[0], _TWO_BY_TWO[1]])
+    q = q @ v
+    t = _rotate(q, m)
+    lower = np.where(_LOWER, t, 0.0)
+    residual = (q @ (t - lower) @ q.conj().swapaxes(-1, -2) - m)[:, 1:, 1:]
+    error = np.maximum(np.linalg.norm(lower, axis=(-2, -1)), np.linalg.norm(residual, axis=(-2, -1)))
+    scale = _SCHUR_TOL * np.finfo(float).eps * np.linalg.norm(m[:, 1:, 1:], axis=(-2, -1))
+    if not np.all(error <= scale):
+        raise ResolventError(
+            f"Schur basis of a single-atom generator is off by {error.max():.2e}, "
+            f"over {_SCHUR_TOL} eps ||B||")
+    return q, t
 
 
 class KroneckerResolvent:
@@ -136,9 +306,9 @@ class KroneckerResolvent:
                     "single-atom generator is not block diagonal under resolvent.BLOCKS")
         self.m1, self.m2 = m1, m2
         self.shape = m1.shape[:-2]
-        # the tiles of z - A at z = 0, 0 - (a_p (x) 1 + 1 (x) b_q): the
-        # subtraction keeps z - A's zeros +0, where a negation would flip
-        # their sign, [..., tile, row, column]
+        # the tiles of -A, 0 - (a_p (x) 1 + 1 (x) b_q): the subtraction keeps
+        # -A's zeros +0, where a negation would flip their sign,
+        # [..., tile, row, column]
         self._tiles = [0.0 - (m1[..., l[:, :, None], l[:, None, :]] * (m[:, :, None] == m[:, None, :])
                               + m2[..., m[:, :, None], m[:, None, :]] * (l[:, :, None] == l[:, None, :]))
                        for _, _, l, m in _PLAN]
@@ -164,39 +334,76 @@ class KroneckerResolvent:
         y = self.m1.reshape(factor) @ big + big @ self.m2.reshape(factor).swapaxes(-1, -2)
         return y.reshape(full.shape)[..., 1:]
 
-    def solve(self, z, rhs, tiles=None):
-        """x = (z - A)^{-1} rhs for every z against every right-hand side.
+    def solve(self, rhs, tiles=None):
+        """x = G0(0) rhs = -A^{-1} rhs for every right-hand side.
 
-        `z` is a scalar or a 1-D array of frequencies, and `rhs` has shape
-        C + K + (255,): its K right-hand sides are the columns of one
-        factorization per tile and z.  The result has shape
-        C + z.shape + K + (255,).  `tiles`, a mask from `needed`, solves only
-        those tiles and leaves the entries of the others at zero; a mask that
-        is not a 9x9 boolean array, or that holds a level-2 tile without its
-        feeders, raises ConfigurationError.
+        `rhs` has shape C + K + (255,): its K right-hand sides are the
+        columns of one factorization per tile, and the result has its shape.
+        `tiles`, a mask from `needed`, solves only those tiles and leaves
+        the entries of the others at zero; a mask that is not a 9x9 boolean
+        array, or that holds a level-2 tile without its feeders, raises
+        ConfigurationError.
         """
-        z, rhs = np.asarray(z, dtype=complex), np.asarray(rhs, dtype=complex)
+        rhs = np.asarray(rhs, dtype=complex)
         lead, rank = self.shape, len(self.shape)
         batch = rhs.shape[rank:-1]
-        plan = _plan_of(tiles)
-        # b[..., l * 16 + m, column], with a unit axis for each axis of z
-        spread = (1,) * z.ndim
-        b = np.zeros(lead + spread + (N_TWO, int(np.prod(batch))), dtype=complex)
-        b[..., 1:, :] = rhs.reshape(b.shape[:-2] + (-1, N_TWO - 1)).swapaxes(-1, -2)
-        x = np.zeros(lead + z.shape + b.shape[-2:], dtype=complex)
-        # z on the diagonal of every tile, [z..., tile, entry]; none at z = 0
-        shift = z.reshape(z.shape + (1, 1)) if z.any() else None
-        c1, c2 = (m[..., :, 0].reshape(lead + spread + (N_SINGLE, 1)) for m in (self.m1, self.m2))
+        plan = _mask_plan(_mask_key(tiles))
+        # b[..., l * 16 + m, column]
+        b = np.zeros(lead + (N_TWO, int(np.prod(batch))), dtype=complex)
+        b[..., 1:, :] = rhs.reshape(lead + (-1, N_TWO - 1)).swapaxes(-1, -2)
+        x = np.zeros_like(b)
+        c1, c2 = (m[..., :, 0].reshape(lead + (N_SINGLE, 1)) for m in (self.m1, self.m2))
         for level, group, keep, flat, l, m in plan:
             size = flat.shape[-1]
-            tile = self._tiles[group][..., keep, :, :].reshape(lead + spread + (-1, size, size))
-            if shift is not None:
-                tile = np.array(np.broadcast_to(tile, lead + z.shape + tile.shape[-3:]))
-                tile.reshape(tile.shape[:-2] + (-1,))[..., ::size + 1] += shift
+            tile = self._tiles[group][..., keep, :, :]
             r = b[..., flat, :]
             if level == 2:
                 # fed by the solved level-1 tiles: c1 X[0, :] + X[:, 0] c2^T
                 r = r + c1[..., l, :] * x[..., m, :] + x[..., l * N_SINGLE, :] * c2[..., m, :]
             x[..., flat, :] = (r / tile if size == 1 else _solve2(tile, r)
                                if size == 2 else np.linalg.solve(tile, r))
-        return x[..., 1:, :].swapaxes(-1, -2).reshape(x.shape[:-2] + batch + (N_TWO - 1,))
+        return x[..., 1:, :].swapaxes(-1, -2).reshape(lead + batch + (N_TWO - 1,))
+
+    def sweep(self, rows, z, rhs, tiles=None):
+        """rows . (z - A)^{-1} . rhs at every frequency of the 1-D array `z`.
+
+        One configuration only.  `rows` has shape R + (255,) and `rhs`
+        K + (255,); the result has shape z.shape + K + R.  `tiles`, a mask
+        from `needed`, solves only those tiles: `rows` must vanish outside
+        them, and the mask is checked as `solve` checks it.
+        """
+        if self.shape != ():
+            raise ConfigurationError(
+                f"a sweep takes one configuration, not a stack of shape {self.shape}")
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 1:
+            raise ConfigurationError(f"sweep frequencies must be a 1-D array, not shape {z.shape}")
+        rows, rhs = np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex)
+        flat, diagonal, outside, waves = _wave_plan(_mask_key(tiles))
+        if rows[..., outside].any():
+            raise ConfigurationError("sweep rows read entries outside the tile mask")
+        q, t = _schur_bases(np.stack([self.m1, self.m2]))
+        t = t.ravel()
+        # to Schur coordinates at the plan's entries: Q1^H B conj(Q2) for
+        # each right-hand side B, [entry, rhs, 1], and Q1^T R Q2 for each
+        # row R, [row, entry]
+        b = (q[0].conj().T @ _grid(rhs) @ q[1].conj()).reshape(-1, N_TWO)[:, flat].T[:, :, None]
+        r = (q[0].T @ _grid(rows) @ q[1]).reshape(-1, N_TWO)[:, flat]
+        d = t[diagonal].sum(axis=-1)[:, None, None]
+        waves = [(start, stop, deps, t[coefficients][:, None, :])
+                 for start, stop, deps, coefficients in waves]
+        out = np.empty((len(r), b.shape[1], len(z)), dtype=complex)
+        for begin in range(0, len(z), _BLOCK):
+            block = slice(begin, begin + _BLOCK)
+            den = z[block] - d
+            # the solved entries and a zero slot, [entry, rhs, frequency]
+            y = np.empty((len(flat) + 1, b.shape[1], den.shape[-1]), dtype=complex)
+            y[-1] = 0.0
+            rows_of_y = y.reshape(len(y), -1)
+            for start, stop, deps, coefficients in waves:
+                acc = b[start:stop]
+                if deps.size:
+                    acc = acc + (coefficients @ rows_of_y[deps]).reshape(y[start:stop].shape)
+                np.divide(acc, den[start:stop], out=y[start:stop])
+            out[..., block] = (r @ rows_of_y[:-1]).reshape(out[..., block].shape)
+        return out.T.reshape(z.shape + rhs.shape[:-1] + rows.shape[:-1])

@@ -23,25 +23,26 @@ The sweep, `inelastic_spectrum(gen, state, nu_grid)`, derives all it reads
 from the stationary state: both atoms' QRT initial conditions
 <sigma_21^a B_n>_ss in one array (`qrt_initial`), and the source weights
 <sigma_21^a>_ss and the elastic weight from the elastic read-out it shares
-with `steady_state.intensities`.  It takes the grid in fixed blocks of
-frequencies.  Its first stage solves G0(z) [c_1^[1], c_2^[1]], over the
-connected initial conditions c_a^[k], through the generator set's tile
-resolvent (`resolvent.KroneckerResolvent`), each tile factored once per
-frequency with the two right-hand sides as its columns.  That stage is read
-only through V's four rows at the pair positions, so it solves only the
-tiles holding their non-zero columns, plus the level-1 feeders of those
-(`steady_state.stage1_tiles`, derived from V's sparsity and
-`resolvent.BLOCKS`): 24 of the 80 tiles when the separation is transverse to
-the laser, 38 for the tests' shifted-tilted geometry.  The stationary state
-solves order 1 where `qrt_initial` reads it for those tiles and at the
+with `steady_state.intensities`.  Its first stage reads
+V G0(z) [c_1^[1], c_2^[1]], over the connected initial conditions c_a^[k],
+through V's four rows at the pair positions, with one call of the generator
+set's resolvent sweep (`resolvent.KroneckerResolvent.sweep`) over the whole
+grid: a substitution in the Schur coordinates of the two single-atom
+generators, built once per call, with nothing factored per frequency.  It
+solves only the tiles holding the rows' non-zero columns, plus the level-1
+feeders of those (`steady_state.stage1_tiles`, derived from V's sparsity and
+`resolvent.BLOCKS` once per coupling matrix, `steady_state.read_tiles`): 24
+of the 80 tiles (84 entries) when the separation is transverse to the laser,
+38 (136 entries) for the tests' shifted-tilted geometry.  The stationary
+state solves order 1 where `qrt_initial` reads it for those tiles and at the
 pairs, order 2 where it reads it for the pairs.  The second stage is read
-through the detected rows: the first rows of (z - a)^{-1}, a the pair blocks
-of M1 and M2, applied to V x_a + c_a^[2] at the pair positions.  A malformed
-grid (empty, not 1-D or not finite) raises ConfigurationError before any
-solve, and a non-finite density fails the sweep with ResolventError instead
-of being interpolated over.  Spectra take one drive configuration: a
-generator set or state assembled for a stack of them raises
-ConfigurationError.
+through the detected rows: the first rows of (z - a)^{-1}, in closed form
+for a the 2x2 pair blocks of M1 and M2, applied to V x_a + c_a^[2] at the
+pair positions.  A malformed grid (empty, not 1-D or not finite) raises
+ConfigurationError before any solve, and a non-finite density fails the
+sweep with ResolventError instead of being interpolated over.  Spectra take
+one drive configuration: a generator set or state assembled for a stack of
+them raises ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
@@ -63,19 +64,11 @@ from .steady_state import (
     _elastic_readout,
     intensities,
     perturbative_steady_state,
-    stage1_tiles,
+    read_tiles,
 )
 
 # the weight of each detected dipole's single non-zero, at _IDX_D
 _EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
-# frequencies per batched solve.  A block's arrays are per-frequency tile
-# matrices and a (block, 2, 255) solution, and each call pays a fixed cost
-# of about 0.4 ms in small numpy operations, so larger blocks amortize it.
-# Measured with the restricted tile sweep in the benchmark worker
-# (spectra-wide, 12-s runs, seeds 601-608, blocks 32/64/128 alternating,
-# 2-core VM): median wall_s 0.124/0.118/0.121 s, 64 beating 32 in 7 of 8
-# rounds and 128 beating 64 in 4 of 8, at a peak RSS of 44.7/46.3/49.7 MB
-_BLOCK = 64
 
 
 def _require_one_configuration(shape):
@@ -182,12 +175,10 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         raise ConfigurationError(
             f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
     phase = gen.detection_phase
-    # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, a_d
-    # the detected pair's block of M1, resp. M2, placed at _PAIR_ROWS
+    # the detected pair's blocks of M1 and M2, [d, 2, 2]
     a = np.stack([m[np.ix_(pair, pair)] for m, pair
                   in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
     v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
-    tiles = stage1_tiles(v_rows)
 
     s0 = qrt_initial(state)  # [a, k, 255]
     # <sigma_21^a>_ss at order g^1: the detected transition is dark at
@@ -198,21 +189,19 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     first = s0[:, 1] - weights * state.order0
     second = (s0[:, 2] - weights * state.order1)[:, _PAIR_ROWS]  # [a, d, p]
 
-    ladder = np.empty_like(nu_grid)
-    crossed = np.empty_like(nu_grid)
-    for start in range(0, len(nu_grid), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        z = -1j * nu_grid[block]
-        # stage 1: x_a = G0(z) c_a^[1], and V x_a at the pair rows only, as
-        # [nu, a, d, p]; the detected rows of G0(z) on the pairs, as [nu, d, p]
-        x = gen.resolvent.solve(z, first, tiles)
-        vx = np.tensordot(x, v_rows, axes=(-1, -1))
-        row = np.linalg.inv(z[:, None, None, None] * np.eye(a.shape[-1]) - a)[..., 0, :]
-        # G0(z) (V x_a + c_a^[2]) read at the detected rows, as [nu, a, d]
-        s = np.einsum("zdp,zadp->zad", row, vx + second)
-        (s1_d1, s1_d2), (s2_d1, s2_d2) = s.transpose(1, 2, 0)
-        ladder[block] = (_EXTRACT * (s1_d1 + s2_d2)).real / np.pi
-        crossed[block] = (_EXTRACT * (s1_d2 * phase + s2_d1 * np.conj(phase))).real / np.pi
+    z = -1j * nu_grid
+    # stage 1: V x_a at the pair rows, x_a = G0(z) c_a^[1], as [nu, a, d, p]
+    vx = gen.resolvent.sweep(v_rows, z, first, read_tiles(gen.V)[1])
+    # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, placed
+    # at _PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) / det(z - a_d), as [nu, d, p]
+    shifted = z[:, None, None] - a[:, (0, 1), (0, 1)]  # [nu, d, diagonal]
+    det = shifted[..., 0] * shifted[..., 1] - a[:, 0, 1] * a[:, 1, 0]
+    row = np.stack([shifted[..., 1], np.broadcast_to(a[:, 0, 1], det.shape)], axis=-1) / det[..., None]
+    # G0(z) (V x_a + c_a^[2]) read at the detected rows, as [nu, a, d]
+    s = np.einsum("zdp,zadp->zad", row, vx + second)
+    (s1_d1, s1_d2), (s2_d1, s2_d2) = s.transpose(1, 2, 0)
+    ladder = (_EXTRACT * (s1_d1 + s2_d2)).real / np.pi
+    crossed = (_EXTRACT * (s1_d2 * phase + s2_d1 * np.conj(phase))).real / np.pi
 
     bad = ~(np.isfinite(ladder) & np.isfinite(crossed))
     if bad.any():

@@ -4,13 +4,13 @@ The uncoupled resolvent G0(z) = (z - A)^{-1} propagates everything; the
 steady state is expanded as G0 j + G0 V G0 j + G0 V G0 V G0 j (orders
 g^0, g^1, g^2), and the order-2 terms carry the double-scattering ladder
 and crossed intensities.  The three static solves G0(0) go through the
-generator set's tile resolvent (`resolvent.KroneckerResolvent`, built in
+generator set's resolvent (`resolvent.KroneckerResolvent`, built in
 `assemble`), which never forms A as a dense 255x255 matrix: each factors
 small diagonal tiles of -A and solves them in two passes, with no
-refinement step.  The weak-drive intensities are differences of nearly
-equal terms (L_inel = L_tot - L_el), so every component of the state needs
-full accuracy, not only its norm; the tile solves keep their rounding
-inside each tile.
+refinement step and no change of basis.  The weak-drive intensities are
+differences of nearly equal terms (L_inel = L_tot - L_el), so every
+component of the state needs full accuracy, not only its norm; the tile
+solves keep their rounding inside each tile.
 
 Each order is solved only on the tiles its readers read (`resolvent.needed`
 of the entries, so feeders included).  Order 0 is solved on all 80: the
@@ -25,6 +25,8 @@ it to form order 2's right-hand side on `ORDER2_TILES`, where the elastic
 read-out and the sweep's connected sources read it (the sigma rows' tiles,
 which hold the detected pairs), and where `qrt_initial` reads it for the
 sweep's stage 1 (`stage1_tiles` pulled back): 44 of 80 for a transverse r12.
+V is cached per geometry, and `read_tiles` derives both masks once per
+coupling array.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
 of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
@@ -39,6 +41,7 @@ and the fields of `IntensityBreakdown` are arrays of shape C (floats for
 one configuration).
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +116,30 @@ def order1_tiles(v):
                                   _SIGMA_COLUMNS, _qrt_pullback(stage1[_TILE_OF])]))
 
 
+_READ_TILES = {}
+
+
+def read_tiles(v):
+    """(order1_tiles(v), stage1_tiles of v's pair rows), read-only, derived
+    once per coupling array `v`: V is cached per geometry, so a drive sweep
+    derives them once.  An entry leaves with its array."""
+    key = id(v)
+    if key not in _READ_TILES:
+        tiles = order1_tiles(v), stage1_tiles(v[_PAIR_ROWS])
+        for mask in tiles:
+            mask.setflags(write=False)
+        _READ_TILES[key] = tiles
+        weakref.finalize(v, _READ_TILES.pop, key, None)
+    return _READ_TILES[key]
+
+
 @dataclass(frozen=True)
 class PerturbativeState:
     """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each).
 
     Order 0 is complete.  Orders 1 and 2 hold their values on the tiles
     they are read on, `order1_tiles(gen.V)` and `ORDER2_TILES`, and zeros
-    outside them; a full order is `gen.resolvent.solve(0.0, ...)` of the
+    outside them; a full order is `gen.resolvent.solve(...)` of V times the
     order before it.
     """
 
@@ -134,9 +154,9 @@ class PerturbativeState:
 def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     """order_k = (G0 V)^k G0 j, the g-expansion of the stationary state,
     orders 1 and 2 on the tiles that are read."""
-    order0 = gen.resolvent.solve(0.0, gen.j)
-    order1 = gen.resolvent.solve(0.0, order0 @ gen.V.T, order1_tiles(gen.V))
-    order2 = gen.resolvent.solve(0.0, order1 @ gen.V.T, ORDER2_TILES)
+    order0 = gen.resolvent.solve(gen.j)
+    order1 = gen.resolvent.solve(order0 @ gen.V.T, read_tiles(gen.V)[0])
+    order2 = gen.resolvent.solve(order1 @ gen.V.T, ORDER2_TILES)
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 

@@ -4,8 +4,10 @@ Spectra are the expensive objects (a batched resolvent sweep over up to
 4001 frequencies), so every parameter point used by more than one test is
 computed once per session and reused.  `resolvent_solve` and
 `nonperturbative_steady_state` solve with the dense 255x255 generator: they
-are the tests' references for the tile resolvent and for the
-perturbative expansion; the package's own solves never form that matrix.
+are the tests' references for the resolvent and for the perturbative
+expansion; the package's own solves never form that matrix.
+`long_double_sweep_reference` is the reference of the spectrum sweep alone,
+with every solve refined against residuals in extended precision.
 `apply_single_atom_generator` and `apply_interaction_generator` are the
 direct operator actions the generator tables are checked against, and the
 remaining helpers are the inverse basis expansion and closed forms of the
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from twoatom_cbs.basis import N_SINGLE, two_atom_basis_flat
+from twoatom_cbs.basis import N_SINGLE, N_TWO, two_atom_basis_flat
 from twoatom_cbs.config_average import ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average
 from twoatom_cbs.errors import ResolventError
 from twoatom_cbs.liouvillian import (
@@ -31,8 +33,13 @@ from twoatom_cbs.liouvillian import (
     coupling_constant,
     helicity_projector,
 )
-from twoatom_cbs.spectrum import compute_spectrum
-from twoatom_cbs.steady_state import intensities, perturbative_steady_state
+from twoatom_cbs.spectrum import compute_spectrum, qrt_initial
+from twoatom_cbs.steady_state import (
+    SIGMA_12_ROWS,
+    SIGMA_21_ROWS,
+    intensities,
+    perturbative_steady_state,
+)
 
 DEFAULT_SEPARATION = 100.0
 CONDITION_LIMIT = 1e12
@@ -57,6 +64,61 @@ def resolvent_solve(a, z, rhs):
                 f"ill-conditioned resolvent at z = {z}: residual {residual:.3e}"
             )
     return x
+
+
+def g0_full(gen, z, rhs):
+    """G0(z) rhs in full, through the package's resolvent: the tile solve at
+    z = 0, else the sweep read through every row."""
+    if z == 0:
+        return gen.resolvent.solve(rhs)
+    return gen.resolvent.sweep(np.eye(N_TWO - 1), [z], rhs)[0]
+
+
+def long_double_sweep_reference(gen, state, nu_grid):
+    """Ladder and crossed densities of `inelastic_spectrum` from the same
+    double `state`, G0(z) V G0(z) c^[1] + G0(z) c^[2] read at the detected
+    rows, with no rounding of its own above ~1e-19.
+
+    Each solve with z - A is a dense double LU, refined twice against
+    residuals formed in np.clongdouble from the Kronecker factors m1, m2;
+    the connected sources c_a^[k], the V products and the read-outs are
+    formed in np.clongdouble too.  Fails, not skips, where long double is
+    no wider than double.
+    """
+    ld = np.clongdouble
+    assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"
+    m1, m2 = (m.astype(ld) for m in (gen.resolvent.m1, gen.resolvent.m2))
+    z = -1j * np.asarray(nu_grid, dtype=float)
+    dense = z[:, None, None] * np.eye(N_TWO - 1) - gen.A  # [nu, 255, 255]
+
+    def shifted(x):
+        # (z - A) x for x [nu, k, 255], from M1 X + X M2^T, X[0, 0] = 0
+        full = np.zeros(x.shape[:-1] + (N_TWO,), dtype=ld)
+        full[..., 1:] = x
+        big = full.reshape(x.shape[:-1] + (N_SINGLE, N_SINGLE))
+        ax = (m1 @ big + big @ m2.T).reshape(full.shape)[..., 1:]
+        return z.astype(ld)[:, None, None] * x - ax
+
+    def solve(b):
+        x = np.linalg.solve(dense, b.astype(complex).swapaxes(-1, -2)).swapaxes(-1, -2).astype(ld)
+        for _ in range(2):
+            residual = (b - shifted(x)).astype(complex)
+            x = x + np.linalg.solve(dense, residual.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return x
+
+    # the connected sources c_a^[k] = s_a^[k](0) - <sigma_21^a> order(k-1),
+    # formed in double as the sweep forms them
+    s0 = qrt_initial(state)
+    weights = np.array([state.order1 @ row for row in SIGMA_21_ROWS])[:, None]
+    first = s0[:, 1] - weights * state.order0
+    second = (s0[:, 2] - weights * state.order1).astype(ld)
+    x = solve(np.broadcast_to(first, z.shape + first.shape).astype(ld))
+    y = solve(x @ gen.V.astype(ld).T + second)
+    d = y @ np.stack(SIGMA_12_ROWS).astype(ld).T  # [nu, a, detected d]
+    phase = ld(gen.detection_phase)
+    ladder = (d[:, 0, 0] + d[:, 1, 1]).real / np.pi
+    crossed = (d[:, 0, 1] * phase + d[:, 1, 0] * np.conj(phase)).real / np.pi
+    return ladder, crossed
 
 
 def nonperturbative_steady_state(gen):

@@ -306,6 +306,7 @@ def test_criterion_10_property_suites(weak_point):
 
     from conftest import (
         apply_single_atom_generator,
+        g0_full,
         nonperturbative_steady_state,
         reconstruct_two_atom_operator,
     )
@@ -344,7 +345,10 @@ def test_criterion_10_property_suites(weak_point):
     )
 
     gen_w = generator(1.0)
-    g0 = gen_w.resolvent.solve
+
+    def g0(z, rhs):
+        return g0_full(gen_w, z, rhs)
+
     u0 = g0(0.0, gen_w.j)
     static = g0(0.0, gen_w.V @ u0)
     stab_ok = True

@@ -62,6 +62,28 @@ class TestConfigParsing:
         values = read_config_file(path)
         assert values == {"rabi": "2.5", "detuning": "1", "normalize": "true"}
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the second value does not silently win: one line naming both lines
+        path = tmp_path / "run.cfg"
+        path.write_text("s_values = 0.5\n# s = 2 instead\ns_values = 2\n")
+        with pytest.raises(ConfigurationError, match=r"run.cfg:3: key 's_values' is already "
+                                                     r"given on line 1"):
+            read_config_file(path)
+        assert main(["compare-oracles", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "line 1" in err
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # '#' starts a comment only at the start of a line or after
+        # whitespace: the output path keeps it
+        path = tmp_path / "run.cfg"
+        target = tmp_path / "run#1.csv"
+        path.write_text(f"points = 81 # inline\noutput = {target}\n#points = 12\n")
+        assert read_config_file(path) == {"points": "81", "output": str(target)}
+        assert main(["spectrum", "--config", str(path)]) == EXIT_OK
+        assert target.read_text().startswith("# mode = spectrum\n")
+        assert not (tmp_path / "run").exists()
+
     def test_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rabi 2.5\n")

@@ -21,7 +21,6 @@ from twoatom_cbs.spectrum import (
     inelastic_spectrum,
     normalized_spectra,
     qrt_initial,
-    stage1_tiles,
 )
 from twoatom_cbs.steady_state import (
     L_SIGMA_21,
@@ -32,9 +31,19 @@ from twoatom_cbs.steady_state import (
     intensities,
     order1_tiles,
     perturbative_steady_state,
+    read_tiles,
+    stage1_tiles,
 )
 
-from conftest import generator, resolvent_solve, shifted_tilted_geometry, spectrum_at, stationary
+from conftest import (
+    g0_full,
+    generator,
+    long_double_sweep_reference,
+    resolvent_solve,
+    shifted_tilted_geometry,
+    spectrum_at,
+    stationary,
+)
 
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -139,7 +148,10 @@ class TestDensities:
         # The sweep's connected initial conditions rest on a third form,
         # -G0(z)(order1 + V G0(z) order0), order1 = G0 V order0
         gen = generator(1.0)
-        g0 = gen.resolvent.solve
+
+        def g0(z, rhs):
+            return g0_full(gen, z, rhs)
+
         u0 = g0(0.0, gen.j)
         static = g0(0.0, gen.V @ u0)
         for nu in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -170,6 +182,28 @@ class TestDensities:
         peak = np.abs(ladder).max()
         assert np.abs(spec.ladder_density - ladder).max() <= 1e-12 * peak
         assert np.abs(spec.crossed_density - crossed).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+                             ids=["backscattering", "shifted-tilted"])
+    @pytest.mark.parametrize("rabi, detuning, bound", [
+        (0.1, 5.0, 5e-15), (1e-3, 0.0, 1e-10), (1e-3, 5.0, 5e-15),
+        (0.5, 0.0, 2.5e-15), (1.0, 0.0, 1.5e-15), (100.0, 0.0, 5e-15)])
+    def test_sweep_matches_long_double_reference(self, rabi, detuning, bound, geom):
+        # the sweep alone, fed the double state, against every solve refined
+        # in extended precision, as a fraction of the peak ladder density;
+        # each bound is under 10x the largest error measured at its drive.
+        # The Schur basis of a weak drive at delta = 0 mixes the degenerate
+        # populations and coherences of the Bloch block by 45 degrees, which
+        # costs about 3e-11 there; Omega = 0.5 and 1 at delta = 0 are the
+        # exceptional points of the Bloch block and of the coherence pairs
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        state = perturbative_steady_state(gen)
+        grid = default_nu_grid(gen.cfg, points=9)
+        spec = inelastic_spectrum(gen, state, grid)
+        ladder, crossed = long_double_sweep_reference(gen, state, grid)
+        peak = np.abs(ladder).max()
+        assert np.abs(spec.ladder_density - ladder).max() <= bound * peak
+        assert np.abs(spec.crossed_density - crossed).max() <= bound * peak
 
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
                              ids=["backscattering", "shifted-tilted"])
@@ -205,11 +239,12 @@ class TestDensities:
     def test_stage1_tiles_cover_what_v_pair_rows_read(self, geom):
         # the first stage solves only the tiles (p, q) of resolvent.GROUPS
         # that hold a non-zero column of V's pair rows, plus the level-1
-        # feeders (0, q) and (p, 0) of every level-2 tile among them; at
-        # those columns it equals the full solve
+        # feeders (0, q) and (p, 0) of every level-2 tile among them; read
+        # through V's pair rows, it equals the full sweep
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
         v_rows = gen.V[_PAIR_ROWS]
         tiles = stage1_tiles(v_rows)
+        assert np.array_equal(read_tiles(gen.V)[1], tiles)
         columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
         l, m = np.divmod(columns + 1, N_SINGLE)
         assert tiles[GROUP_OF[l], GROUP_OF[m]].all()
@@ -220,9 +255,11 @@ class TestDensities:
         assert tiles.sum() < 0.5 * tiles.size
         z = -1j * np.array([0.0, 0.4, 7.0])
         rhs = np.stack([gen.j, gen.V @ gen.j])
-        full = gen.resolvent.solve(z, rhs)
-        part = gen.resolvent.solve(z, rhs, tiles)
-        assert np.array_equal(part[..., columns], full[..., columns])
+        full = gen.resolvent.sweep(v_rows, z, rhs)
+        part = gen.resolvent.sweep(v_rows, z, rhs, tiles)
+        assert np.allclose(part, full, rtol=0.0, atol=1e-14 * np.abs(full).max())
+        with pytest.raises(ConfigurationError, match="outside the tile mask"):
+            gen.resolvent.sweep(gen.V[:1], z, rhs, tiles)
 
     @pytest.mark.parametrize("geom, count", [(Geometry.backscattering(100.0), 44),
                                              (shifted_tilted_geometry(), 72)],

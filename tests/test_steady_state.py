@@ -33,6 +33,7 @@ from twoatom_cbs.steady_state import (
 )
 
 from conftest import (
+    g0_full,
     generator,
     nonperturbative_steady_state,
     resolvent_solve,
@@ -61,26 +62,26 @@ class TestResolvent:
         gen = generator(1.0)
         z = -0.7j
         rhs = gen.j
-        assert np.allclose(gen.resolvent.solve(z, rhs),
-                           resolvent_solve(gen.A, z, rhs), atol=1e-10)
+        assert np.allclose(g0_full(gen, z, rhs), resolvent_solve(gen.A, z, rhs), atol=1e-10)
 
     def test_g0_at_zero_is_minus_a_inverse(self):
         gen = generator(2.0)
-        x = gen.resolvent.solve(0.0, gen.j)
+        x = gen.resolvent.solve(gen.j)
         assert np.allclose(gen.A @ x, -gen.j, atol=1e-12)
 
     @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
                                       shifted_tilted_geometry()])
     def test_batched_resolvent_matches_dense_solve(self, rabi, geom):
-        # one call solves every (z, right-hand side) pair; Omega = 0.5 and
-        # 1.0 sit near exceptional points of the single-atom generator
+        # one sweep, read through every row, solves every (z, right-hand
+        # side) pair; Omega = 0.5 and 1.0 sit near exceptional points of the
+        # single-atom generator
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
         zs = np.array([0.0, -1e-6j, -1e-3j, -0.7j, 5j, -300j])
         rng = np.random.default_rng(3)
         rhs = np.stack([gen.j, gen.V @ gen.j,
                         rng.normal(size=255) + 1j * rng.normal(size=255)])
-        got = gen.resolvent.solve(zs, rhs)
+        got = gen.resolvent.sweep(np.eye(255), zs, rhs)
         assert got.shape == (len(zs), len(rhs), 255)
         for z, x in zip(zs, got):
             want = resolvent_solve(gen.A, z, rhs.T).T
@@ -88,22 +89,22 @@ class TestResolvent:
 
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
                                       shifted_tilted_geometry()])
-    def test_stack_solves_every_z_against_every_rhs(self, geom):
-        # a stack C = (2,) against a 1-D z of 3 frequencies and K = (2,)
-        # right-hand sides per configuration: C + z.shape + K + (255,)
+    def test_stack_solves_every_rhs(self, geom):
+        # a stack C = (2,) against K = (2,) right-hand sides per
+        # configuration: C + K + (255,); a sweep takes one configuration
         rabi = np.array([0.5, 20.0])
         stack = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
-        zs = np.array([0.0, -0.7j, 5j])
         rng = np.random.default_rng(11)
         rhs = np.stack([stack.j, rng.normal(size=(2, 255)) + 1j * rng.normal(size=(2, 255))],
                        axis=-2)
-        got = stack.resolvent.solve(zs, rhs)
-        assert got.shape == (2, 3, 2, 255)
+        got = stack.resolvent.solve(rhs)
+        assert got.shape == (2, 2, 255)
         for c, r in enumerate(rabi):
             a = assemble(DriveConfig(rabi=r, detuning=0.3), geom).A
-            for k, z in enumerate(zs):
-                want = resolvent_solve(a, z, rhs[c].T).T
-                assert np.allclose(got[c, k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            want = resolvent_solve(a, 0.0, rhs[c].T).T
+            assert np.allclose(got[c], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        with pytest.raises(ConfigurationError, match="one configuration"):
+            stack.resolvent.sweep(np.eye(255), [-0.7j], rhs)
 
     @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
@@ -117,7 +118,7 @@ class TestResolvent:
         rhs = gen.j if count == 1 else np.stack(
             [gen.j, gen.V @ gen.j]
             + [rng.normal(size=255) + 1j * rng.normal(size=255) for _ in range(count - 2)])
-        got = gen.resolvent.solve(0.0, rhs)
+        got = gen.resolvent.solve(rhs)
         want = resolvent_solve(gen.A, 0.0, rhs.T).T
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -168,13 +169,17 @@ class TestResolvent:
     @pytest.mark.parametrize("feeder", [(1, 0), (0, 1)])
     def test_mask_without_feeders_is_rejected(self, feeder, z):
         # the level-2 tile (1, 1) is fed by (1, 0) and (0, 1): without them
-        # its right-hand side would read their entries as zero
+        # its right-hand side would read their entries as zero, in the
+        # static solve (z = 0) and in the sweep alike
         gen = generator(1.0)
         tiles = needed(np.arange(N_TWO - 1))
         assert tiles.sum() == 80
         tiles[feeder] = False
         with pytest.raises(ConfigurationError, match=r"tile \(1, 1\) without its level-1 feeders"):
-            gen.resolvent.solve(z, gen.j, tiles)
+            if z:
+                gen.resolvent.sweep(np.eye(N_TWO - 1), [z], gen.j, tiles)
+            else:
+                gen.resolvent.solve(gen.j, tiles)
 
     @pytest.mark.parametrize("mask", [np.ones((9, 9), dtype=int), np.ones((9, 9), dtype=np.uint8),
                                       np.ones((3, 27), dtype=bool), np.ones(81, dtype=bool),
@@ -183,7 +188,7 @@ class TestResolvent:
     def test_mask_that_is_not_a_9x9_boolean_array_is_rejected(self, mask):
         gen = generator(1.0)
         with pytest.raises(ConfigurationError, match="boolean array of shape"):
-            gen.resolvent.solve(0.0, gen.j, mask)
+            gen.resolvent.solve(gen.j, mask)
 
     def test_resolvent_eigenvalues_are_those_of_a(self):
         gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
@@ -249,8 +254,8 @@ class TestReadTiles:
     def test_orders_equal_full_solves_on_their_tiles(self, rabi, geom):
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.7), geom)
         state = perturbative_steady_state(gen)
-        full1 = gen.resolvent.solve(0.0, state.order0 @ gen.V.T)
-        full2 = gen.resolvent.solve(0.0, full1 @ gen.V.T)
+        full1 = gen.resolvent.solve(state.order0 @ gen.V.T)
+        full2 = gen.resolvent.solve(full1 @ gen.V.T)
         for got, full, tiles in ((state.order1, full1, order1_tiles(gen.V)),
                                  (state.order2, full2, ORDER2_TILES)):
             inside = tiles[_TILE]
