@@ -77,13 +77,13 @@ def g0_full(gen, z, rhs):
 def long_double_sweep_reference(gen, state, nu_grid):
     """Ladder and crossed densities of `inelastic_spectrum` from the same
     double `state`, G0(z) V G0(z) c^[1] + G0(z) c^[2] read at the detected
-    rows, with no rounding of its own above ~1e-19.
+    rows, with the rounding of the sweep's solves left out.
 
-    Each solve with z - A is a dense double LU, refined twice against
-    residuals formed in np.clongdouble from the Kronecker factors m1, m2;
-    the connected sources c_a^[k], the V products and the read-outs are
-    formed in np.clongdouble too.  Fails, not skips, where long double is
-    no wider than double.
+    The connected sources c_a^[k] are formed in double, as the sweep forms
+    them.  Each solve with z - A is a dense double LU, refined twice against
+    residuals formed in np.clongdouble from the Kronecker factors m1, m2,
+    and the V products and the read-outs are formed in np.clongdouble.
+    Fails, not skips, where long double is no wider than double.
     """
     ld = np.clongdouble
     assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"

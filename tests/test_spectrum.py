@@ -244,7 +244,10 @@ class TestDensities:
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
         v_rows = gen.V[_PAIR_ROWS]
         tiles = stage1_tiles(v_rows)
-        assert np.array_equal(read_tiles(gen.V)[1], tiles)
+        # derived once per coupling array, and shared read-only
+        cached = read_tiles(gen.V)
+        assert np.array_equal(cached[1], tiles) and cached is read_tiles(gen.V)
+        assert not any(mask.flags.writeable for mask in cached)
         columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
         l, m = np.divmod(columns + 1, N_SINGLE)
         assert tiles[GROUP_OF[l], GROUP_OF[m]].all()

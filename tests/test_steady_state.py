@@ -16,6 +16,8 @@ from twoatom_cbs.liouvillian import (
     _single_atom_matrix,
     assemble,
 )
+from twoatom_cbs import resolvent
+from twoatom_cbs.errors import ResolventError
 from twoatom_cbs.resolvent import GROUP_OF, KroneckerResolvent, needed
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
@@ -189,6 +191,15 @@ class TestResolvent:
         gen = generator(1.0)
         with pytest.raises(ConfigurationError, match="boolean array of shape"):
             gen.resolvent.solve(gen.j, mask)
+
+    def test_broken_schur_basis_fails_the_sweep(self, monkeypatch):
+        # a basis that leaves the coherence pairs untriangularized is caught
+        # by the check of T's lower triangle, not solved through
+        gen = generator(1.0)
+        monkeypatch.setattr(resolvent, "_schur2",
+                            lambda b: np.broadcast_to(np.eye(2, dtype=complex), b.shape).copy())
+        with pytest.raises(ResolventError, match="Schur basis"):
+            gen.resolvent.sweep(np.eye(N_TWO - 1), [-0.5j], gen.j)
 
     def test_resolvent_eigenvalues_are_those_of_a(self):
         gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
