@@ -55,6 +55,9 @@ cmp exponent.csv plain.csv
 echo "== a cone profile that overflows is one configuration error"
 expect_one_line_error cone.err cone --k-ell 1e200 --theta-points 3
 
+echo "== a negative seed is one configuration error"
+expect_one_line_error seed.err cone --mc-samples 10 --seed -1
+
 echo "== replay a run from its own header"
 # the README's replay: the '#' header of a CSV output is a config file
 twoatom-cbs spectrum --rabi 0.1 --detuning 5 --nu-min -22.502499750049985 \

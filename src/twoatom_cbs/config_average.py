@@ -4,7 +4,10 @@ All order-g^2 observables factorize into an atomic part times the
 geometric weight |g|^2 |Delta_{+1,+1}|^2 times a phase, so the default
 averaging path multiplies single-configuration results by analytic
 angular factors.  A Monte Carlo path over random configurations is kept
-as an independent cross-check.
+as an independent cross-check.  It hands each evaluator the draws as made,
+(cos theta, azimuth, separation): the angular weight sin^4(theta)/4 reads
+cos theta alone, and an evaluator that needs the pair axis forms it with
+`unit_vectors`.
 """
 
 import warnings
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liouvillian import ConfigurationError, delta_plus_plus
+from .liouvillian import ConfigurationError
 
 #: isotropic average of |Delta_{+1,+1}|^2 = <sin^4(theta)>/4 = 2/15
 ANGULAR_FACTOR = 2.0 / 15.0
@@ -64,25 +67,30 @@ class DisorderModel:
             )
         if self.samples < 1:
             raise ConfigurationError("at least one Monte Carlo sample required")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, not {self.seed}")
 
     def sample(self, rng, count):
-        """Draw `count` (n_hat, separation) pairs.
+        """Draw `count` configurations as (cos_theta, phi, separation) arrays.
 
         Orientations are uniform on the sphere (uniform cos theta and
-        azimuth), distances uniform over the window.
+        azimuth phi), distances uniform over the window; the three are
+        drawn in that order.
         """
         cos_t = rng.uniform(-1.0, 1.0, size=count)
         phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        sin_t = np.sqrt(1.0 - cos_t**2)
-        n_hat = np.stack(
-            [sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1
-        )
         r = rng.uniform(
             self.mean_separation - self.width / 2,
             self.mean_separation + self.width / 2,
             size=count,
         )
-        return n_hat, r
+        return cos_t, phi, r
+
+
+def unit_vectors(cos_t, phi):
+    """Pair axes n_hat, shape (..., 3), from polar cosines and azimuths."""
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,9 @@ def monte_carlo_average(model: DisorderModel, evaluator) -> AverageResult:
     ----------
     model : DisorderModel
     evaluator : callable
-        Vectorized map (n_hat (n, 3), separation (n,)) -> values with
-        leading axis n; scalar observables return shape (n,).
+        Vectorized map (cos_theta (n,), phi (n,), separation (n,)) -> values
+        with leading axis n; scalar observables return shape (n,).  The
+        pair axis is `unit_vectors(cos_theta, phi)`.
 
     Returns
     -------
@@ -117,8 +126,7 @@ def monte_carlo_average(model: DisorderModel, evaluator) -> AverageResult:
     remaining = model.samples
     while remaining > 0:
         count = min(_CHUNK, remaining)
-        n_hat, r = model.sample(rng, count)
-        values = np.asarray(evaluator(n_hat, r))
+        values = np.asarray(evaluator(*model.sample(rng, count)))
         s = values.sum(axis=0)
         s2 = (values * np.conj(values)).real.sum(axis=0)
         if total is None:
@@ -134,14 +142,10 @@ def monte_carlo_average(model: DisorderModel, evaluator) -> AverageResult:
     return AverageResult(mean=mean, standard_error=stderr, samples=n)
 
 
-def angular_weight_evaluator(n_hat, r):
-    """|Delta_{+1,+1}|^2 = sin^4/4 per configuration, for Monte Carlo cross-checks.
-
-    Named, and squared by np.square: inline `np.abs(...) ** 2` raised stationary-sweep
-    peak RSS by 1.3 MB, through the order of numpy's in-place temporaries.
-    """
-    d = delta_plus_plus(n_hat)
-    return np.square(np.abs(d))
+def angular_weight_evaluator(cos_t, phi, r):
+    """|Delta_{+1,+1}|^2 = sin^4(theta)/4 per configuration, for Monte Carlo cross-checks."""
+    s2 = 1.0 - cos_t * cos_t
+    return 0.25 * s2 * s2
 
 
 def cbs_cone(theta_grid, contrast_at_zero, k_ell):

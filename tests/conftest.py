@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from twoatom_cbs.basis import N_SINGLE, N_TWO, two_atom_basis_flat
-from twoatom_cbs.config_average import ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average
+from twoatom_cbs.config_average import (ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average,
+                                         unit_vectors)
 from twoatom_cbs.errors import ResolventError
 from twoatom_cbs.liouvillian import (
     _DIPOLE_COMPONENTS,
@@ -207,8 +208,8 @@ def crossed_phase_evaluator(k_total):
     """
     k_total = np.asarray(k_total, dtype=float)
 
-    def evaluate(n_hat, r):
-        return np.cos((n_hat @ k_total) * r)
+    def evaluate(cos_t, phi, r):
+        return np.cos((unit_vectors(cos_t, phi) @ k_total) * r)
 
     return evaluate
 
@@ -223,7 +224,7 @@ def mean_coupling_sq(model, sampled=False):
     if not sampled:
         return abs(coupling_constant(model.mean_separation)) ** 2
     result = monte_carlo_average(
-        model, lambda n_hat, r: np.abs(coupling_constant(r)) ** 2
+        model, lambda cos_t, phi, r: np.abs(coupling_constant(r)) ** 2
     )
     return result.mean
 

@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, determinism, output formats, exit codes."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -176,6 +177,24 @@ class TestRuns:
         assert code_a == code_b == EXIT_OK
         assert out_a == out_b
         assert out_a.startswith("# mode = spectrum")
+
+    def test_rows_are_written_value_by_value(self):
+        # the row-at-a-time format writes the bytes of a per-value f"{x:.15g}"
+        # join, across +-300 decades and at the edge values
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-10.0, 10.0, 49_999) * 10.0 ** rng.integers(-300, 301, 49_999)
+        edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max]
+        rows = np.concatenate([values, edges]).reshape(-1, 3)
+        stream = io.StringIO()
+        cli._emit("csv", {}, ("a", "b", "c"), rows, stream)
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "a,b,c"
+        assert lines[1:] == [",".join(f"{x:.15g}" for x in row) for row in rows]
+        stream = io.StringIO()
+        cli._emit("json", {}, ("a", "b", "c"), rows, stream)
+        assert stream.getvalue() == json.dumps(
+            {"metadata": {}, "columns": ["a", "b", "c"],
+             "rows": [[float(x) for x in row] for row in rows]}, indent=2) + "\n"
 
     def test_json_mirrors_csv(self, capsys):
         base = ["spectrum", "--rabi", "0.2", "--points", "81",
@@ -426,6 +445,7 @@ class TestExitCodes:
         ["cone", "--k-ell", "nan", "--mc-samples", "0"],
         ["cone", "--k-ell", "-5", "--mc-samples", "0"],
         ["cone", "--k-ell", "inf", "--mc-samples", "10"],
+        ["cone", "--mc-samples", "10", "--seed", "-1"],
         # |r12| overflows although both positions are finite
         ["intensity-sweep", "--k0-r12", "1e300"],
         # (k_ell theta)^2 overflows: no -inf rows

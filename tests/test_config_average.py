@@ -11,8 +11,10 @@ from twoatom_cbs.config_average import (
     cbs_cone,
     cone_half_width,
     monte_carlo_average,
+    unit_vectors,
 )
-from twoatom_cbs.liouvillian import ConfigurationError, coupling_constant
+from twoatom_cbs.cli import main
+from twoatom_cbs.liouvillian import ConfigurationError, coupling_constant, delta_plus_plus
 
 from conftest import angular_factor_analytic, crossed_phase_evaluator, mean_coupling_sq
 
@@ -80,12 +82,39 @@ class TestMonteCarlo:
         # just the angular factor: the factorization must close
         model = DisorderModel(mean_separation=100.0, samples=100_000, seed=3)
 
-        def weighted(n_hat, r):
-            return angular_weight_evaluator(n_hat, r) * crossed_phase_evaluator(
-                np.zeros(3))(n_hat, r)
+        def weighted(cos_t, phi, r):
+            return angular_weight_evaluator(cos_t, phi, r) * crossed_phase_evaluator(
+                np.zeros(3))(cos_t, phi, r)
 
         combined = monte_carlo_average(model, weighted)
         assert combined.mean == pytest.approx(ANGULAR_FACTOR, abs=1e-3)
+
+    def test_ensemble_is_the_chunked_draw_stream(self, capsys):
+        # 70 000 samples: one full chunk of 65 536, then a partial one of 4464.
+        # Each chunk draws cos theta, phi, then r; the weight from cos theta
+        # alone must match |Delta_{+1,+1}(n_hat)|^2 on the same draws.
+        model = DisorderModel(mean_separation=500.0, samples=70_000, seed=5)
+        rng = np.random.default_rng(model.seed)
+        lo, hi = model.mean_separation - model.width / 2, model.mean_separation + model.width / 2
+        weights = []
+        for count in (1 << 16, 70_000 - (1 << 16)):
+            cos_t = rng.uniform(-1.0, 1.0, size=count)
+            phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
+            rng.uniform(lo, hi, size=count)
+            weights.append(np.abs(delta_plus_plus(unit_vectors(cos_t, phi))) ** 2)
+        weights = np.concatenate(weights)
+        result = monte_carlo_average(model, angular_weight_evaluator)
+        assert result.mean == pytest.approx(weights.mean(), rel=2e-15, abs=0)
+        assert result.standard_error == pytest.approx(
+            weights.std() / np.sqrt(weights.size), rel=1e-14, abs=0)
+
+        code = main(["cone", "--k-ell", "500", "--theta-max", "0.002", "--theta-points", "3",
+                     "--mc-samples", "70000", "--seed", "5"])
+        assert code == 0
+        header = dict(line[2:].split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("# "))
+        assert float(header["mc_angular_factor"]) == result.mean
+        assert float(header["mc_angular_stderr"]) == result.standard_error
 
     def test_convergence_rate(self):
         errs = []

@@ -192,7 +192,7 @@ class TestGeometryFactors:
         n_hats = np.array(n_hats)
         direct = [E_PLUS @ transverse_projector(n) @ E_PLUS for n in n_hats]
         assert np.allclose(delta_plus_plus(n_hats), direct, rtol=0, atol=1e-15)
-        assert np.allclose(angular_weight_evaluator(n_hats, None), np.abs(direct) ** 2,
+        assert np.allclose(angular_weight_evaluator(n_hats[:, 2], None, None), np.abs(direct) ** 2,
                            rtol=0, atol=1e-15)
 
     def test_angular_weight(self):
