@@ -28,24 +28,28 @@ for err in spectrum.err sweep.err oracles.err cone.err; do
   [ ! -s "$err" ] || { cat "$err"; exit 1; }
 done
 
-# `expect_one_line_error FILE ARGS...`: twoatom-cbs ARGS exits 1 and writes
-# exactly one line, to FILE
+# `expect_one_line_error CODE FILE ARGS...`: twoatom-cbs ARGS exits with
+# CODE (1 configuration error, 2 numerical failure) and writes exactly one
+# line, to FILE
 expect_one_line_error() {
-  local err="$1" status=0
-  shift
+  local code="$1" err="$2" status=0
+  shift 2
   twoatom-cbs "$@" 2> "$err" || status=$?
   cat "$err"
-  [ "$status" -eq 1 ]
+  [ "$status" -eq "$code" ]
   [ "$(wc -l < "$err")" -eq 1 ]
 }
 
 echo "== a drive that overflows the generator is one configuration error"
-expect_one_line_error overflow.err spectrum --detuning 1e308
+expect_one_line_error 1 overflow.err spectrum --detuning 1e308
 
 echo "== a usage error is one configuration error"
 # a mistyped value and an unknown flag: one stderr line, no usage block
-expect_one_line_error usage.err spectrum --points abc
-expect_one_line_error usage.err spectrum --bogus 1
+expect_one_line_error 1 usage.err spectrum --points abc
+expect_one_line_error 1 usage.err spectrum --bogus 1
+
+echo "== an inelastic fraction below what double resolves is one numerical failure"
+expect_one_line_error 2 inelastic.err intensity-sweep --sweep-min 1e-9 --sweep-max 1e-8 --sweep-points 3
 
 echo "== a negative value with an exponent is a flag value"
 twoatom-cbs spectrum --nu-min -1e1 --nu-max 1e1 --points 81 --output exponent.csv
@@ -53,10 +57,10 @@ twoatom-cbs spectrum --nu-min -10 --nu-max 10 --points 81 --output plain.csv
 cmp exponent.csv plain.csv
 
 echo "== a cone profile that overflows is one configuration error"
-expect_one_line_error cone.err cone --k-ell 1e200 --theta-points 3
+expect_one_line_error 1 cone.err cone --k-ell 1e200 --theta-points 3
 
 echo "== a negative seed is one configuration error"
-expect_one_line_error seed.err cone --mc-samples 10 --seed -1
+expect_one_line_error 1 seed.err cone --mc-samples 10 --seed -1
 
 echo "== replay a run from its own header"
 # the README's replay: the '#' header of a CSV output is a config file

@@ -23,10 +23,13 @@ stationary state's static solves, in two passes of small dense solves, one
 `np.linalg.solve` per level and tile dimension, batched over the tiles and
 the configurations C, with the right-hand sides as the columns of one
 factorization per tile; 1x1 and 2x2 tiles take closed forms.  Rounding stays
-inside each tile, so no refinement step is needed.  The 1295 tile entries
-per configuration are built once, as the tiles of -A, and factored on every
-call: explicit inverses and unitary rotations both lose digits that the
-weak-drive intensities, differences of nearly equal terms, need.
+inside each tile, so no refinement step is needed.  Each call forms the
+tiles of -A it visits from M1 and M2 and factors them; none is kept between
+calls, and a spectrum, which never solves at z = 0, forms none.  Explicit
+inverses and unitary rotations both lose digits that the weak-drive
+intensities, differences of nearly equal terms, need.  `eigenvalues`, the
+singularity check of `assemble`, takes A's eigenvalues as sums of the
+groups' eigenvalues, in closed form for the 1x1 and 2x2 groups.
 
 `KroneckerResolvent.sweep` reads rows . G0(z) . rhs over a 1-D array of
 frequencies with nothing factored per frequency (Bartels and Stewart,
@@ -100,10 +103,14 @@ def _plan():
 
 
 _PLAN = _plan()
-_BY_SIZE = [np.array([g for g in GROUPS if len(g) == size]) for size in (1, 2, 4)]
+# the 1x1 groups (the trace first), the 2x2 coherence pairs as (first
+# indices, second indices), and the 4x4 Bloch block, as indices into M
+_SINGLES = np.array([g[0] for g in GROUPS if len(g) == 1])
+_PAIRS = np.array([g for g in GROUPS if len(g) == 2]).T
+_BLOCH = np.ix_(GROUPS[1], GROUPS[1])
 # the 2x2 blocks the Schur bases take in closed form: the four coherence
 # pairs and the last two indices of the deflated Bloch block, as indices
-_TWO_BY_TWO = np.concatenate([_BY_SIZE[1], [GROUPS[1][-2:]]])
+_TWO_BY_TWO = np.concatenate([_PAIRS.T, [GROUPS[1][-2:]]])
 _TWO_BY_TWO = _TWO_BY_TWO[:, :, None], _TWO_BY_TWO[:, None, :]
 
 
@@ -155,16 +162,20 @@ def _mask(key):
 @lru_cache(maxsize=64)
 def _mask_plan(key):
     """The groups of _PLAN a solve restricted to a tile mask visits, as
-    (level, group, kept tiles, flat, l, m): the kept tiles index the group's
-    tiles, and l, m, flat = 16 l + m are their entries X[l, m].  Each mask
-    is checked and planned once per process, whichever resolvent solves it."""
+    (level, flat, l, m, a_p, b_q): l, m and flat = 16 l + m are the entries
+    X[l, m] of the group's kept tiles [tile, entry], and a_p, b_q index the
+    tiles' blocks a_p (x) 1 and 1 (x) b_q [tile, row, column] as
+    (M1 indices, M2 indices, Kronecker factor 1 of each).  Each mask is
+    checked and planned once per process, whichever resolvent solves it."""
     mask = _mask(key)
     plan = []
-    for group, (level, pq, l, m) in enumerate(_PLAN):
+    for level, pq, l, m in _PLAN:
         kept = mask[pq[:, 0], pq[:, 1]]
         if kept.any():
-            keep = slice(None) if kept.all() else np.flatnonzero(kept)
-            plan.append((level, group, keep, l[keep] * N_SINGLE + m[keep], l[keep], m[keep]))
+            l, m = l[kept], m[kept]
+            plan.append((level, l * N_SINGLE + m, l, m,
+                         (l[:, :, None], l[:, None, :], m[:, :, None] == m[:, None, :]),
+                         (m[:, :, None], m[:, None, :], l[:, :, None] == l[:, None, :])))
     return tuple(plan)
 
 
@@ -266,8 +277,7 @@ def _schur_bases(m):
     # the Bloch block: deflate two eigenpairs, each the one whose eigenvalue
     # is nearest the diagonal entry it replaces, so that the basis stays
     # near the identity where the drive is weak
-    bloch = np.ix_(GROUPS[1], GROUPS[1])
-    b = m[:, bloch[0], bloch[1]]
+    b = m[:, _BLOCH[0], _BLOCH[1]]
     atoms = np.arange(len(b))
     u = np.array(np.broadcast_to(np.eye(len(b[0]), dtype=complex), b.shape))
     for k in range(len(b[0]) - 2):
@@ -277,7 +287,7 @@ def _schur_bases(m):
         u[:, :, k:] = u[:, :, k:] @ _reflector(eigenvectors[atoms, :, nearest])
     eye = np.broadcast_to(np.eye(N_SINGLE, dtype=complex), m.shape)
     q, v = np.array(eye), np.array(eye)
-    q[:, bloch[0], bloch[1]] = u
+    q[:, _BLOCH[0], _BLOCH[1]] = u
     # then the closed form, at once for the four coherence pairs and the
     # last two indices of the Bloch block
     v[:, _TWO_BY_TWO[0], _TWO_BY_TWO[1]] = _schur2(_rotate(q, m)[:, _TWO_BY_TWO[0], _TWO_BY_TWO[1]])
@@ -306,20 +316,31 @@ class KroneckerResolvent:
                     "single-atom generator is not block diagonal under resolvent.BLOCKS")
         self.m1, self.m2 = m1, m2
         self.shape = m1.shape[:-2]
-        # the tiles of -A, 0 - (a_p (x) 1 + 1 (x) b_q): the subtraction keeps
-        # -A's zeros +0, where a negation would flip their sign,
-        # [..., tile, row, column]
-        self._tiles = [0.0 - (m1[..., l[:, :, None], l[:, None, :]] * (m[:, :, None] == m[:, None, :])
-                              + m2[..., m[:, :, None], m[:, None, :]] * (l[:, :, None] == l[:, None, :]))
-                       for _, _, l, m in _PLAN]
 
     @property
     def eigenvalues(self):
-        """The 255 eigenvalues of A per configuration: lambda(a_p) + lambda(b_q)."""
-        # groups by size, the trace (eigenvalue 0 of a_0 = b_0) first
-        eigs = [np.concatenate([np.linalg.eigvals(m[..., g[:, :, None], g[:, None, :]]).reshape(
-            self.shape + (-1,)) for g in _BY_SIZE], axis=-1) for m in (self.m1, self.m2)]
-        return (eigs[0][..., :, None] + eigs[1][..., None, :]).reshape(self.shape + (-1,))[..., 1:]
+        """The 255 eigenvalues of A per configuration: lambda(a_p) + lambda(b_q).
+
+        The 1x1 groups, the trace (eigenvalue 0 of a_0 = b_0) first, are their
+        diagonal entries.  The 2x2 coherence pairs take the closed form: the
+        root of larger modulus, (a + d)/2 + s with s = sqrt(h^2 + bc),
+        h = (a - d)/2, and the sign of s that keeps the sum free of
+        cancellation, and the other root as the determinant over it.  The Bloch
+        block is one `np.linalg.eigvals` over both atoms.  Pair entries above
+        1e154 square past the float range and give inf or nan here; at such a
+        drive A's eigenvalue -2 (the trace with a 1x1 group) lies far below
+        A's rounding level, so `assemble` rejects it as singular either way."""
+        m = np.stack([self.m1, self.m2])
+        single = m[..., _SINGLES, _SINGLES]
+        a, b, c, d = (m[..., _PAIRS[i], _PAIRS[j]] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        bloch = np.linalg.eigvals(m[..., _BLOCH[0], _BLOCH[1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, h = 0.5 * (a + d), 0.5 * (a - d)
+            s = np.sqrt(h * h + b * c)
+            large = mean + np.where((mean.conj() * s).real < 0, -s, s)
+            small = np.where(large != 0, (a * d - b * c) / np.where(large != 0, large, 1.0), 0.0)
+            eigs = np.concatenate([single, large, small, bloch], axis=-1)
+            return (eigs[0][..., :, None] + eigs[1][..., None, :]).reshape(self.shape + (-1,))[..., 1:]
 
     def matvec(self, x):
         """A x for `x` of shape C + batch + (255,): M1 X + X M2^T with X[0, 0] = 0,
@@ -353,9 +374,12 @@ class KroneckerResolvent:
         b[..., 1:, :] = rhs.reshape(lead + (-1, N_TWO - 1)).swapaxes(-1, -2)
         x = np.zeros_like(b)
         c1, c2 = (m[..., :, 0].reshape(lead + (N_SINGLE, 1)) for m in (self.m1, self.m2))
-        for level, group, keep, flat, l, m in plan:
+        for level, flat, l, m, a_p, b_q in plan:
             size = flat.shape[-1]
-            tile = self._tiles[group][..., keep, :, :]
+            # the kept tiles of -A, 0 - (a_p (x) 1 + 1 (x) b_q): the
+            # subtraction keeps -A's zeros +0, where a negation would flip
+            # their sign [..., tile, row, column]
+            tile = 0.0 - (self.m1[..., a_p[0], a_p[1]] * a_p[2] + self.m2[..., b_q[0], b_q[1]] * b_q[2])
             r = b[..., flat, :]
             if level == 2:
                 # fed by the solved level-1 tiles: c1 X[0, :] + X[:, 0] c2^T

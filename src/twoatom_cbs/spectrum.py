@@ -191,7 +191,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
 
     z = -1j * nu_grid
     # stage 1: V x_a at the pair rows, x_a = G0(z) c_a^[1], as [nu, a, d, p]
-    vx = gen.resolvent.sweep(v_rows, z, first, read_tiles(gen.V)[1])
+    vx = gen.resolvent.sweep(v_rows, z, first, read_tiles(gen.V).stage1_tiles)
     # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, placed
     # at _PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) / det(z - a_d), as [nu, d, p]
     shifted = z[:, None, None] - a[:, (0, 1), (0, 1)]  # [nu, d, diagonal]

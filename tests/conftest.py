@@ -7,7 +7,9 @@ computed once per session and reused.  `resolvent_solve` and
 are the tests' references for the resolvent and for the perturbative
 expansion; the package's own solves never form that matrix.
 `long_double_sweep_reference` is the reference of the spectrum sweep alone,
-with every solve refined against residuals in extended precision.
+and `long_double_state_reference` that of the perturbative state, with V g
+dropped analytically; both refine every solve against residuals in
+extended precision.
 `apply_single_atom_generator` and `apply_interaction_generator` are the
 direct operator actions the generator tables are checked against, and the
 remaining helpers are the inverse basis expansion and closed forms of the
@@ -36,8 +38,10 @@ from twoatom_cbs.liouvillian import (
 )
 from twoatom_cbs.spectrum import compute_spectrum, qrt_initial
 from twoatom_cbs.steady_state import (
+    GROUND,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
+    PerturbativeState,
     intensities,
     perturbative_steady_state,
 )
@@ -120,6 +124,44 @@ def long_double_sweep_reference(gen, state, nu_grid):
     ladder = (d[:, 0, 0] + d[:, 1, 1]).real / np.pi
     crossed = (d[:, 0, 1] * phase + d[:, 1, 0] * np.conj(phase)).real / np.pi
     return ladder, crossed
+
+
+def long_double_state_reference(gen):
+    """The perturbative state of `gen` with V g dropped analytically.
+
+    g = GROUND (x) GROUND is the ground pair, and V g = 0 because two
+    ground-state atoms do not interact.  order0 = g + d with d = G0(0) W,
+    W the 255-block of (M1 GROUND) (x) GROUND + GROUND (x) (M2 GROUND);
+    order1 = G0(0) V d and order2 = G0(0) V order1.  Every product is formed
+    in np.clongdouble, and each solve with -A is a dense double LU refined
+    three times against residuals formed in np.clongdouble from the
+    Kronecker factors m1, m2.  Fails, not skips, where long double is no
+    wider than double.
+    """
+    ld = np.clongdouble
+    assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"
+    m1, m2 = (m.astype(ld) for m in (gen.resolvent.m1, gen.resolvent.m2))
+    ground = GROUND.astype(ld)
+    minus_a = -gen.A
+
+    def kron(x, y):
+        return np.kron(x, y)[1:]
+
+    def solve(b):
+        # G0(0) b = -A^{-1} b; the residual b - (-A) x = b + A x, where A x
+        # is M1 X + X M2^T with X[0, 0] = 0
+        x = np.linalg.solve(minus_a, b.astype(complex)).astype(ld)
+        for _ in range(3):
+            full = np.concatenate([np.zeros(1, dtype=ld), x]).reshape(N_SINGLE, N_SINGLE)
+            residual = b + (m1 @ full + full @ m2.T).ravel()[1:]
+            x = x + np.linalg.solve(minus_a, residual.astype(complex))
+        return x
+
+    v = gen.V.astype(ld)
+    excess = solve(kron(m1 @ ground, ground) + kron(ground, m2 @ ground))
+    order1 = solve(v @ excess)
+    return PerturbativeState(order0=kron(ground, ground) + excess, order1=order1,
+                             order2=solve(v @ order1))
 
 
 def nonperturbative_steady_state(gen):

@@ -355,6 +355,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: non-positive ladder intensity 0.0\n")
 
+    def test_unresolved_inelastic_fraction_is_one_line(self, capsys):
+        # at Omega <= 1e-8, L_inel/L_tot ~ Omega^2 is below what
+        # L_inel = L_tot - L_el resolves in double: exit 2, not rounding
+        argv = ["intensity-sweep", "--sweep-min", "1e-9", "--sweep-max", "1e-8", "--sweep-points", "3"]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: inelastic fraction L_inel/L_tot = ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_normalization_failure_is_one_line(self, monkeypatch, capsys):
         # a non-positive inelastic ladder intensity cannot normalize a spectrum
         real = cli.compute_spectrum

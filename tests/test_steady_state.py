@@ -28,15 +28,17 @@ from twoatom_cbs.steady_state import (
     ORDER2_TILES,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
-    PerturbativeState,
     intensities,
     order1_tiles,
     perturbative_steady_state,
+    product_state,
+    read_tiles,
 )
 
 from conftest import (
     g0_full,
     generator,
+    long_double_state_reference,
     nonperturbative_steady_state,
     resolvent_solve,
     shifted_tilted_geometry,
@@ -202,12 +204,32 @@ class TestResolvent:
             gen.resolvent.sweep(np.eye(N_TWO - 1), [-0.5j], gen.j)
 
     def test_resolvent_eigenvalues_are_those_of_a(self):
-        gen = assemble(DriveConfig(rabi=1.0, detuning=0.3), shifted_tilted_geometry())
-        eigs = gen.resolvent.eigenvalues
-        dense = np.linalg.eigvals(gen.A)
-        assert eigs.shape == dense.shape
-        assert max(np.abs(dense - e).min() for e in eigs) < 1e-10
-        assert max(np.abs(eigs - e).min() for e in dense) < 1e-10
+        # the closed forms of the 1x1 and 2x2 groups and the Bloch block's
+        # eigvals, batched over a stack, against the dense A of every tenth
+        # configuration: the power sums tr(A^k), k <= 4, everywhere, and the
+        # eigenvalues themselves where they are simple.  At the exceptional
+        # points (Omega, delta) = (0.5, 0) and (1, 0) single-atom eigenvalues
+        # merge into Jordan blocks, and A's then move by up to eps^(1/3) |A|
+        # in any eigensolver, so only the power sums are compared there
+        eye = np.eye(N_SINGLE)
+        for geom in (Geometry.backscattering(100.0), shifted_tilted_geometry()):
+            for rabi, detuning, simple in ((1.0, 0.3, True), (np.geomspace(1.0, 100.0, 41), 0.7, True),
+                                           (0.5, 0.0, False), (1.0, 0.0, False)):
+                gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+                eigs = gen.resolvent.eigenvalues
+                assert eigs.shape == np.shape(rabi) + (N_TWO - 1,)
+                m1, m2 = (m.reshape(-1, N_SINGLE, N_SINGLE) for m in (gen.resolvent.m1, gen.resolvent.m2))
+                for c in range(0, len(m1), 10):
+                    e = eigs.reshape(-1, N_TWO - 1)[c]
+                    a = (np.kron(m1[c], eye) + np.kron(eye, m2[c]))[1:, 1:]
+                    square = a @ a
+                    for k, trace in enumerate([np.trace(a), np.sum(a * a.T), np.sum(square * a.T),
+                                               np.sum(square * square.T)], start=1):
+                        assert abs(np.sum(e ** k) - trace) <= 1e-13 * np.sum(np.abs(e) ** k), k
+                    if simple:
+                        dense = np.linalg.eigvals(a)
+                        assert max(np.abs(dense - x).min() for x in e) < 1e-10
+                        assert max(np.abs(e - x).min() for x in dense) < 1e-10
 
 
 class TestPerturbativeExpansion:
@@ -263,10 +285,12 @@ class TestReadTiles:
                              ids=["backscattering", "shifted_tilted"])
     @pytest.mark.parametrize("rabi", [1.3, np.geomspace(1.0, 100.0, 41)], ids=["one", "stack41"])
     def test_orders_equal_full_solves_on_their_tiles(self, rabi, geom):
+        # the full solves take the right-hand sides the state's solves take
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.7), geom)
         state = perturbative_steady_state(gen)
-        full1 = gen.resolvent.solve(state.order0 @ gen.V.T)
-        full2 = gen.resolvent.solve(full1 @ gen.V.T)
+        reads = read_tiles(gen.V)
+        full1 = gen.resolvent.solve(reads.source(1, product_state(gen)[1]))
+        full2 = gen.resolvent.solve(reads.source(2, full1))
         for got, full, tiles in ((state.order1, full1, order1_tiles(gen.V)),
                                  (state.order2, full2, ORDER2_TILES)):
             inside = tiles[_TILE]
@@ -284,32 +308,37 @@ class TestReadTiles:
         assert ORDER2_TILES.sum() == 10
 
 
-def refined_dense_solve(m, rhs, steps=2):
-    """m^{-1} rhs by a dense solve refined with extended-precision residuals."""
-    x = np.linalg.solve(m, rhs)
-    for _ in range(steps):
-        residual = rhs.astype(np.clongdouble) - m.astype(np.clongdouble) @ x
-        x = x + np.linalg.solve(m, residual.astype(complex))
-    return x
+# bound on |got - reference| / L_inel per drive (Omega, delta) and geometry:
+# the first two drives keep the bound they had against a reference built on
+# the double V g term; the others sit at most 10x above the errors measured
+# when the product state landed (in the comments)
+_STATE_BOUNDS = {
+    (0.1, 5.0): (5e-11, 5e-11),       # 3.4e-12, 4.6e-13
+    (3.0, 80.0): (5e-11, 5e-11),      # 7.1e-13, 1.8e-12
+    (1.0, 80.0): (5e-11, 1e-10),      # 9.4e-12, 2.0e-11
+    (1e-3, 0.0): (5e-9, 5e-9),        # 6.2e-10, 6.3e-10
+    (1e-3, 5.0): (3e-8, 1e-7),        # 3.3e-9, 1.7e-8
+    (0.5, 0.0): (1e-14, 5e-15),       # 1.3e-15, 8.1e-16
+    (1.0, 0.0): (2e-15, 5e-15),       # 2.2e-16, 6.0e-16
+    (100.0, 0.0): (3e-15, 1e-13),     # 3.3e-16, 1.9e-14
+}
 
 
 class TestStaticSolveAccuracy:
-    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
+    @pytest.mark.parametrize("geom, column", [(Geometry.backscattering(100.0), 0),
+                                              (shifted_tilted_geometry(), 1)],
                              ids=["backscattering", "shifted_tilted"])
-    @pytest.mark.parametrize("rabi, detuning", [(0.1, 5.0), (3.0, 80.0)])
-    def test_inelastic_intensities_match_refined_reference(self, rabi, detuning, geom):
-        # L_inel = L_tot - L_el cancels about three digits at weak detuned
-        # drive, so the unrefined static solves must be accurate component
-        # by component, not only in norm.  The reference solves the same
-        # right-hand sides (V products in double) with a refined dense solve
+    @pytest.mark.parametrize("rabi, detuning", list(_STATE_BOUNDS))
+    def test_inelastic_intensities_match_refined_reference(self, rabi, detuning, geom, column):
+        # L_inel = L_tot - L_el cancels digits at weak or detuned drive, so
+        # every component of the state must be accurate, not only its norm.
+        # The reference drops V g analytically and refines in long double
         gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
-        orders = [refined_dense_solve(-gen.A, gen.j)]
-        for _ in range(2):
-            orders.append(refined_dense_solve(-gen.A, orders[-1] @ gen.V.T))
-        want = intensities(PerturbativeState(*orders), gen)
+        want = intensities(long_double_state_reference(gen), gen)
         got = intensities(perturbative_steady_state(gen), gen)
+        bound = _STATE_BOUNDS[rabi, detuning][column]
         for name in ("L_inel", "C_inel", "L_el", "C_el"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= 5e-11 * abs(want.L_inel), name
+            assert abs(getattr(got, name) - getattr(want, name)) <= bound * abs(want.L_inel), name
 
 
 class TestIntensities:
