@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from twoatom_cbs.basis import N_SINGLE, N_TWO, two_atom_basis_flat
+from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_single_atom_operator, sigma, two_atom_basis_flat
 from twoatom_cbs.config_average import (ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average,
                                          unit_vectors)
 from twoatom_cbs.errors import ResolventError
@@ -38,7 +38,6 @@ from twoatom_cbs.liouvillian import (
 )
 from twoatom_cbs.spectrum import compute_spectrum, qrt_initial
 from twoatom_cbs.steady_state import (
-    GROUND,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     PerturbativeState,
@@ -129,10 +128,11 @@ def long_double_sweep_reference(gen, state, nu_grid):
 def long_double_state_reference(gen):
     """The perturbative state of `gen` with V g dropped analytically.
 
-    g = GROUND (x) GROUND is the ground pair, and V g = 0 because two
-    ground-state atoms do not interact.  order0 = g + d with d = G0(0) W,
-    W the 255-block of (M1 GROUND) (x) GROUND + GROUND (x) (M2 GROUND);
-    order1 = G0(0) V d and order2 = G0(0) V order1.  Every product is formed
+    g = c_g (x) c_g is the ground pair, c_g the expanded single-atom ground
+    state |1><1|, and V g = 0 because two ground-state atoms do not
+    interact.  order0 = g + d with d = G0(0) W, W the 255-block of
+    (M1 c_g) (x) c_g + c_g (x) (M2 c_g); order1 = G0(0) V d and
+    order2 = G0(0) V order1.  Every product is formed
     in np.clongdouble, and each solve with -A is a dense double LU refined
     three times against residuals formed in np.clongdouble from the
     Kronecker factors m1, m2.  Fails, not skips, where long double is no
@@ -141,7 +141,7 @@ def long_double_state_reference(gen):
     ld = np.clongdouble
     assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"
     m1, m2 = (m.astype(ld) for m in (gen.resolvent.m1, gen.resolvent.m2))
-    ground = GROUND.astype(ld)
+    ground = expand_single_atom_operator(sigma(1, 1)).astype(ld)
     minus_a = -gen.A
 
     def kron(x, y):
