@@ -43,6 +43,11 @@ expect_one_line_error() {
 echo "== a drive that overflows the generator is one configuration error"
 expect_one_line_error 1 overflow.err spectrum --detuning 1e308
 
+echo "== a drive at which A is singular is one configuration error"
+# the resolvent's singularity check, for one configuration and for a stack
+expect_one_line_error 1 singular.err spectrum --rabi 1e14 --points 5
+expect_one_line_error 1 singular.err intensity-sweep --detuning 1e20 --sweep-points 2
+
 echo "== a usage error is one configuration error"
 # a mistyped value and an unknown flag: one stderr line, no usage block
 expect_one_line_error 1 usage.err spectrum --points abc

@@ -63,7 +63,8 @@ class DisorderModel:
             warnings.warn(
                 f"mean separation {self.mean_separation:.3g}/k0 is not large "
                 "against the wavelength; the dilute-medium picture degrades",
-                stacklevel=2,
+                # past this method and the dataclass's generated __init__
+                stacklevel=3,
             )
         if self.samples < 1:
             raise ConfigurationError("at least one Monte Carlo sample required")

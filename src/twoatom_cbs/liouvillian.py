@@ -1,17 +1,18 @@
 """Generators of the two-atom master equation.
 
-Assembles the linear equation of motion d<Q>/dt = (A + V)<Q> + j for the
-255 two-atom basis-operator expectation values: A collects the two
+Assembles A and V of the linear equation of motion d<Q>/dt = (A + V)<Q> + j
+for the 255 two-atom basis-operator expectation values: A collects the two
 independent driven-atom generators, V the far-field photon-exchange
-coupling (first order in the complex coupling g), and j the inhomogeneity
-produced by the constant trace element.
+coupling (first order in the complex coupling g).  The inhomogeneity j
+(column 0 of A times the trace element) is not assembled: the stationary
+state starts from the single-atom states (`steady_state.product_state`).
 
 Both are built on the 16-element single-atom basis: A is the Kronecker sum
 M1 (x) 1 + 1 (x) M2 of the two 16x16 single-atom generators, and V is a
 P_ij-weighted sum of Kronecker products of single-atom multiplication
-tables.  A is kept only as its two factors (in the resolvent); V stays
-dense, as a product through its 24 factor pairs costs about 3x the dense
-one.  V does not depend on the drive: it is built, checked and cached
+tables.  A is kept only as its two factors, in the resolvent, which checks
+it; V stays dense, as a product through its 24 factor pairs costs about 3x
+the dense one.  V does not depend on the drive: it is built, checked and cached
 (read-only) once per (n_hat, g), so a sweep over the drive at one geometry
 pays for it once.  The direct operator actions the matrices are
 tested against, apply_*_generator, live in tests/conftest.py.
@@ -19,9 +20,9 @@ tested against, apply_*_generator, live in tests/conftest.py.
 A drive sweep is one call.  `DriveConfig.rabi` and `.detuning` may be
 arrays, and their broadcast shape is the configuration shape C (() for
 scalars).  M1 and M2 are affine in (Omega, delta), so both are built for
-all of C at once as arrays of shape C + (16, 16); j has shape C + (255,),
-the resolvent carries C in front of its own axes, and every check runs per
-configuration; V is shared by the whole sweep.
+all of C at once, as one array of shape (2,) + C + (16, 16); the resolvent
+carries C in front of its own axes, and every check runs per configuration;
+V is shared by the whole sweep.
 
 Frequencies are in units of gamma (half the spontaneous decay rate), which
 is the unit and not a parameter; lengths are in units of 1/k0.  The laser
@@ -39,7 +40,6 @@ import numpy as np
 from .basis import (
     N_SINGLE,
     N_TWO,
-    TRACE_ELEMENT_VALUE,
     sigma,
     single_atom_tables,
 )
@@ -162,11 +162,12 @@ class Geometry:
 def coupling_constant(k0_r12):
     """Far-field photon-exchange coupling g = (3i / 2 k0 r12) exp(i k0 r12).
 
-    Accepts a scalar or an array of separations.
+    Accepts a scalar or an array of separations; a non-finite or
+    non-positive one raises ConfigurationError.
     """
     k0_r12 = np.asarray(k0_r12, dtype=float)
-    if np.any(k0_r12 <= 0):
-        raise ValueError("k0_r12 must be positive")
+    if not (np.isfinite(k0_r12) & (k0_r12 > 0)).all():
+        raise ConfigurationError("k0_r12 must be finite and positive")
     g = 1.5j / k0_r12 * np.exp(1j * k0_r12)
     if np.any(np.abs(g) >= FAR_FIELD_WARN_THRESHOLD):
         warnings.warn(
@@ -209,9 +210,6 @@ def angular_weight(n_hat, g):
     return abs(g) ** 2 * abs(delta_plus_plus(n_hat)) ** 2
 
 
-_I16 = np.eye(N_SINGLE, dtype=complex)
-
-
 def _unit_drive(rabi_phase):
     """Drive term Omega_a D^dag.eps_L + Omega_a^* D.eps_L^* at Omega = 1 (4x4).
 
@@ -250,20 +248,23 @@ def _drive_independent_tables():
 
 
 def _single_atom_matrix(cfg, rabi_phase):
-    """16x16 coefficient matrices of one atom's generator, one per configuration.
+    """16x16 coefficient matrices of single-atom generators, one per configuration.
 
     -i delta (L_E - R_E) - (i/2) Omega (L_H1 - R_H1)
     + sum_q (2 L_{d_q^dag} R_{d_q} - L_{d_q^dag d_q} - R_{d_q^dag d_q}),
     the table form of the direct action `apply_single_atom_generator` in
     tests/conftest.py.  It is affine in (delta, Omega): H1 is the drive
-    term at Omega = 1 (`_unit_drive`), whose table is built once per call,
-    and the other two tables are cached.  Shape cfg.shape + (16, 16).
+    term at Omega = 1 (`_unit_drive`), whose table is built once per phase
+    and call, and the other two tables are cached.  Shape P + cfg.shape +
+    (16, 16), P the shape of `rabi_phase`: one atom's or one per atom.
     """
-    l_h, r_h = single_atom_tables(_unit_drive(rabi_phase))
+    phase = np.asarray(rabi_phase)
+    unit = np.array([np.subtract(*single_atom_tables(_unit_drive(p))) for p in phase.ravel()])
+    unit = unit.reshape(phase.shape + (1,) * len(cfg.shape) + (N_SINGLE, N_SINGLE))
     excited, dissipator = _drive_independent_tables()
     detuning = np.asarray(cfg.detuning)[..., None, None]
     rabi = np.asarray(cfg.rabi)[..., None, None]
-    return -1j * detuning * excited - 0.5j * rabi * (l_h - r_h) + dissipator
+    return -1j * detuning * excited - 0.5j * rabi * unit + dissipator
 
 
 def _interaction_matrix(n_hat, g):
@@ -321,28 +322,19 @@ def rabi_phases(geom):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Matrices of the linear master equation d<Q>/dt = (A + V)<Q> + j.
+    """Generators of the linear master equation d<Q>/dt = (A + V)<Q> + j.
 
-    `resolvent` applies G0(z) = (z - A)^{-1} tile by tile from the two
-    single-atom Kronecker factors of A, the only copy of A the package
-    keeps; every solve with A goes through it.  j and the resolvent
-    carry the configuration axes cfg.shape in front; V, the geometry and g
-    are shared by every configuration.
+    `resolvent` holds A as its two single-atom Kronecker factors, the only
+    copy of A the package keeps, checks it, and applies G0(z) = (z - A)^{-1};
+    it carries the configuration axes cfg.shape in front, while V, the
+    geometry and g are shared by every configuration.
     """
 
     V: np.ndarray
-    j: np.ndarray
     cfg: DriveConfig
     geom: Geometry
     g: complex
     resolvent: KroneckerResolvent
-
-    @property
-    def A(self):
-        """Dense 255x255 A of one configuration, formed on each access for dense
-        reference solves."""
-        m1, m2 = self.resolvent.m1, self.resolvent.m2
-        return (np.kron(m1, _I16) + np.kron(_I16, m2))[1:, 1:]
 
     @property
     def angular_weight(self):
@@ -358,35 +350,10 @@ def assemble(cfg, geom):
     """Build the GeneratorSet for the given drive and geometry.
 
     The coupling g is the far-field value at the interatomic distance.  An
-    array-valued `cfg` assembles every configuration in one call; each is
-    checked on its own, and one that fails fails the call.
+    array-valued `cfg` assembles every configuration in one call; the
+    resolvent checks each, and one that fails fails the call.
     """
     g = coupling_constant(geom.k0_r12)
-    ph1, ph2 = rabi_phases(geom)
-    m1 = _single_atom_matrix(cfg, ph1)
-    m2 = _single_atom_matrix(cfg, ph2)
     v = _coupling_matrix(tuple(geom.n_hat), complex(g))
-
-    # identity must be stationary under both single-atom generators
-    if max(np.abs(m[..., 0, :]).max() for m in (m1, m2)) > 1e-12:
-        raise ConfigurationError("generator does not leave the identity invariant")
-
-    # column 0 (the trace element) of M1 (x) 1 + 1 (x) M2, as a 16x16 array
-    source = np.zeros(m1.shape, dtype=complex)
-    source[..., :, 0] = m1[..., :, 0]
-    source[..., 0, :] += m2[..., :, 0]
-    j = source.reshape(cfg.shape + (N_TWO,))[..., 1:] * TRACE_ELEMENT_VALUE
-
-    # A's entries are at most max|M1| + max|M2|; a drive for which twice
-    # that is not a float overflows while the tiles are built and solved
-    with np.errstate(over="ignore"):
-        scale = np.abs(m1).max(axis=(-2, -1)) + np.abs(m2).max(axis=(-2, -1))
-        if not np.isfinite(2.0 * scale).all():
-            raise ConfigurationError("drive overflows the generator matrix A")
-    resolvent = KroneckerResolvent(m1, m2)
-    # singular to working precision: an eigenvalue at the rounding level of
-    # A, per configuration
-    smallest = np.abs(resolvent.eigenvalues).min(axis=-1)
-    if not np.all(smallest > (N_TWO - 1) * np.finfo(float).eps * scale):
-        raise ConfigurationError("single-atom generator matrix A is singular")
-    return GeneratorSet(V=v, j=j, cfg=cfg, geom=geom, g=complex(g), resolvent=resolvent)
+    resolvent = KroneckerResolvent(_single_atom_matrix(cfg, rabi_phases(geom)))
+    return GeneratorSet(V=v, cfg=cfg, geom=geom, g=complex(g), resolvent=resolvent)

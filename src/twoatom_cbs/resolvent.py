@@ -28,7 +28,7 @@ tiles of -A it visits from M1 and M2 and factors them; none is kept between
 calls, and a spectrum, which never solves at z = 0, forms none.  Explicit
 inverses and unitary rotations both lose digits that the weak-drive
 intensities, differences of nearly equal terms, need.  `eigenvalues`, the
-singularity check of `assemble`, takes A's eigenvalues as sums of the
+constructor's singularity check, takes A's eigenvalues as sums of the
 groups' eigenvalues, in closed form for the 1x1 and 2x2 groups.
 
 `KroneckerResolvent.sweep` reads rows . G0(z) . rhs over a 1-D array of
@@ -306,16 +306,32 @@ def _schur_bases(m):
 
 class KroneckerResolvent:
     """(z - A)^{-1} for A = the 255-block of M1 (x) 1 + 1 (x) M2, built from
-    the single-atom generators m1, m2 of shape C + (16, 16), C the
-    configuration shape `shape` (() for one configuration)."""
+    both atoms' single-atom generators `m` [atom, C..., 16, 16], C the
+    configuration shape `shape` (() for one configuration).  The constructor
+    runs every check on A, per configuration: a ConfigurationError where the
+    identity is not stationary, A overflows, a generator is not block
+    diagonal under `BLOCKS`, or A is singular to working precision."""
 
-    def __init__(self, m1, m2):
-        for m in (m1, m2):
-            if np.any(m[..., 1:, 1:][..., _OFF_BLOCK]):
-                raise ConfigurationError(
-                    "single-atom generator is not block diagonal under resolvent.BLOCKS")
-        self.m1, self.m2 = m1, m2
-        self.shape = m1.shape[:-2]
+    def __init__(self, m):
+        # the identity must be stationary under both single-atom generators
+        if np.abs(m[..., 0, :]).max() > 1e-12:
+            raise ConfigurationError("generator does not leave the identity invariant")
+        # A's entries are at most max|M1| + max|M2|; a drive for which twice
+        # that is not a float overflows while the tiles are built and solved
+        with np.errstate(over="ignore"):
+            scale = np.abs(m).max(axis=(-2, -1)).sum(axis=0)
+            if not np.isfinite(2.0 * scale).all():
+                raise ConfigurationError("drive overflows the generator matrix A")
+        if np.any(m[..., 1:, 1:][..., _OFF_BLOCK]):
+            raise ConfigurationError(
+                "single-atom generator is not block diagonal under resolvent.BLOCKS")
+        self.m = m
+        self.shape = m.shape[1:-2]
+        # singular to working precision: an eigenvalue at the rounding level
+        # of A, per configuration
+        smallest = np.abs(self.eigenvalues).min(axis=-1)
+        if not np.all(smallest > (N_TWO - 1) * np.finfo(float).eps * scale):
+            raise ConfigurationError("single-atom generator matrix A is singular")
 
     @property
     def eigenvalues(self):
@@ -329,8 +345,8 @@ class KroneckerResolvent:
         block is one `np.linalg.eigvals` over both atoms.  Pair entries above
         1e154 square past the float range and give inf or nan here; at such a
         drive A's eigenvalue -2 (the trace with a 1x1 group) lies far below
-        A's rounding level, so `assemble` rejects it as singular either way."""
-        m = np.stack([self.m1, self.m2])
+        A's rounding level, so it is rejected as singular either way."""
+        m = self.m
         single = m[..., _SINGLES, _SINGLES]
         a, b, c, d = (m[..., _PAIRS[i], _PAIRS[j]] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
         bloch = np.linalg.eigvals(m[..., _BLOCH[0], _BLOCH[1]])
@@ -352,7 +368,8 @@ class KroneckerResolvent:
         big = full.reshape(x.shape[:-1] + (n, n))
         # the factors broadcast over the batch axes that follow C
         factor = self.shape + (1,) * (x.ndim - 1 - len(self.shape)) + (n, n)
-        y = self.m1.reshape(factor) @ big + big @ self.m2.reshape(factor).swapaxes(-1, -2)
+        m1, m2 = self.m.reshape((2,) + factor)
+        y = m1 @ big + big @ m2.swapaxes(-1, -2)
         return y.reshape(full.shape)[..., 1:]
 
     def solve(self, rhs, tiles=None):
@@ -373,13 +390,14 @@ class KroneckerResolvent:
         b = np.zeros(lead + (N_TWO, int(np.prod(batch))), dtype=complex)
         b[..., 1:, :] = rhs.reshape(lead + (-1, N_TWO - 1)).swapaxes(-1, -2)
         x = np.zeros_like(b)
-        c1, c2 = (m[..., :, 0].reshape(lead + (N_SINGLE, 1)) for m in (self.m1, self.m2))
+        m1, m2 = self.m
+        c1, c2 = m1[..., :, 0, None], m2[..., :, 0, None]
         for level, flat, l, m, a_p, b_q in plan:
             size = flat.shape[-1]
             # the kept tiles of -A, 0 - (a_p (x) 1 + 1 (x) b_q): the
             # subtraction keeps -A's zeros +0, where a negation would flip
             # their sign [..., tile, row, column]
-            tile = 0.0 - (self.m1[..., a_p[0], a_p[1]] * a_p[2] + self.m2[..., b_q[0], b_q[1]] * b_q[2])
+            tile = 0.0 - (m1[..., a_p[0], a_p[1]] * a_p[2] + m2[..., b_q[0], b_q[1]] * b_q[2])
             r = b[..., flat, :]
             if level == 2:
                 # fed by the solved level-1 tiles: c1 X[0, :] + X[:, 0] c2^T
@@ -406,7 +424,7 @@ class KroneckerResolvent:
         flat, diagonal, outside, waves = _wave_plan(_mask_key(tiles))
         if rows[..., outside].any():
             raise ConfigurationError("sweep rows read entries outside the tile mask")
-        q, t = _schur_bases(np.stack([self.m1, self.m2]))
+        q, t = _schur_bases(self.m)
         t = t.ravel()
         # to Schur coordinates at the plan's entries: Q1^H B conj(Q2) for
         # each right-hand side B, [entry, rhs, 1], and Q1^T R Q2 for each

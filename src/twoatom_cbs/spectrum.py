@@ -69,6 +69,8 @@ from .steady_state import (
 
 # the weight of each detected dipole's single non-zero, at _IDX_D
 _EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
+# indexes the detected pair's blocks of M1 and M2 in the resolvent's m
+_PAIR_BLOCKS = (np.arange(2)[:, None, None], _PAIR_INDICES[:, :, None], _PAIR_INDICES[:, None, :])
 
 
 def _require_one_configuration(shape):
@@ -89,10 +91,11 @@ def qrt_initial(state: PerturbativeState) -> np.ndarray:
     trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.  The
     state holds orders 1 and 2 only on the tiles that are read, so the
     order-1 and order-2 components are exact where the sweep reads them: on
-    the stage-1 tiles and at the detected coherence pairs.
+    the stage-1 tiles and at the detected coherence pairs.  They are formed
+    in the precision of the state, complex or wider.
     """
     _require_one_configuration(state.order0.shape[:-1])
-    full = np.zeros((3, N_TWO), dtype=complex)
+    full = np.zeros((3, N_TWO), dtype=np.result_type(state.order0, complex))
     full[0, 0] = TRACE_ELEMENT_VALUE
     full[:, 1:] = [state.order0, state.order1, state.order2]
     f = full.reshape(3, N_SINGLE, N_SINGLE)
@@ -119,12 +122,16 @@ class SpectrumResult:
         The grid must be strictly increasing with at least 2 points: the
         densities themselves may be evaluated on any finite grid.
         """
+        return self._integrals_and_tails()[0]
+
+    def _integrals_and_tails(self):
+        """(`integrals()`, `tail_estimates()`) from one fit of the tails."""
         if len(self.nu_grid) < 2 or not np.all(np.diff(self.nu_grid) > 0):
             raise ConfigurationError(
                 "integrals need a strictly increasing frequency grid of at least 2 points")
-        tl, tc = self.tail_estimates()
+        tl, tc = tails = self.tail_estimates()
         return (np.trapezoid(self.ladder_density, self.nu_grid) + tl,
-                np.trapezoid(self.crossed_density, self.nu_grid) + tc)
+                np.trapezoid(self.crossed_density, self.nu_grid) + tc), tails
 
     def tail_estimates(self):
         """Estimated mass beyond the grid assuming C/nu^2 far tails.
@@ -175,9 +182,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
         raise ConfigurationError(
             f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
     phase = gen.detection_phase
-    # the detected pair's blocks of M1 and M2, [d, 2, 2]
-    a = np.stack([m[np.ix_(pair, pair)] for m, pair
-                  in zip((gen.resolvent.m1, gen.resolvent.m2), _PAIR_INDICES)])
+    a = gen.resolvent.m[_PAIR_BLOCKS]  # [d, 2, 2]
     v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
 
     s0 = qrt_initial(state)  # [a, k, 255]
@@ -237,8 +242,7 @@ class SumRuleReport:
 def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
                    tolerance=1e-3) -> SumRuleReport:
     """Verify that the density integrals reproduce the stationary intensities."""
-    lad, cro = spec.integrals()
-    tail_l, tail_c = spec.tail_estimates()
+    (lad, cro), (tail_l, tail_c) = spec._integrals_and_tails()
     scale = abs(ib.L_inel)
     report = SumRuleReport(
         ladder_integral=lad,

@@ -211,7 +211,7 @@ def product_state(gen: GeneratorSet):
     uncoupled atoms, and its excess over the ground pair, order0 -
     np.kron(GROUND, GROUND)[1:], formed as d1 (x) GROUND + GROUND (x) d2 +
     d1 (x) d2 from the single-atom excesses d_a, with no cancellation."""
-    d1, d2 = _single_atom_excess(np.stack([gen.resolvent.m1, gen.resolvent.m2]))
+    d1, d2 = _single_atom_excess(gen.resolvent.m)
     order0 = _kron(GROUND + d1, GROUND + d2)
     excess = _kron(d1, GROUND) + _kron(GROUND, d2) + _kron(d1, d2)
     return order0, excess

@@ -3,9 +3,10 @@
 Spectra are the expensive objects (a batched resolvent sweep over up to
 4001 frequencies), so every parameter point used by more than one test is
 computed once per session and reused.  `resolvent_solve` and
-`nonperturbative_steady_state` solve with the dense 255x255 generator: they
-are the tests' references for the resolvent and for the perturbative
-expansion; the package's own solves never form that matrix.
+`nonperturbative_steady_state` solve with the dense 255x255 generator
+(`dense_a`) and the inhomogeneity j (`inhomogeneity`): they are the tests'
+references for the resolvent and for the perturbative expansion; the
+package's own solves never form that matrix or j.
 `long_double_sweep_reference` is the reference of the spectrum sweep alone,
 and `long_double_state_reference` that of the perturbative state, with V g
 dropped analytically; both refine every solve against residuals in
@@ -21,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_single_atom_operator, sigma, two_atom_basis_flat
+from twoatom_cbs.basis import (N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, expand_single_atom_operator,
+                               sigma, two_atom_basis_flat)
 from twoatom_cbs.config_average import (ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average,
                                          unit_vectors)
 from twoatom_cbs.errors import ResolventError
@@ -80,20 +82,22 @@ def g0_full(gen, z, rhs):
 
 def long_double_sweep_reference(gen, state, nu_grid):
     """Ladder and crossed densities of `inelastic_spectrum` from the same
-    double `state`, G0(z) V G0(z) c^[1] + G0(z) c^[2] read at the detected
-    rows, with the rounding of the sweep's solves left out.
+    `state`, G0(z) V G0(z) c^[1] + G0(z) c^[2] read at the detected rows,
+    with the rounding of the sweep's solves left out.
 
-    The connected sources c_a^[k] are formed in double, as the sweep forms
-    them.  Each solve with z - A is a dense double LU, refined twice against
+    The connected sources c_a^[k] are formed in the state's precision: in
+    double, as the sweep forms them, from a double state, and in
+    np.clongdouble from `long_double_state_reference`, which makes this the
+    reference of the whole pipeline.  Each solve with z - A is a dense double LU, refined twice against
     residuals formed in np.clongdouble from the Kronecker factors m1, m2,
     and the V products and the read-outs are formed in np.clongdouble.
     Fails, not skips, where long double is no wider than double.
     """
     ld = np.clongdouble
     assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"
-    m1, m2 = (m.astype(ld) for m in (gen.resolvent.m1, gen.resolvent.m2))
+    m1, m2 = gen.resolvent.m.astype(ld)
     z = -1j * np.asarray(nu_grid, dtype=float)
-    dense = z[:, None, None] * np.eye(N_TWO - 1) - gen.A  # [nu, 255, 255]
+    dense = z[:, None, None] * np.eye(N_TWO - 1) - dense_a(gen)  # [nu, 255, 255]
 
     def shifted(x):
         # (z - A) x for x [nu, k, 255], from M1 X + X M2^T, X[0, 0] = 0
@@ -111,7 +115,7 @@ def long_double_sweep_reference(gen, state, nu_grid):
         return x
 
     # the connected sources c_a^[k] = s_a^[k](0) - <sigma_21^a> order(k-1),
-    # formed in double as the sweep forms them
+    # formed in the state's precision
     s0 = qrt_initial(state)
     weights = np.array([state.order1 @ row for row in SIGMA_21_ROWS])[:, None]
     first = s0[:, 1] - weights * state.order0
@@ -140,9 +144,9 @@ def long_double_state_reference(gen):
     """
     ld = np.clongdouble
     assert np.finfo(np.longdouble).eps < 1e-18, "long double is not extended precision"
-    m1, m2 = (m.astype(ld) for m in (gen.resolvent.m1, gen.resolvent.m2))
+    m1, m2 = gen.resolvent.m.astype(ld)
     ground = expand_single_atom_operator(sigma(1, 1)).astype(ld)
-    minus_a = -gen.A
+    minus_a = -dense_a(gen)
 
     def kron(x, y):
         return np.kron(x, y)[1:]
@@ -164,9 +168,29 @@ def long_double_state_reference(gen):
                              order2=solve(v @ order1))
 
 
+_I16 = np.eye(N_SINGLE, dtype=complex)
+
+
+def dense_a(gen):
+    """Dense 255x255 A of one configuration, the 255-block of
+    M1 (x) 1 + 1 (x) M2, formed on each call for dense reference solves."""
+    m1, m2 = gen.resolvent.m
+    return (np.kron(m1, _I16) + np.kron(_I16, m2))[1:, 1:]
+
+
+def inhomogeneity(gen):
+    """j of d<Q>/dt = (A + V)<Q> + j, shape C + (255,): column 0 (the trace
+    element) of M1 (x) 1 + 1 (x) M2 times the trace element's value."""
+    m1, m2 = gen.resolvent.m
+    source = np.zeros(m1.shape, dtype=complex)
+    source[..., :, 0] = m1[..., :, 0]
+    source[..., 0, :] += m2[..., :, 0]
+    return source.reshape(gen.cfg.shape + (N_TWO,))[..., 1:] * TRACE_ELEMENT_VALUE
+
+
 def nonperturbative_steady_state(gen):
     """Exact stationary state: (A + V) <Q> = -j, all orders in g (dense A)."""
-    return np.linalg.solve(gen.A + gen.V, -gen.j)
+    return np.linalg.solve(dense_a(gen) + gen.V, -inhomogeneity(gen))
 
 
 def reconstruct_two_atom_operator(coeffs):

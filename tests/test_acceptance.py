@@ -307,6 +307,7 @@ def test_criterion_10_property_suites(weak_point):
     from conftest import (
         apply_single_atom_generator,
         g0_full,
+        inhomogeneity,
         nonperturbative_steady_state,
         reconstruct_two_atom_operator,
     )
@@ -349,13 +350,14 @@ def test_criterion_10_property_suites(weak_point):
     def g0(z, rhs):
         return g0_full(gen_w, z, rhs)
 
-    u0 = g0(0.0, gen_w.j)
+    j = inhomogeneity(gen_w)
+    u0 = g0(0.0, j)
     static = g0(0.0, gen_w.V @ u0)
     stab_ok = True
     for nu in (1e-3, 1e-4, 1e-5, 1e-6):
         z = -1j * nu
-        naive = (g0(z, gen_w.V @ g0(z, gen_w.j)) - static) / z
-        stabilized = -g0(z, g0(0.0, gen_w.V @ g0(z, gen_w.j))) - g0(0.0, gen_w.V @ g0(z, u0))
+        naive = (g0(z, gen_w.V @ g0(z, j)) - static) / z
+        stabilized = -g0(z, g0(0.0, gen_w.V @ g0(z, j))) - g0(0.0, gen_w.V @ g0(z, u0))
         rel = np.linalg.norm(naive - stabilized) / np.linalg.norm(stabilized)
         stab_ok = stab_ok and rel < 1e-6
     checks["resolvent stabilization"] = stab_ok

@@ -48,6 +48,13 @@ class TestDisorderModel:
         with pytest.warns(UserWarning, match="wavelength"):
             DisorderModel(mean_separation=8.0)
 
+    def test_dense_medium_warning_names_its_caller(self):
+        # the warning points at the line that built the model, not at the
+        # dataclass's generated __init__
+        with pytest.warns(UserWarning, match="wavelength") as record:
+            DisorderModel(mean_separation=8.0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_mean_coupling_modes_agree(self):
         model = DisorderModel(mean_separation=200.0, samples=50_000, seed=11)
         analytic = mean_coupling_sq(model)

@@ -32,6 +32,8 @@ from twoatom_cbs.liouvillian import (
 from conftest import (
     apply_interaction_generator,
     apply_single_atom_generator,
+    dense_a,
+    inhomogeneity,
     reconstruct_two_atom_operator,
     shifted_tilted_geometry,
 )
@@ -160,6 +162,13 @@ class TestGeometryFactors:
         with pytest.warns(UserWarning, match="far-field"):
             coupling_constant(2.0)
 
+    @pytest.mark.parametrize("k0_r12", [np.nan, np.inf, 0.0, -1.0, np.array([20.0, np.nan, 40.0])],
+                             ids=["nan", "inf", "zero", "negative", "array-with-nan"])
+    def test_coupling_rejects_bad_separation(self, k0_r12):
+        # a configuration error, not nan + nan j with RuntimeWarnings
+        with pytest.raises(ConfigurationError, match="k0_r12 must be finite and positive"):
+            coupling_constant(k0_r12)
+
     def test_coupling_vectorized(self):
         r = np.array([20.0, 40.0])
         g = coupling_constant(r)
@@ -212,7 +221,7 @@ class TestGeneratorCrossValidation:
         for geom in GEOMETRIES:
             gen = assemble(cfg, geom)
             ph1, ph2 = rabi_phases(geom)
-            via_matrix = matrix_action(gen.A, gen.j / TRACE_ELEMENT_VALUE, q)
+            via_matrix = matrix_action(dense_a(gen), inhomogeneity(gen) / TRACE_ELEMENT_VALUE, q)
             direct = (apply_single_atom_generator(cfg, q, 1, ph1)
                       + apply_single_atom_generator(cfg, q, 2, ph2))
             assert np.allclose(via_matrix, direct, atol=1e-12)
@@ -256,13 +265,13 @@ class TestAssembledGenerators:
         assert gen.V.shape == (255, 255)
         # V acts purely homogeneously: no column into the trace element
         # survived assembly (assemble would have raised otherwise)
-        assert gen.j.shape == (255,)
+        assert inhomogeneity(gen).shape == (255,)
 
     def test_spectral_gap_is_one(self):
         # the slowest decay channel of the uncoupled dynamics relaxes at
         # exactly the dipole rate
         gen = assemble(DriveConfig(rabi=1.0), Geometry.backscattering(80.0))
-        eigs = np.linalg.eigvals(gen.A)
+        eigs = np.linalg.eigvals(dense_a(gen))
         assert np.max(eigs.real) == pytest.approx(-1.0, abs=1e-9)
 
     def test_detection_phase_at_backscattering(self):

@@ -36,8 +36,11 @@ from twoatom_cbs.steady_state import (
 )
 
 from conftest import (
+    dense_a,
     g0_full,
     generator,
+    inhomogeneity,
+    long_double_state_reference,
     long_double_sweep_reference,
     resolvent_solve,
     shifted_tilted_geometry,
@@ -62,12 +65,12 @@ def dense_reference_densities(gen, state, nu_grid):
     phase = gen.detection_phase
 
     def g0(z, rhs):
-        return resolvent_solve(gen.A, z, rhs)
+        return resolvent_solve(dense_a(gen), z, rhs)
 
     ladder, crossed = [], []
     for nu in nu_grid:
         z = -1j * nu
-        diff = (-g0(z, g0(0.0, gen.V @ g0(z, gen.j)))
+        diff = (-g0(z, g0(0.0, gen.V @ g0(z, inhomogeneity(gen))))
                 - g0(0.0, gen.V @ g0(z, state.order0)))
         s1, s2 = (g0(z, gen.V @ g0(z, s[1]) + s[2]) + weight * diff
                   for s, weight in zip(s0, weights))
@@ -76,6 +79,22 @@ def dense_reference_densities(gen, state, nu_grid):
         ladder.append((d11 + d22).real / np.pi)
         crossed.append((d12 * phase + d21 * np.conj(phase)).real / np.pi)
     return np.array(ladder), np.array(crossed)
+
+
+# bound on the larger density error / peak ladder density of the whole
+# pipeline per drive (Omega, delta) and geometry (backscattering,
+# shifted-tilted), at the drives of test_steady_state's _STATE_BOUNDS: at
+# most 10x the errors measured when the reference landed (in the comments)
+_PIPELINE_BOUNDS = {
+    (0.1, 5.0): (5e-11, 5e-11),       # 8.8e-12, 6.7e-12
+    (3.0, 80.0): (5e-11, 5e-9),       # 8.4e-12, 1.1e-9
+    (1.0, 80.0): (1e-8, 1e-8),        # 1.3e-9, 2.0e-9
+    (1e-3, 0.0): (1e-9, 2e-9),        # 2.0e-10, 3.4e-10
+    (1e-3, 5.0): (5e-7, 1e-6),        # 7.7e-8, 1.2e-7
+    (0.5, 0.0): (2e-15, 3e-15),       # 4.3e-16, 5.2e-16
+    (1.0, 0.0): (1e-15, 1e-15),       # 2.2e-16, 2.3e-16
+    (100.0, 0.0): (3e-15, 3e-15),     # 5.2e-16, 4.7e-16
+}
 
 
 class TestRegressionVectors:
@@ -152,12 +171,13 @@ class TestDensities:
         def g0(z, rhs):
             return g0_full(gen, z, rhs)
 
-        u0 = g0(0.0, gen.j)
+        j = inhomogeneity(gen)
+        u0 = g0(0.0, j)
         static = g0(0.0, gen.V @ u0)
         for nu in (1e-3, 1e-4, 1e-5, 1e-6):
             z = -1j * nu
-            naive = (g0(z, gen.V @ g0(z, gen.j)) - static) / z
-            stabilized = -g0(z, g0(0.0, gen.V @ g0(z, gen.j))) - g0(0.0, gen.V @ g0(z, u0))
+            naive = (g0(z, gen.V @ g0(z, j)) - static) / z
+            stabilized = -g0(z, g0(0.0, gen.V @ g0(z, j))) - g0(0.0, gen.V @ g0(z, u0))
             scale = np.linalg.norm(stabilized)
             assert np.linalg.norm(naive - stabilized) / scale < 1e-6
             connected = -g0(z, static + gen.V @ g0(z, u0))
@@ -205,6 +225,26 @@ class TestDensities:
         assert np.abs(spec.ladder_density - ladder).max() <= bound * peak
         assert np.abs(spec.crossed_density - crossed).max() <= bound * peak
 
+    @pytest.mark.parametrize("geom, column", [(Geometry.backscattering(100.0), 0),
+                                              (shifted_tilted_geometry(), 1)],
+                             ids=["backscattering", "shifted-tilted"])
+    @pytest.mark.parametrize("rabi, detuning", list(_PIPELINE_BOUNDS))
+    def test_spectrum_matches_long_double_pipeline_reference(self, rabi, detuning, geom, column):
+        # the whole pipeline, state and sweep, against the long-double state
+        # (V g dropped analytically) fed through qrt_initial's sources formed
+        # in long double into the refined sweep reference, as a fraction of
+        # the peak ladder density
+        gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
+        grid = default_nu_grid(gen.cfg, points=9)
+        spec = inelastic_spectrum(gen, perturbative_steady_state(gen), grid)
+        reference = long_double_state_reference(gen)
+        assert qrt_initial(reference).dtype == np.clongdouble
+        ladder, crossed = long_double_sweep_reference(gen, reference, grid)
+        peak = np.abs(ladder).max()
+        bound = _PIPELINE_BOUNDS[rabi, detuning][column]
+        assert np.abs(spec.ladder_density - ladder).max() <= bound * peak
+        assert np.abs(spec.crossed_density - crossed).max() <= bound * peak
+
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0), shifted_tilted_geometry()],
                              ids=["backscattering", "shifted-tilted"])
     @pytest.mark.parametrize("rabi, detuning", [(0.1, 5.0), (0.5, 0.0), (1.0, 0.0),
@@ -220,7 +260,7 @@ class TestDensities:
         gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
         assert _PAIR_ROWS.tolist() == [[127, 191], [7, 11]]
         for z in (0.0, -0.37j, -5j):
-            g0 = np.linalg.inv(z * np.eye(N_TWO - 1) - gen.A)
+            g0 = np.linalg.inv(z * np.eye(N_TWO - 1) - dense_a(gen))
             for atom, detected, pair_rows in zip((1, 2), DETECTED_ROWS, _PAIR_ROWS):
                 index, = np.flatnonzero(detected)
                 assert index == pair_rows[0]
@@ -257,7 +297,7 @@ class TestDensities:
                 assert tiles[0, q] and tiles[p, 0]
         assert tiles.sum() < 0.5 * tiles.size
         z = -1j * np.array([0.0, 0.4, 7.0])
-        rhs = np.stack([gen.j, gen.V @ gen.j])
+        rhs = np.stack([inhomogeneity(gen), gen.V @ inhomogeneity(gen)])
         full = gen.resolvent.sweep(v_rows, z, rhs)
         part = gen.resolvent.sweep(v_rows, z, rhs, tiles)
         assert np.allclose(part, full, rtol=0.0, atol=1e-14 * np.abs(full).max())

@@ -36,8 +36,10 @@ from twoatom_cbs.steady_state import (
 )
 
 from conftest import (
+    dense_a,
     g0_full,
     generator,
+    inhomogeneity,
     long_double_state_reference,
     nonperturbative_steady_state,
     resolvent_solve,
@@ -65,13 +67,13 @@ class TestResolvent:
     def test_propagator_matches_dense_solve(self):
         gen = generator(1.0)
         z = -0.7j
-        rhs = gen.j
-        assert np.allclose(g0_full(gen, z, rhs), resolvent_solve(gen.A, z, rhs), atol=1e-10)
+        rhs = inhomogeneity(gen)
+        assert np.allclose(g0_full(gen, z, rhs), resolvent_solve(dense_a(gen), z, rhs), atol=1e-10)
 
     def test_g0_at_zero_is_minus_a_inverse(self):
         gen = generator(2.0)
-        x = gen.resolvent.solve(gen.j)
-        assert np.allclose(gen.A @ x, -gen.j, atol=1e-12)
+        x = gen.resolvent.solve(inhomogeneity(gen))
+        assert np.allclose(dense_a(gen) @ x, -inhomogeneity(gen), atol=1e-12)
 
     @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
@@ -83,12 +85,12 @@ class TestResolvent:
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
         zs = np.array([0.0, -1e-6j, -1e-3j, -0.7j, 5j, -300j])
         rng = np.random.default_rng(3)
-        rhs = np.stack([gen.j, gen.V @ gen.j,
+        rhs = np.stack([inhomogeneity(gen), gen.V @ inhomogeneity(gen),
                         rng.normal(size=255) + 1j * rng.normal(size=255)])
         got = gen.resolvent.sweep(np.eye(255), zs, rhs)
         assert got.shape == (len(zs), len(rhs), 255)
         for z, x in zip(zs, got):
-            want = resolvent_solve(gen.A, z, rhs.T).T
+            want = resolvent_solve(dense_a(gen), z, rhs.T).T
             assert np.allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
@@ -99,12 +101,12 @@ class TestResolvent:
         rabi = np.array([0.5, 20.0])
         stack = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
         rng = np.random.default_rng(11)
-        rhs = np.stack([stack.j, rng.normal(size=(2, 255)) + 1j * rng.normal(size=(2, 255))],
-                       axis=-2)
+        rhs = np.stack([inhomogeneity(stack),
+                        rng.normal(size=(2, 255)) + 1j * rng.normal(size=(2, 255))], axis=-2)
         got = stack.resolvent.solve(rhs)
         assert got.shape == (2, 2, 255)
         for c, r in enumerate(rabi):
-            a = assemble(DriveConfig(rabi=r, detuning=0.3), geom).A
+            a = dense_a(assemble(DriveConfig(rabi=r, detuning=0.3), geom))
             want = resolvent_solve(a, 0.0, rhs[c].T).T
             assert np.allclose(got[c], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         with pytest.raises(ConfigurationError, match="one configuration"):
@@ -119,11 +121,11 @@ class TestResolvent:
         # column of one factorization per tile
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
         rng = np.random.default_rng(5)
-        rhs = gen.j if count == 1 else np.stack(
-            [gen.j, gen.V @ gen.j]
+        rhs = inhomogeneity(gen) if count == 1 else np.stack(
+            [inhomogeneity(gen), gen.V @ inhomogeneity(gen)]
             + [rng.normal(size=255) + 1j * rng.normal(size=255) for _ in range(count - 2)])
         got = gen.resolvent.solve(rhs)
-        want = resolvent_solve(gen.A, 0.0, rhs.T).T
+        want = resolvent_solve(dense_a(gen), 0.0, rhs.T).T
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -135,8 +137,8 @@ class TestResolvent:
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
         rng = np.random.default_rng(7)
         stack = rng.normal(size=(4, 3, 255)) + 1j * rng.normal(size=(4, 3, 255))
-        a = gen.A
-        for x in (gen.j, stack):
+        a = dense_a(gen)
+        for x in (inhomogeneity(gen), stack):
             got = gen.resolvent.matvec(x)
             want = x @ a.T
             assert got.shape == x.shape
@@ -156,7 +158,7 @@ class TestResolvent:
         level2 = ((p > 0) & (q > 0))[:, None]
         feeder = level2 & (((p[:, None] == p) & (q == 0)) | ((q[:, None] == q) & (p == 0)))
         for z in (0.0, -0.37j):
-            coupling = z * np.eye(255) - gen.A
+            coupling = z * np.eye(255) - dense_a(gen)
             assert not coupling[~(same | feeder)].any()
             assert coupling[feeder].any()
 
@@ -167,7 +169,25 @@ class TestResolvent:
         bad = m.copy()
         bad[1, 3] = 1e-3
         with pytest.raises(ConfigurationError, match="block diagonal"):
-            KroneckerResolvent(*((bad, m) if atom == 1 else (m, bad)))
+            KroneckerResolvent(np.array((bad, m) if atom == 1 else (m, bad)))
+
+    def test_checks_on_a_run_in_order(self):
+        # the constructor owns every check on A: a generator pair that fails
+        # several fails the first of identity row, overflow, block structure
+        # and singularity (Omega = 1e14 leaves A singular to working precision)
+        singular = _single_atom_matrix(DriveConfig(rabi=1e14), (1.0, 1.0))
+        coupled = singular.copy()
+        coupled[1, 1, 3] = 1e-3
+        overflowing = coupled.copy()
+        overflowing[0, 5, 5] = 1e308
+        moving_identity = overflowing.copy()
+        moving_identity[1, 0, 2] = 1.0
+        for m, message in ((moving_identity, "does not leave the identity invariant"),
+                           (overflowing, "drive overflows the generator matrix A"),
+                           (coupled, "not block diagonal"),
+                           (singular, "generator matrix A is singular")):
+            with pytest.raises(ConfigurationError, match=message):
+                KroneckerResolvent(m)
 
     @pytest.mark.parametrize("z", [0.0, -0.5j])
     @pytest.mark.parametrize("feeder", [(1, 0), (0, 1)])
@@ -181,9 +201,9 @@ class TestResolvent:
         tiles[feeder] = False
         with pytest.raises(ConfigurationError, match=r"tile \(1, 1\) without its level-1 feeders"):
             if z:
-                gen.resolvent.sweep(np.eye(N_TWO - 1), [z], gen.j, tiles)
+                gen.resolvent.sweep(np.eye(N_TWO - 1), [z], inhomogeneity(gen), tiles)
             else:
-                gen.resolvent.solve(gen.j, tiles)
+                gen.resolvent.solve(inhomogeneity(gen), tiles)
 
     @pytest.mark.parametrize("mask", [np.ones((9, 9), dtype=int), np.ones((9, 9), dtype=np.uint8),
                                       np.ones((3, 27), dtype=bool), np.ones(81, dtype=bool),
@@ -192,7 +212,7 @@ class TestResolvent:
     def test_mask_that_is_not_a_9x9_boolean_array_is_rejected(self, mask):
         gen = generator(1.0)
         with pytest.raises(ConfigurationError, match="boolean array of shape"):
-            gen.resolvent.solve(gen.j, mask)
+            gen.resolvent.solve(inhomogeneity(gen), mask)
 
     def test_broken_schur_basis_fails_the_sweep(self, monkeypatch):
         # a basis that leaves the coherence pairs untriangularized is caught
@@ -201,7 +221,7 @@ class TestResolvent:
         monkeypatch.setattr(resolvent, "_schur2",
                             lambda b: np.broadcast_to(np.eye(2, dtype=complex), b.shape).copy())
         with pytest.raises(ResolventError, match="Schur basis"):
-            gen.resolvent.sweep(np.eye(N_TWO - 1), [-0.5j], gen.j)
+            gen.resolvent.sweep(np.eye(N_TWO - 1), [-0.5j], inhomogeneity(gen))
 
     def test_resolvent_eigenvalues_are_those_of_a(self):
         # the closed forms of the 1x1 and 2x2 groups and the Bloch block's
@@ -218,7 +238,7 @@ class TestResolvent:
                 gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
                 eigs = gen.resolvent.eigenvalues
                 assert eigs.shape == np.shape(rabi) + (N_TWO - 1,)
-                m1, m2 = (m.reshape(-1, N_SINGLE, N_SINGLE) for m in (gen.resolvent.m1, gen.resolvent.m2))
+                m1, m2 = gen.resolvent.m.reshape(2, -1, N_SINGLE, N_SINGLE)
                 for c in range(0, len(m1), 10):
                     e = eigs.reshape(-1, N_TWO - 1)[c]
                     a = (np.kron(m1[c], eye) + np.kron(eye, m2[c]))[1:, 1:]
@@ -435,7 +455,7 @@ class TestConfigurationStacks:
         rabi, detuning = np.array([[0.5], [2.0], [30.0]]), np.array([0.0, 3.0])
         geom = Geometry.backscattering(100.0)
         gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
-        assert gen.j.shape == (3, 2, 255)
+        assert inhomogeneity(gen).shape == (3, 2, 255)
         assert gen.resolvent.eigenvalues.shape == (3, 2, 255)
         batched = intensities(perturbative_steady_state(gen), gen)
         for (a, b), r in np.ndenumerate(np.broadcast_to(rabi, (3, 2))):
@@ -447,7 +467,7 @@ class TestConfigurationStacks:
     def test_scalar_configuration_keeps_scalar_shapes(self):
         gen, state, ib = stationary(1.3, 0.7)
         assert gen.cfg.shape == () and gen.resolvent.shape == ()
-        assert gen.j.shape == (255,)
+        assert inhomogeneity(gen).shape == (255,)
         assert all(state.order(k).shape == (255,) for k in range(3))
         for name in FIELDS:
             value = getattr(ib, name)
