@@ -88,9 +88,10 @@ def long_double_sweep_reference(gen, state, nu_grid):
     The connected sources c_a^[k] are formed in the state's precision: in
     double, as the sweep forms them, from a double state, and in
     np.clongdouble from `long_double_state_reference`, which makes this the
-    reference of the whole pipeline.  Each solve with z - A is a dense double LU, refined twice against
-    residuals formed in np.clongdouble from the Kronecker factors m1, m2,
-    and the V products and the read-outs are formed in np.clongdouble.
+    reference of the whole pipeline.  Each solve with z - A is a dense
+    double LU, refined twice against residuals formed in np.clongdouble
+    from the Kronecker factors m1, m2, and the V products and the read-outs
+    are formed in np.clongdouble.
     Fails, not skips, where long double is no wider than double.
     """
     ld = np.clongdouble
