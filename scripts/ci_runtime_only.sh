@@ -28,6 +28,10 @@ for err in spectrum.err sweep.err oracles.err cone.err; do
   [ ! -s "$err" ] || { cat "$err"; exit 1; }
 done
 
+echo "== python -m twoatom_cbs is twoatom-cbs"
+python -m twoatom_cbs intensity-sweep --sweep-points 3 --output sweep-module.csv
+cmp sweep.csv sweep-module.csv
+
 # `expect_one_line_error CODE FILE ARGS...`: twoatom-cbs ARGS exits with
 # CODE (1 configuration error, 2 numerical failure) and writes exactly one
 # line, to FILE
@@ -64,8 +68,9 @@ cmp exponent.csv plain.csv
 echo "== a cone profile that overflows is one configuration error"
 expect_one_line_error 1 cone.err cone --k-ell 1e200 --theta-points 3
 
-echo "== a negative seed is one configuration error"
+echo "== a negative seed is one configuration error, sampling or not"
 expect_one_line_error 1 seed.err cone --mc-samples 10 --seed -1
+expect_one_line_error 1 seed.err cone --seed -1
 
 echo "== replay a run from its own header"
 # the README's replay: the '#' header of a CSV output is a config file

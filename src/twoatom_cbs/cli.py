@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone,
+from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone, check_seed,
                              monte_carlo_average)
 from .liouvillian import ConfigurationError, DriveConfig, Geometry, assemble
 from .oracles import alpha_closed_form
@@ -190,16 +190,18 @@ def run_spectrum(cfg):
                    Geometry.backscattering(cfg["k0_r12"]))
     spec, ib = compute_spectrum(gen, nu_grid=nu_grid)
     sum_rule = check_sum_rule(spec, ib)
+    # the integrals are the sum rule's, in the units of the densities written
+    scale = 1.0
     if cfg["normalize"]:
         spec = normalized_spectra(spec, ib)
-    lad_int, cro_int = spec.integrals()
+        scale = ib.L_inel
     results = {
         "elastic_weight": spec.elastic_weight,
         "L_inel": ib.L_inel,
         "C_inel": ib.C_inel,
         "alpha": ib.alpha,
-        "ladder_integral": lad_int,
-        "crossed_integral": cro_int,
+        "ladder_integral": sum_rule.ladder_integral / scale,
+        "crossed_integral": sum_rule.crossed_integral / scale,
         "ladder_sum_rule_error": sum_rule.ladder_error,
         "crossed_sum_rule_error": sum_rule.crossed_error,
     }
@@ -251,6 +253,7 @@ def run_cone(cfg):
         raise ConfigurationError("need 0 < theta_max < 1 and theta_points >= 2")
     if mc_samples < 0:
         raise ConfigurationError("need mc_samples >= 0")
+    check_seed(cfg["seed"])
     gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
                    Geometry.backscattering(cfg["k0_r12"]))
     ib = intensities(perturbative_steady_state(gen), gen)

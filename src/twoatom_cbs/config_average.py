@@ -26,6 +26,12 @@ THETA_SQ_COEFFICIENT = 1.0 / 35.0
 _CHUNK = 1 << 16
 
 
+def check_seed(seed):
+    """Raise ConfigurationError for a negative RNG seed."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, not {seed}")
+
+
 @dataclass(frozen=True)
 class DisorderModel:
     """Random pair geometry: isotropic orientation, uniform distance window.
@@ -68,8 +74,7 @@ class DisorderModel:
             )
         if self.samples < 1:
             raise ConfigurationError("at least one Monte Carlo sample required")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, not {self.seed}")
+        check_seed(self.seed)
 
     def sample(self, rng, count):
         """Draw `count` configurations as (cos_theta, phi, separation) arrays.

@@ -43,13 +43,16 @@ Y = Q1^H X conj(Q2) the equation is z Y - T1 Y - Y T2^T = Q1^H B conj(Q2),
 so each entry is (z - T1[l, l] - T2[m, m])^{-1} times its right-hand side
 plus at most 8 entries solved before it: the later ones of its row and
 column inside its tile, and its two feeds.  The entries fall into at most 8
-dependency waves, and each wave is one gather, multiply-add and division
-over a block of frequencies.  The rows and right-hand sides are rotated
-once per call, and Schur coordinates never leave this module.
+dependency waves, Y[l, m] into wave later(l) + later(m), plus 1 in a
+level-2 tile, later(i) the indices after i in its group; each wave is one
+gather, multiply-add and division over a block of frequencies.  The rows
+and right-hand sides are rotated once per call, and Schur coordinates never
+leave this module.
 
 `needed` gives the tiles a solve must visit to read given entries: their own
-and their feeders.  Each mask's plans are checked and built once per process
-and cached, as every `assemble` builds a new resolvent.
+and their feeders.  Each mask's plans, the solve's tile groups and the
+sweep's waves, are built from the checked mask alone, once per process, as
+every `assemble` builds a new resolvent.
 """
 
 from functools import lru_cache
@@ -67,6 +70,8 @@ BLOCKS = ((0, 1, 3, 4), (5, 10), (6, 9), (7, 11), (8, 12), (2,), (13,), (14,))
 GROUPS = ((0,),) + tuple(tuple(i + 1 for i in b) for b in BLOCKS)
 #: the group of each single-atom index
 GROUP_OF = np.repeat(np.arange(len(GROUPS)), [len(g) for g in GROUPS])[np.argsort(sum(GROUPS, ()))]
+# later(i): how many indices follow the single-atom index i in its group
+_LATER = np.concatenate([np.arange(len(g))[::-1] for g in GROUPS])[np.argsort(sum(GROUPS, ()))]
 _OFF_BLOCK = GROUP_OF[1:, None] != GROUP_OF[None, 1:]
 _MASK_SHAPE = (len(GROUPS),) * 2
 # the entries of T_a = Q_a^H M_a Q_a below the diagonal of a group, zero in
@@ -89,20 +94,6 @@ _BLOCK = 64
 _SCHUR_TOL = 64
 
 
-def _plan():
-    """Per level and tile dimension: the tiles' (p, q) and the indices l, m
-    of their entries X[l, m]."""
-    groups = {}
-    for p, rows in enumerate(GROUPS):
-        for q, cols in enumerate(GROUPS):
-            if p or q:
-                flat = (np.array(rows)[:, None] * N_SINGLE + np.array(cols)).ravel()
-                groups.setdefault((1 + bool(p and q), flat.size), []).append(((p, q), flat))
-    return tuple((level, np.array([t[0] for t in group]), *np.divmod([t[1] for t in group], N_SINGLE))
-                 for (level, _), group in sorted(groups.items()))
-
-
-_PLAN = _plan()
 # the 1x1 groups (the trace first), the 2x2 coherence pairs as (first
 # indices, second indices), and the 4x4 Bloch block, as indices into M
 _SINGLES = np.array([g[0] for g in GROUPS if len(g) == 1])
@@ -161,21 +152,25 @@ def _mask(key):
 
 @lru_cache(maxsize=64)
 def _mask_plan(key):
-    """The groups of _PLAN a solve restricted to a tile mask visits, as
-    (level, flat, l, m, a_p, b_q): l, m and flat = 16 l + m are the entries
-    X[l, m] of the group's kept tiles [tile, entry], and a_p, b_q index the
-    tiles' blocks a_p (x) 1 and 1 (x) b_q [tile, row, column] as
-    (M1 indices, M2 indices, Kronecker factor 1 of each).  Each mask is
-    checked and planned once per process, whichever resolvent solves it."""
-    mask = _mask(key)
+    """The groups of tiles a solve restricted to a tile mask visits, one per
+    level and tile dimension, as (level, flat, l, m, a_p, b_q): l, m and
+    flat = 16 l + m are the entries X[l, m] of the group's tiles [tile,
+    entry], in row-major (p, q) order, and a_p, b_q index the tiles' blocks
+    a_p (x) 1 and 1 (x) b_q [tile, row, column] as (M1 indices, M2 indices,
+    Kronecker factor 1 of each).  The trace tile (0, 0) is never solved.
+    Each mask is checked and planned once per process, whichever resolvent
+    solves it."""
+    groups = {}
+    for p, q in np.argwhere(_mask(key)):
+        if p or q:
+            l, m = np.broadcast_arrays(np.array(GROUPS[p])[:, None], np.array(GROUPS[q]))
+            groups.setdefault((1 + bool(p and q), l.size), []).append((l.ravel(), m.ravel()))
     plan = []
-    for level, pq, l, m in _PLAN:
-        kept = mask[pq[:, 0], pq[:, 1]]
-        if kept.any():
-            l, m = l[kept], m[kept]
-            plan.append((level, l * N_SINGLE + m, l, m,
-                         (l[:, :, None], l[:, None, :], m[:, :, None] == m[:, None, :]),
-                         (m[:, :, None], m[:, None, :], l[:, :, None] == l[:, None, :])))
+    for (level, _), tiles in sorted(groups.items()):
+        l, m = np.array(tiles).swapaxes(0, 1)
+        plan.append((level, l * N_SINGLE + m, l, m,
+                     (l[:, :, None], l[:, None, :], m[:, :, None] == m[:, None, :]),
+                     (m[:, :, None], m[:, None, :], l[:, :, None] == l[:, None, :])))
     return tuple(plan)
 
 
@@ -199,15 +194,10 @@ def _wave_plan(key):
         reads[l, m] = ([((k, m), l * N_SINGLE + k) for k in GROUPS[GROUP_OF[l]] if k > l]
                        + [((l, k), N_TWO + m * N_SINGLE + k) for k in GROUPS[GROUP_OF[m]] if k > m]
                        + ([((0, m), l * N_SINGLE), ((l, 0), N_TWO + m * N_SINGLE)] if l and m else []))
-    wave = {}
-
-    def depth(entry):
-        if entry not in wave:
-            wave[entry] = 1 + max((depth(e) for e, _ in reads[entry]), default=-1)
-        return wave[entry]
-
-    for entry in entries:
-        depth(entry)
+    # each entry's wave is the longest chain of reads it starts: later(l) +
+    # later(m) steps to the last entry of its tile, and one more to a feed
+    # for a level-2 tile
+    wave = {(l, m): _LATER[l] + _LATER[m] + bool(l and m) for l, m in entries}
     order = sorted(entries, key=lambda e: (wave[e], e))
     position = {e: i for i, e in enumerate(order)}
     flat = np.array([l * N_SINGLE + m for l, m in order])
@@ -357,20 +347,6 @@ class KroneckerResolvent:
             small = np.where(large != 0, (a * d - b * c) / np.where(large != 0, large, 1.0), 0.0)
             eigs = np.concatenate([single, large, small, bloch], axis=-1)
             return (eigs[0][..., :, None] + eigs[1][..., None, :]).reshape(self.shape + (-1,))[..., 1:]
-
-    def matvec(self, x):
-        """A x for `x` of shape C + batch + (255,): M1 X + X M2^T with X[0, 0] = 0,
-        from the two 16x16 factors without forming A."""
-        x = np.asarray(x, dtype=complex)
-        n = N_SINGLE
-        full = np.zeros(x.shape[:-1] + (N_TWO,), dtype=complex)
-        full[..., 1:] = x
-        big = full.reshape(x.shape[:-1] + (n, n))
-        # the factors broadcast over the batch axes that follow C
-        factor = self.shape + (1,) * (x.ndim - 1 - len(self.shape)) + (n, n)
-        m1, m2 = self.m.reshape((2,) + factor)
-        y = m1 @ big + big @ m2.swapaxes(-1, -2)
-        return y.reshape(full.shape)[..., 1:]
 
     def solve(self, rhs, tiles=None):
         """x = G0(0) rhs = -A^{-1} rhs for every right-hand side.

@@ -30,15 +30,15 @@ set's resolvent sweep (`resolvent.KroneckerResolvent.sweep`) over the whole
 grid: a substitution in the Schur coordinates of the two single-atom
 generators, built once per call, with nothing factored per frequency.  It
 solves only the tiles holding the rows' non-zero columns, plus the level-1
-feeders of those (`steady_state.stage1_tiles`, derived from V's sparsity and
-`resolvent.BLOCKS` once per coupling matrix, `steady_state.read_tiles`): 24
-of the 80 tiles (84 entries) when the separation is transverse to the laser,
-38 (136 entries) for the tests' shifted-tilted geometry.  The stationary
-state solves order 1 where `qrt_initial` reads it for those tiles and at the
-pairs, order 2 where it reads it for the pairs.  The second stage is read
-through the detected rows: the first rows of (z - a)^{-1}, in closed form
-for a the 2x2 pair blocks of M1 and M2, applied to V x_a + c_a^[2] at the
-pair positions.  A malformed grid (empty, not 1-D or not finite) raises
+feeders of those: 24 of the 80 tiles (84 entries) when the separation is
+transverse to the laser, 38 (136 entries) for the tests' shifted-tilted
+geometry.  It reads V only through `steady_state.read_tiles`, which holds
+both the pair rows and their tiles, derived once per coupling matrix.  The
+stationary state solves order 1 where `qrt_initial` reads it for those
+tiles and at the pairs, order 2 where it reads it for the pairs.  The
+second stage is read through the detected rows: the first rows of
+(z - a)^{-1}, in closed form for a the 2x2 pair blocks of M1 and M2,
+applied to V x_a + c_a^[2] at the pair positions.  A malformed grid (empty, not 1-D or not finite) raises
 ConfigurationError before any solve, and a non-finite density fails the
 sweep with ResolventError instead of being interpolated over.  Spectra take
 one drive configuration: a generator set or state assembled for a stack of
@@ -183,7 +183,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
             f"frequency grid must be a non-empty, finite 1-D array (shape {nu_grid.shape})")
     phase = gen.detection_phase
     a = gen.resolvent.m[_PAIR_BLOCKS]  # [d, 2, 2]
-    v_rows = gen.V[_PAIR_ROWS]  # [d, p, 255]
+    reads = read_tiles(gen.V)
 
     s0 = qrt_initial(state)  # [a, k, 255]
     # <sigma_21^a>_ss at order g^1: the detected transition is dark at
@@ -196,7 +196,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
 
     z = -1j * nu_grid
     # stage 1: V x_a at the pair rows, x_a = G0(z) c_a^[1], as [nu, a, d, p]
-    vx = gen.resolvent.sweep(v_rows, z, first, read_tiles(gen.V).stage1_tiles)
+    vx = gen.resolvent.sweep(reads.pair_rows, z, first, reads.stage1_tiles)
     # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, placed
     # at _PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) / det(z - a_d), as [nu, d, p]
     shifted = z[:, None, None] - a[:, (0, 1), (0, 1)]  # [nu, d, diagonal]

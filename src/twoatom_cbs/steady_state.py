@@ -28,14 +28,14 @@ Orders 1 and 2 are solved only on the tiles their readers read
 (`resolvent.needed` of the entries, so feeders included).  Order 2 is
 solved on `ORDER2_TILES`, where the intensities read it (the non-zeros of
 `_POP2_ROW` and `_CROSS_ROW`) and where the spectrum's QRT initial
-conditions read it at the detected coherence pair (the pull-back of
-`_PAIR_ROWS` through the sigma_21 table): 10 of the 80 tiles.  Order 1 is
-solved on `order1_tiles(V)`: where V reads it to form order 2's right-hand
-side on `ORDER2_TILES`, where the elastic read-out and the sweep's connected
-sources read it (the sigma rows' tiles, which hold the detected pairs), and
-where `qrt_initial` reads it for the sweep's stage 1 (`stage1_tiles` pulled
-back): 44 of 80 for a transverse r12.  V is cached per geometry, and
-`read_tiles` derives both masks and V's blocks once per coupling array.
+conditions read it at the detected coherence pair: 10 of the 80 tiles.
+Order 1 is solved where V reads it for order 2 there, where the elastic
+read-out and the sweep's connected sources read it (the sigma rows' tiles,
+which hold the detected pairs), and where `qrt_initial` reads it for the
+sweep's stage 1: 44 of 80 for a transverse r12.  `read_tiles(V)` derives
+this mask, the stage-1 mask and V's blocks and pair rows once per coupling
+array; one pull-back (`_pullback`) takes entries to the columns they read,
+through V or through the sigma_21 table of the QRT initial conditions.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
 of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
@@ -85,24 +85,20 @@ _PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
 #: left multiplication table L of sigma_21: the QRT initial conditions
 #: <sigma_21^a B_n> are L (x) 1 (atom 1) and 1 (x) L (atom 2) of the state
 L_SIGMA_21 = single_atom_tables(sigma(2, 1))[0]
+# [entry, column]: the packed columns of the state that the QRT initial
+# conditions read at each packed entry.  The trace is left out, a constant
+# that is zero at orders 1 and 2
 _L_READS = L_SIGMA_21 != 0
+_QRT_READS = (np.kron(_L_READS, np.eye(N_SINGLE, dtype=bool))
+              | np.kron(np.eye(N_SINGLE, dtype=bool), _L_READS))[1:, 1:]
 # indexes a [p, q] tile mask as the 16x16 grid [l, m] of the tiles' entries
 _TILE_OF = (GROUP_OF[:, None], GROUP_OF[None, :])
 
 
-def _qrt_pullback(grid):
-    """Packed columns of the state that the QRT initial conditions read at
-    the entries of the 16x16 boolean `grid`: L F reads F[k, m] where
-    L[l, k] != 0 (atom 1), F L^T reads F[l, k] where L[m, k] != 0 (atom 2).
-    The trace entry is left out, a constant that is zero at orders 1, 2."""
-    return np.flatnonzero(((_L_READS.T @ grid) | (grid @ _L_READS)).ravel()[1:])
-
-
-def stage1_tiles(v_rows):
-    """Tiles of G0(z) that the spectrum sweep's first stage solves: those
-    holding the non-zero columns of V's pair rows `v_rows` [d, p, 255], and
-    their level-1 feeders."""
-    return needed(np.flatnonzero(np.any(v_rows, axis=(0, 1))))
+def _pullback(table, entries):
+    """Packed columns that the [entry, column] array `table` (V, or
+    _QRT_READS) reads at the packed `entries`: its non-zero columns there."""
+    return np.flatnonzero(np.any(table[entries], axis=0))
 
 
 def _entries(tiles):
@@ -112,23 +108,12 @@ def _entries(tiles):
 
 #: tiles of order 2 that are read: the intensities' ladder and crossed rows
 #: and the QRT pull-back of the detected coherence pairs
-ORDER2_TILES = needed(np.concatenate([
-    np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
-    _qrt_pullback(np.isin(np.arange(-1, N_TWO - 1), _PAIR_ROWS).reshape(N_SINGLE, N_SINGLE))]))
+ORDER2_TILES = needed(np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
+                                      _pullback(_QRT_READS, _PAIR_ROWS.ravel())]))
 ORDER2_TILES.setflags(write=False)
 # packed entries of the order-2 tiles: the rows of V order 2 reads
 _ORDER2_ENTRIES = _entries(ORDER2_TILES)
 _SIGMA_COLUMNS = np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0))
-
-
-def order1_tiles(v):
-    """Tiles of order 1 that are read, for the coupling `v`: the columns V
-    reads on the entries of ORDER2_TILES (order 2's right-hand side), the
-    sigma rows of the elastic read-out, and the QRT pull-back of the
-    spectrum's stage-1 tiles."""
-    stage1 = stage1_tiles(v[_PAIR_ROWS])
-    return needed(np.concatenate([np.flatnonzero(np.any(v[_ORDER2_ENTRIES], axis=0)),
-                                  _SIGMA_COLUMNS, _qrt_pullback(stage1[_TILE_OF])]))
 
 
 #: the ground state |1><1| of one atom, expanded: the stationary state of an
@@ -144,15 +129,18 @@ _EXCESS_COLUMNS = np.flatnonzero(np.outer(_LIVE, _LIVE).ravel()[1:])
 
 class Reads(NamedTuple):
     """What the state and the spectrum sweep read of one coupling V, each a
-    read-only array: the tile masks `order1_tiles(V)` and the sweep's
-    `stage1_tiles`, the packed entries of the order-1 tiles, and the blocks
-    of V that form the right-hand sides of orders 1 and 2 (`source`)."""
+    read-only array: the tile masks of order 1 and of the sweep's first
+    stage, the packed entries of the order-1 tiles, the blocks of V that
+    form the right-hand sides of orders 1 and 2 (`source`), and V's rows at
+    the detected coherence pairs [d, p, 255], which the first stage reads
+    out."""
 
     order1_tiles: np.ndarray
     stage1_tiles: np.ndarray
     order1_entries: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
+    pair_rows: np.ndarray
 
     def source(self, k, x):
         """V x, the right-hand side of order k = 1 or 2, for x the excess
@@ -173,13 +161,17 @@ _READ_TILES = {}
 def read_tiles(v):
     """The `Reads` of the coupling array `v`, derived once per array: V is
     cached per geometry, so a drive sweep derives them once.  An entry
-    leaves with its array."""
+    leaves with its array.  The stage-1 tiles hold the columns V's pair
+    rows read; the order-1 tiles those V reads on ORDER2_TILES, the sigma
+    rows and the QRT initial conditions on the stage-1 tiles."""
     key = id(v)
     if key not in _READ_TILES:
-        order1 = order1_tiles(v)
+        stage1 = needed(_pullback(v, _PAIR_ROWS.ravel()))
+        order1 = needed(np.concatenate([_pullback(v, _ORDER2_ENTRIES), _SIGMA_COLUMNS,
+                                        _pullback(_QRT_READS, _entries(stage1))]))
         entries = _entries(order1)
-        reads = Reads(order1, stage1_tiles(v[_PAIR_ROWS]), entries,
-                      v[np.ix_(entries, _EXCESS_COLUMNS)], v[np.ix_(_ORDER2_ENTRIES, entries)])
+        reads = Reads(order1, stage1, entries, v[np.ix_(entries, _EXCESS_COLUMNS)],
+                      v[np.ix_(_ORDER2_ENTRIES, entries)], v[_PAIR_ROWS])
         for array in reads:
             array.setflags(write=False)
         _READ_TILES[key] = reads
@@ -222,8 +214,8 @@ class PerturbativeState:
     """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each).
 
     Order 0 is complete.  Orders 1 and 2 hold their values on the tiles
-    they are read on, `order1_tiles(gen.V)` and `ORDER2_TILES`, and zeros
-    outside them; a full order is `gen.resolvent.solve` of the
+    they are read on, `read_tiles(gen.V).order1_tiles` and `ORDER2_TILES`,
+    and zeros outside them; a full order is `gen.resolvent.solve` of the
     `read_tiles(gen.V).source` of the order before it.
     """
 

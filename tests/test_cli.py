@@ -455,6 +455,8 @@ class TestExitCodes:
         ["cone", "--k-ell", "-5", "--mc-samples", "0"],
         ["cone", "--k-ell", "inf", "--mc-samples", "10"],
         ["cone", "--mc-samples", "10", "--seed", "-1"],
+        # rejected whether or not the run samples
+        ["cone", "--seed", "-1", "--theta-points", "3"],
         # |r12| overflows although both positions are finite
         ["intensity-sweep", "--k0-r12", "1e300"],
         # (k_ell theta)^2 overflows: no -inf rows

@@ -1,11 +1,14 @@
 """Disorder averaging: analytic factors, Monte Carlo convergence, cone profile."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from twoatom_cbs.config_average import (
     ANGULAR_FACTOR,
+    THETA_SQ_COEFFICIENT,
     DisorderModel,
     angular_weight_evaluator,
     cbs_cone,
@@ -14,7 +17,9 @@ from twoatom_cbs.config_average import (
     unit_vectors,
 )
 from twoatom_cbs.cli import main
-from twoatom_cbs.liouvillian import ConfigurationError, coupling_constant, delta_plus_plus
+from twoatom_cbs.liouvillian import (ConfigurationError, DriveConfig, Geometry, assemble,
+                                     coupling_constant, delta_plus_plus)
+from twoatom_cbs.steady_state import intensities, perturbative_steady_state
 
 from conftest import angular_factor_analytic, crossed_phase_evaluator, mean_coupling_sq
 
@@ -27,6 +32,47 @@ class TestAnalyticFactors:
         assert factor == pytest.approx(val, rel=1e-10)
         assert factor == pytest.approx(2 / 15)
         assert theta_sq == pytest.approx(1 / 35)
+
+
+class TestFactorisation:
+    """The factorisation the averages assume: an order-g^2 intensity is an
+    atomic part times the geometric weight |g|^2 |Delta_{+1,+1}|^2, times
+    the crossed phase, checked against the master equation over a
+    deterministic orientation rule."""
+
+    def test_orientation_average_of_the_master_equation(self):
+        # 8 Gauss-Legendre nodes in cos theta (exact for sin^4 theta, a
+        # degree-4 polynomial) times 12 trapezoid nodes in phi
+        k0_r12, x_values = 100.0, (0.1, 0.2)
+        cos_t, weights = np.polynomial.legendre.leggauss(8)
+        cos_t, phi = np.meshgrid(cos_t, 2.0 * np.pi * np.arange(12) / 12, indexing="ij")
+        weights = np.repeat(weights / 2.0, 12) / 12
+        ladder, crossed, reduced = [], [], []
+        for n_hat in unit_vectors(cos_t, phi).reshape(-1, 3):
+            gen = assemble(DriveConfig(rabi=0.5), Geometry(r1=np.zeros(3), r2=-k0_r12 * n_hat))
+            state = perturbative_steady_state(gen)
+            ib = intensities(state, gen)
+            ladder.append(ib.L_tot)
+            reduced.append((ib.L_tot / gen.angular_weight, ib.C_tot / gen.angular_weight))
+            # k_out_dir tilted by theta_d enters only the detection phase, so
+            # one state serves every angle: k l theta_d = x
+            crossed.append([intensities(state, replace(gen, geom=replace(
+                gen.geom, k_out_dir=np.array([np.sin(x / k0_r12), 0.0, -np.cos(x / k0_r12)]))
+            )).C_tot for x in x_values])
+        reduced = np.array(reduced)
+        # the atomic parts L_red and C_red do not depend on the orientation
+        # (measured spread 6.1e-14 and 4.4e-14 of the mean)
+        l_red, c_red = reduced.mean(axis=0)
+        assert np.all(np.ptp(reduced, axis=0) <= 4e-13 * np.abs([l_red, c_red]))
+        g_sq = abs(coupling_constant(k0_r12)) ** 2
+        # <L> = (2/15) |g|^2 L_red (measured 2.2e-15)
+        assert weights @ ladder == pytest.approx(ANGULAR_FACTOR * g_sq * l_red, rel=2e-14)
+        # <C>(x) / (|g|^2 C_red) = 2/15 - x^2/35 + O(x^4); Richardson removes
+        # the x^4 term from the coefficient (measured 5.6e-7)
+        coefficient = [(ANGULAR_FACTOR - weights @ c / (g_sq * c_red)) / x ** 2
+                       for x, c in zip(x_values, np.transpose(crossed))]
+        assert (4.0 * coefficient[0] - coefficient[1]) / 3.0 == pytest.approx(
+            THETA_SQ_COEFFICIENT, rel=5e-6)
 
 
 class TestDisorderModel:

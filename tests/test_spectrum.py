@@ -29,10 +29,8 @@ from twoatom_cbs.steady_state import (
     SIGMA_21_ROWS,
     ResolventError,
     intensities,
-    order1_tiles,
     perturbative_steady_state,
     read_tiles,
-    stage1_tiles,
 )
 
 from conftest import (
@@ -283,10 +281,11 @@ class TestDensities:
         # through V's pair rows, it equals the full sweep
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
         v_rows = gen.V[_PAIR_ROWS]
-        tiles = stage1_tiles(v_rows)
+        tiles = read_tiles(gen.V).stage1_tiles
         # derived once per coupling array, and shared read-only
         cached = read_tiles(gen.V)
         assert np.array_equal(cached[1], tiles) and cached is read_tiles(gen.V)
+        assert np.array_equal(cached.pair_rows, v_rows)
         assert not any(mask.flags.writeable for mask in cached)
         columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
         l, m = np.divmod(columns + 1, N_SINGLE)
@@ -316,11 +315,11 @@ class TestDensities:
         tile = (GROUP_OF[l], GROUP_OF[m])
         eye = np.eye(N_SINGLE)
         tables = np.stack([np.kron(L_SIGMA_21, eye), np.kron(eye, L_SIGMA_21)])[:, 1:, 1:]
-        stage1 = np.flatnonzero(stage1_tiles(gen.V[_PAIR_ROWS])[tile])
+        stage1 = np.flatnonzero(read_tiles(gen.V).stage1_tiles[tile])
         read = [np.flatnonzero(np.any(gen.V[ORDER2_TILES[tile]], axis=0)),
                 np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0)),
                 np.flatnonzero(np.any(tables[:, stage1], axis=(0, 1)))]
-        tiles = order1_tiles(gen.V)
+        tiles = read_tiles(gen.V).order1_tiles
         for columns in read:
             assert columns.size and tiles[tile][columns].all()
         assert np.array_equal(tiles, needed(np.concatenate(read)))

@@ -29,7 +29,6 @@ from twoatom_cbs.steady_state import (
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     intensities,
-    order1_tiles,
     perturbative_steady_state,
     product_state,
     read_tiles,
@@ -128,21 +127,6 @@ class TestResolvent:
         want = resolvent_solve(dense_a(gen), 0.0, rhs.T).T
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
-    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
-                                      shifted_tilted_geometry()])
-    def test_kronecker_product_matches_dense_a(self, rabi, geom):
-        # A x from the two 16x16 factors, against the dense A
-        gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
-        rng = np.random.default_rng(7)
-        stack = rng.normal(size=(4, 3, 255)) + 1j * rng.normal(size=(4, 3, 255))
-        a = dense_a(gen)
-        for x in (inhomogeneity(gen), stack):
-            got = gen.resolvent.matvec(x)
-            want = x @ a.T
-            assert got.shape == x.shape
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
                                       shifted_tilted_geometry()])
@@ -311,7 +295,7 @@ class TestReadTiles:
         reads = read_tiles(gen.V)
         full1 = gen.resolvent.solve(reads.source(1, product_state(gen)[1]))
         full2 = gen.resolvent.solve(reads.source(2, full1))
-        for got, full, tiles in ((state.order1, full1, order1_tiles(gen.V)),
+        for got, full, tiles in ((state.order1, full1, reads.order1_tiles),
                                  (state.order2, full2, ORDER2_TILES)):
             inside = tiles[_TILE]
             assert got.shape == full.shape
