@@ -38,11 +38,11 @@ stationary state solves order 1 where `qrt_initial` reads it for those
 tiles and at the pairs, order 2 where it reads it for the pairs.  The
 second stage is read through the detected rows: the first rows of
 (z - a)^{-1}, in closed form for a the 2x2 pair blocks of M1 and M2,
-applied to V x_a + c_a^[2] at the pair positions.  A malformed grid (empty, not 1-D or not finite) raises
-ConfigurationError before any solve, and a non-finite density fails the
-sweep with ResolventError instead of being interpolated over.  Spectra take
-one drive configuration: a generator set or state assembled for a stack of
-them raises ConfigurationError.
+applied to V x_a + c_a^[2] at the pair positions.  A malformed grid
+(empty, not 1-D or not finite) raises ConfigurationError before any solve,
+and a non-finite density fails the sweep with ResolventError instead of
+being interpolated over.  Spectra take one drive configuration: a generator
+set or state assembled for a stack of them raises ConfigurationError.
 """
 
 from dataclasses import dataclass, replace
