@@ -128,6 +128,25 @@ class TestResolvent:
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
+                                      shifted_tilted_geometry()])
+    def test_kronecker_product_matches_dense_a(self, rabi, geom):
+        # A x from the two 16x16 Schur factorisations the sweep runs on,
+        # (Q1 (x) Q2) (T1 (x) 1 + 1 (x) T2) (Q1 (x) Q2)^H with T upper
+        # triangular inside every group, against the dense A
+        gen = assemble(DriveConfig(rabi=rabi, detuning=0.3), geom)
+        (q1, q2), (t1, t2) = resolvent._schur_bases(gen.resolvent.m)
+        t1, t2 = (np.where(resolvent._LOWER, 0.0, t) for t in (t1, t2))
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(4, 3, 255)) + 1j * rng.normal(size=(4, 3, 255))
+        a = dense_a(gen)
+        for x in (inhomogeneity(gen), stack):
+            y = q1.conj().T @ resolvent._grid(x) @ q2.conj()
+            got = (q1 @ (t1 @ y + y @ t2.T) @ q2.T).reshape(-1, N_TWO)[:, 1:].reshape(x.shape)
+            want = x @ a.T
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("geom", [Geometry.backscattering(100.0),
                                       shifted_tilted_geometry()])
     @pytest.mark.parametrize("rabi, detuning", [(0.5, 0.0), (1.3, 0.7), (100.0, 0.0)])
