@@ -8,8 +8,8 @@ averaging.
 
 from .basis import expectation, single_atom_basis, two_atom_basis_flat
 from .config_average import AverageResult, DisorderModel, cbs_cone, monte_carlo_average
+from .errors import ConfigurationError, ResolventError
 from .liouvillian import (
-    ConfigurationError,
     DriveConfig,
     GeneratorSet,
     Geometry,
@@ -26,7 +26,6 @@ from .spectrum import (
 from .steady_state import (
     IntensityBreakdown,
     PerturbativeState,
-    ResolventError,
     intensities,
     perturbative_steady_state,
 )

@@ -39,10 +39,11 @@ import numpy as np
 from . import __version__
 from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone, check_seed,
                              monte_carlo_average)
-from .liouvillian import ConfigurationError, DriveConfig, Geometry, assemble
+from .errors import ConfigurationError, ResolventError
+from .liouvillian import DriveConfig, Geometry, assemble
 from .oracles import alpha_closed_form
 from .spectrum import check_sum_rule, compute_spectrum, normalized_spectra
-from .steady_state import ResolventError, intensities, perturbative_steady_state
+from .steady_state import intensities, perturbative_steady_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

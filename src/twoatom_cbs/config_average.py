@@ -11,11 +11,11 @@ cos theta alone, and an evaluator that needs the pair axis forms it with
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import ConfigurationError
+from .errors import ConfigurationError
 
 #: isotropic average of |Delta_{+1,+1}|^2 = <sin^4(theta)>/4 = 2/15
 ANGULAR_FACTOR = 2.0 / 15.0

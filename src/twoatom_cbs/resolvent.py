@@ -49,10 +49,13 @@ gather, multiply-add and division over a block of frequencies.  The rows
 and right-hand sides are rotated once per call, and Schur coordinates never
 leave this module.
 
-`needed` gives the tiles a solve must visit to read given entries: their own
-and their feeders.  Each mask's plans, the solve's tile groups and the
-sweep's waves, are built from the checked mask alone, once per process, as
-every `assemble` builds a new resolvent.
+Callers speak packed positions only; tile masks never leave this module.
+`needed` gives the packed entries of the tiles a solve must visit to read
+given entries: their own and the feeders of the level-2 ones.  `solve`
+visits the tiles of the entries it is given and `sweep` those of its rows'
+non-zero columns, each with their feeders.  Each plan, the solve's tile
+groups and the sweep's waves, is built once per process from the caller's
+entries or row support, as every `assemble` builds a new resolvent.
 """
 
 from functools import lru_cache
@@ -74,6 +77,8 @@ GROUP_OF = np.repeat(np.arange(len(GROUPS)), [len(g) for g in GROUPS])[np.argsor
 _LATER = np.concatenate([np.arange(len(g))[::-1] for g in GROUPS])[np.argsort(sum(GROUPS, ()))]
 _OFF_BLOCK = GROUP_OF[1:, None] != GROUP_OF[None, 1:]
 _MASK_SHAPE = (len(GROUPS),) * 2
+# the tile [p, q] of each packed position n - 1, n = 16 l + m
+_TILE_OF = tuple(GROUP_OF[np.array(np.divmod(np.arange(1, N_TWO), N_SINGLE))])
 # the entries of T_a = Q_a^H M_a Q_a below the diagonal of a group, zero in
 # exact arithmetic
 _LOWER = np.tril(GROUP_OF[:, None] == GROUP_OF[None, :], -1)
@@ -113,58 +118,40 @@ def _solve2(m, r):
     return np.stack([d * r0 - b * r1, a * r1 - c * r0], axis=-2) / (a * d - b * c)[..., None, :]
 
 
-def needed(columns):
-    """Mask [p, q] of the tiles a solve read at packed `columns` needs:
-    the tiles holding them, and the level-1 feeders of the level-2 ones."""
-    l, m = np.divmod(np.asarray(columns) + 1, N_SINGLE)
+def _closure(columns):
+    """Mask [p, q] of the tiles holding the packed `columns` (indices or a
+    boolean array over the 255 positions) and the level-1 feeders of the
+    level-2 ones.  No packed position lies in the trace tile (0, 0)."""
     mask = np.zeros(_MASK_SHAPE, dtype=bool)
-    mask[GROUP_OF[l], GROUP_OF[m]] = True
+    mask[_TILE_OF[0][columns], _TILE_OF[1][columns]] = True
     mask[1:, 0] |= mask[1:, 1:].any(axis=1)
     mask[0, 1:] |= mask[1:, 1:].any(axis=0)
     return mask
 
 
-def _mask_key(tiles):
-    """The cache key of the mask `tiles`: None for every tile, else the
-    bytes of a 9x9 boolean array."""
-    if tiles is None:
-        return None
-    tiles = np.asarray(tiles)
-    if tiles.dtype != bool or tiles.shape != _MASK_SHAPE:
-        raise ConfigurationError(
-            f"tile mask must be a boolean array of shape {_MASK_SHAPE}, "
-            f"not {tiles.dtype} of shape {tiles.shape}")
-    return tiles.tobytes()
-
-
-def _mask(key):
-    """The mask of a cache key, checked: every level-2 tile with its feeders."""
-    mask = (np.ones(_MASK_SHAPE, dtype=bool) if key is None
-            else np.frombuffer(key, dtype=bool).reshape(_MASK_SHAPE))
-    orphans = np.argwhere(mask[1:, 1:] & ~(mask[1:, :1] & mask[:1, 1:])) + 1
-    if orphans.size:
-        p, q = orphans[0]
-        raise ConfigurationError(
-            f"tile mask holds the level-2 tile ({p}, {q}) without its level-1 "
-            f"feeders ({p}, 0) and (0, {q})")
-    return mask
+def needed(columns):
+    """Sorted, read-only packed entries of the tiles a solve read at packed
+    `columns` needs: the tiles holding them, and the level-1 feeders of the
+    level-2 ones."""
+    entries = np.flatnonzero(_closure(np.asarray(columns))[_TILE_OF])
+    entries.setflags(write=False)
+    return entries
 
 
 @lru_cache(maxsize=64)
-def _mask_plan(key):
-    """The groups of tiles a solve restricted to a tile mask visits, one per
-    level and tile dimension, as (level, flat, l, m, a_p, b_q): l, m and
-    flat = 16 l + m are the entries X[l, m] of the group's tiles [tile,
-    entry], in row-major (p, q) order, and a_p, b_q index the tiles' blocks
-    a_p (x) 1 and 1 (x) b_q [tile, row, column] as (M1 indices, M2 indices,
-    Kronecker factor 1 of each).  The trace tile (0, 0) is never solved.
-    Each mask is checked and planned once per process, whichever resolvent
+def _solve_plan(key):
+    """The groups of tiles a solve of the packed entries `key` (the bytes of
+    an intp array) visits, their closure, one per level and tile dimension,
+    as (level, flat, l, m, a_p, b_q): l, m and flat = 16 l + m are the
+    entries X[l, m] of the group's tiles [tile, entry], in row-major (p, q)
+    order, and a_p, b_q index the tiles' blocks a_p (x) 1 and 1 (x) b_q
+    [tile, row, column] as (M1 indices, M2 indices, Kronecker factor 1 of
+    each).  Each entry set is planned once per process, whichever resolvent
     solves it."""
     groups = {}
-    for p, q in np.argwhere(_mask(key)):
-        if p or q:
-            l, m = np.broadcast_arrays(np.array(GROUPS[p])[:, None], np.array(GROUPS[q]))
-            groups.setdefault((1 + bool(p and q), l.size), []).append((l.ravel(), m.ravel()))
+    for p, q in np.argwhere(_closure(np.frombuffer(key, dtype=np.intp))):
+        l, m = np.broadcast_arrays(np.array(GROUPS[p])[:, None], np.array(GROUPS[q]))
+        groups.setdefault((1 + bool(p and q), l.size), []).append((l.ravel(), m.ravel()))
     plan = []
     for (level, _), tiles in sorted(groups.items()):
         l, m = np.array(tiles).swapaxes(0, 1)
@@ -176,16 +163,15 @@ def _mask_plan(key):
 
 @lru_cache(maxsize=64)
 def _wave_plan(key):
-    """The substitution a sweep restricted to a tile mask runs, as
-    (flat, diagonal, outside, waves).  `flat` = 16 l + m are the entries
-    Y[l, m] of the mask's tiles, ordered by wave; `diagonal` indexes
-    T1[l, l] and T2[m, m] in the stacked, raveled (T1, T2); `outside` marks
-    the packed positions off the mask.  Each wave is (start, stop, deps,
+    """The substitution a sweep runs for rows of the packed support `key`
+    (the bytes of a boolean array [255]), on the closure of its tiles, as
+    (flat, diagonal, waves).  `flat` = 16 l + m are the entries Y[l, m] of
+    those tiles, ordered by wave; `diagonal` indexes T1[l, l] and T2[m, m]
+    in the stacked, raveled (T1, T2).  Each wave is (start, stop, deps,
     coefficients): its entries start:stop, the positions of the at most 8
     entries each of them reads, padded with the zero slot past the last
     entry, and the indices of their coefficients in (T1, T2)."""
-    grid = _mask(key)[GROUP_OF[:, None], GROUP_OF[None, :]]
-    grid[0, 0] = False
+    grid = _closure(np.frombuffer(key, dtype=bool))[GROUP_OF[:, None], GROUP_OF[None, :]]
     entries = [tuple(e) for e in np.argwhere(grid)]
     # the entries Y[l, m] reads: through T1[l, k] the entries (k, m) after
     # it in its group and the feed (0, m); through T2[m, k] likewise
@@ -200,10 +186,11 @@ def _wave_plan(key):
     wave = {(l, m): _LATER[l] + _LATER[m] + bool(l and m) for l, m in entries}
     order = sorted(entries, key=lambda e: (wave[e], e))
     position = {e: i for i, e in enumerate(order)}
-    flat = np.array([l * N_SINGLE + m for l, m in order])
-    diagonal = np.array([[l * (N_SINGLE + 1), N_TWO + m * (N_SINGLE + 1)] for l, m in order])
+    flat = np.array([l * N_SINGLE + m for l, m in order], dtype=int)
+    diagonal = np.array([[l * (N_SINGLE + 1), N_TWO + m * (N_SINGLE + 1)] for l, m in order],
+                        dtype=int).reshape(-1, 2)
     waves, start = [], 0
-    for w in range(max(wave.values()) + 1):
+    for w in range(max(wave.values(), default=-1) + 1):
         stop = start + sum(1 for e in order if wave[e] == w)
         width = max(len(reads[e]) for e in order[start:stop])
         deps = np.full((stop - start, width), len(order))
@@ -213,7 +200,7 @@ def _wave_plan(key):
                 deps[i, j], coefficients[i, j] = position[dep], coefficient
         waves.append((start, stop, deps, coefficients))
         start = stop
-    return flat, diagonal, ~grid.ravel()[1:], tuple(waves)
+    return flat, diagonal, tuple(waves)
 
 
 def _schur2(b):
@@ -348,20 +335,20 @@ class KroneckerResolvent:
             eigs = np.concatenate([single, large, small, bloch], axis=-1)
             return (eigs[0][..., :, None] + eigs[1][..., None, :]).reshape(self.shape + (-1,))[..., 1:]
 
-    def solve(self, rhs, tiles=None):
-        """x = G0(0) rhs = -A^{-1} rhs for every right-hand side.
+    def solve(self, rhs, entries):
+        """x = G0(0) rhs = -A^{-1} rhs for every right-hand side, on the
+        tiles of the packed `entries` and their feeders.
 
         `rhs` has shape C + K + (255,): its K right-hand sides are the
         columns of one factorization per tile, and the result has its shape.
-        `tiles`, a mask from `needed`, solves only those tiles and leaves
-        the entries of the others at zero; a mask that is not a 9x9 boolean
-        array, or that holds a level-2 tile without its feeders, raises
-        ConfigurationError.
+        Only the tiles holding `entries` (as from `needed`) are solved, with
+        the level-1 feeders of the level-2 ones; the entries of the others
+        are left at zero, and np.arange(255) solves every tile.
         """
         rhs = np.asarray(rhs, dtype=complex)
         lead, rank = self.shape, len(self.shape)
         batch = rhs.shape[rank:-1]
-        plan = _mask_plan(_mask_key(tiles))
+        plan = _solve_plan(np.asarray(entries, dtype=np.intp).tobytes())
         # b[..., l * 16 + m, column]
         b = np.zeros(lead + (N_TWO, int(np.prod(batch))), dtype=complex)
         b[..., 1:, :] = rhs.reshape(lead + (-1, N_TWO - 1)).swapaxes(-1, -2)
@@ -382,13 +369,13 @@ class KroneckerResolvent:
                                if size == 2 else np.linalg.solve(tile, r))
         return x[..., 1:, :].swapaxes(-1, -2).reshape(lead + batch + (N_TWO - 1,))
 
-    def sweep(self, rows, z, rhs, tiles=None):
+    def sweep(self, rows, z, rhs):
         """rows . (z - A)^{-1} . rhs at every frequency of the 1-D array `z`.
 
         One configuration only.  `rows` has shape R + (255,) and `rhs`
-        K + (255,); the result has shape z.shape + K + R.  `tiles`, a mask
-        from `needed`, solves only those tiles: `rows` must vanish outside
-        them, and the mask is checked as `solve` checks it.
+        K + (255,); the result has shape z.shape + K + R.  Only the tiles
+        holding the rows' non-zero columns are solved, with the level-1
+        feeders of the level-2 ones: all that the rows read.
         """
         if self.shape != ():
             raise ConfigurationError(
@@ -397,9 +384,7 @@ class KroneckerResolvent:
         if z.ndim != 1:
             raise ConfigurationError(f"sweep frequencies must be a 1-D array, not shape {z.shape}")
         rows, rhs = np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex)
-        flat, diagonal, outside, waves = _wave_plan(_mask_key(tiles))
-        if rows[..., outside].any():
-            raise ConfigurationError("sweep rows read entries outside the tile mask")
+        flat, diagonal, waves = _wave_plan(np.any(rows.reshape(-1, N_TWO - 1), axis=0).tobytes())
         q, t = _schur_bases(self.m)
         t = t.ravel()
         # to Schur coordinates at the plan's entries: Q1^H B conj(Q2) for

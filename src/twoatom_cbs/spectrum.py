@@ -28,13 +28,13 @@ V G0(z) [c_1^[1], c_2^[1]], over the connected initial conditions c_a^[k],
 through V's four rows at the pair positions, with one call of the generator
 set's resolvent sweep (`resolvent.KroneckerResolvent.sweep`) over the whole
 grid: a substitution in the Schur coordinates of the two single-atom
-generators, built once per call, with nothing factored per frequency.  It
-solves only the tiles holding the rows' non-zero columns, plus the level-1
-feeders of those: 24 of the 80 tiles (84 entries) when the separation is
-transverse to the laser, 38 (136 entries) for the tests' shifted-tilted
-geometry.  It reads V only through `steady_state.read_tiles`, which holds
-both the pair rows and their tiles, derived once per coupling matrix.  The
-stationary state solves order 1 where `qrt_initial` reads it for those
+generators, built once per call, with nothing factored per frequency.  The
+sweep restricts itself to the tiles holding the rows' non-zero columns,
+plus the level-1 feeders of those: 24 of the 80 tiles (84 entries) when the
+separation is transverse to the laser, 38 (136 entries) for the tests'
+shifted-tilted geometry.  The spectrum reads V only through
+`steady_state.read_tiles`, which holds the pair rows, derived once per
+coupling matrix.  The stationary state solves order 1 where `qrt_initial` reads it for those
 tiles and at the pairs, order 2 where it reads it for the pairs.  The
 second stage is read through the detected rows: the first rows of
 (z - a)^{-1}, in closed form for a the 2x2 pair blocks of M1 and M2,
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResolventError
 from .liouvillian import GeneratorSet
 from .steady_state import (
     _IDX_D,
@@ -60,7 +60,6 @@ from .steady_state import (
     SIGMA_12_ROWS,
     IntensityBreakdown,
     PerturbativeState,
-    ResolventError,
     _elastic_readout,
     intensities,
     perturbative_steady_state,
@@ -196,7 +195,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
 
     z = -1j * nu_grid
     # stage 1: V x_a at the pair rows, x_a = G0(z) c_a^[1], as [nu, a, d, p]
-    vx = gen.resolvent.sweep(reads.pair_rows, z, first, reads.stage1_tiles)
+    vx = gen.resolvent.sweep(reads.pair_rows, z, first)
     # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, placed
     # at _PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) / det(z - a_d), as [nu, d, p]
     shifted = z[:, None, None] - a[:, (0, 1), (0, 1)]  # [nu, d, diagonal]

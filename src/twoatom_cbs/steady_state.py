@@ -25,17 +25,18 @@ where it matters (`Reads.source`): from the columns its operand can be
 non-zero on (the excess lives on 35) onto the entries its solve reads.
 
 Orders 1 and 2 are solved only on the tiles their readers read
-(`resolvent.needed` of the entries, so feeders included).  Order 2 is
-solved on `ORDER2_TILES`, where the intensities read it (the non-zeros of
-`_POP2_ROW` and `_CROSS_ROW`) and where the spectrum's QRT initial
-conditions read it at the detected coherence pair: 10 of the 80 tiles.
-Order 1 is solved where V reads it for order 2 there, where the elastic
-read-out and the sweep's connected sources read it (the sigma rows' tiles,
-which hold the detected pairs), and where `qrt_initial` reads it for the
-sweep's stage 1: 44 of 80 for a transverse r12.  `read_tiles(V)` derives
-this mask, the stage-1 mask and V's blocks and pair rows once per coupling
-array; one pull-back (`_pullback`) takes entries to the columns they read,
-through V or through the sigma_21 table of the QRT initial conditions.
+(`resolvent.needed` of the entries, so feeders included), named by their
+packed entries.  Order 2 is solved on `ORDER2_ENTRIES`, where the
+intensities read it (the non-zeros of `_POP2_ROW` and `_CROSS_ROW`) and
+where the spectrum's QRT initial conditions read it at the detected
+coherence pair: 10 of the 80 tiles.  Order 1 is solved where V reads it
+for order 2 there, where the elastic read-out and the sweep's connected
+sources read it (the sigma rows' tiles, which hold the detected pairs),
+and where `qrt_initial` reads it for the sweep's stage 1: 44 of 80 for a
+transverse r12.  `read_tiles(V)` derives these entries and V's blocks and
+pair rows once per coupling array; one pull-back (`_pullback`) takes
+entries to the columns they read, through V or through the sigma_21 table
+of the QRT initial conditions.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
 of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
@@ -91,8 +92,6 @@ L_SIGMA_21 = single_atom_tables(sigma(2, 1))[0]
 _L_READS = L_SIGMA_21 != 0
 _QRT_READS = (np.kron(_L_READS, np.eye(N_SINGLE, dtype=bool))
               | np.kron(np.eye(N_SINGLE, dtype=bool), _L_READS))[1:, 1:]
-# indexes a [p, q] tile mask as the 16x16 grid [l, m] of the tiles' entries
-_TILE_OF = (GROUP_OF[:, None], GROUP_OF[None, :])
 
 
 def _pullback(table, entries):
@@ -101,18 +100,11 @@ def _pullback(table, entries):
     return np.flatnonzero(np.any(table[entries], axis=0))
 
 
-def _entries(tiles):
-    """Packed positions of the entries of the tiles of a mask [p, q]."""
-    return np.flatnonzero(tiles[_TILE_OF].ravel()[1:])
-
-
-#: tiles of order 2 that are read: the intensities' ladder and crossed rows
-#: and the QRT pull-back of the detected coherence pairs
-ORDER2_TILES = needed(np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
-                                      _pullback(_QRT_READS, _PAIR_ROWS.ravel())]))
-ORDER2_TILES.setflags(write=False)
-# packed entries of the order-2 tiles: the rows of V order 2 reads
-_ORDER2_ENTRIES = _entries(ORDER2_TILES)
+#: packed entries of the order-2 tiles that are read, the rows of V order 2
+#: reads: the intensities' ladder and crossed rows and the QRT pull-back of
+#: the detected coherence pairs
+ORDER2_ENTRIES = needed(np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
+                                        _pullback(_QRT_READS, _PAIR_ROWS.ravel())]))
 _SIGMA_COLUMNS = np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0))
 
 
@@ -129,14 +121,11 @@ _EXCESS_COLUMNS = np.flatnonzero(np.outer(_LIVE, _LIVE).ravel()[1:])
 
 class Reads(NamedTuple):
     """What the state and the spectrum sweep read of one coupling V, each a
-    read-only array: the tile masks of order 1 and of the sweep's first
-    stage, the packed entries of the order-1 tiles, the blocks of V that
-    form the right-hand sides of orders 1 and 2 (`source`), and V's rows at
-    the detected coherence pairs [d, p, 255], which the first stage reads
-    out."""
+    read-only array: the packed entries of the order-1 tiles, the blocks of
+    V that form the right-hand sides of orders 1 and 2 (`source`), and V's
+    rows at the detected coherence pairs [d, p, 255], which the first stage
+    reads out."""
 
-    order1_tiles: np.ndarray
-    stage1_tiles: np.ndarray
     order1_entries: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
@@ -146,10 +135,10 @@ class Reads(NamedTuple):
         """V x, the right-hand side of order k = 1 or 2, for x the excess
         (k = 1) or order 1 (k = 2).  It is formed on the entries order k's
         solve reads, from the columns x can be non-zero on: v1 = V[order-1
-        entries][:, _EXCESS_COLUMNS], v2 = V[_ORDER2_ENTRIES][:, order-1
+        entries][:, _EXCESS_COLUMNS], v2 = V[ORDER2_ENTRIES][:, order-1
         entries].  Zero elsewhere."""
         rows, columns, block = ((self.order1_entries, _EXCESS_COLUMNS, self.v1),
-                                (_ORDER2_ENTRIES, self.order1_entries, self.v2))[k - 1]
+                                (ORDER2_ENTRIES, self.order1_entries, self.v2))[k - 1]
         rhs = np.zeros(x.shape, dtype=complex)
         rhs[..., rows] = x[..., columns] @ block.T
         return rhs
@@ -161,17 +150,17 @@ _READ_TILES = {}
 def read_tiles(v):
     """The `Reads` of the coupling array `v`, derived once per array: V is
     cached per geometry, so a drive sweep derives them once.  An entry
-    leaves with its array.  The stage-1 tiles hold the columns V's pair
-    rows read; the order-1 tiles those V reads on ORDER2_TILES, the sigma
-    rows and the QRT initial conditions on the stage-1 tiles."""
+    leaves with its array.  The order-1 tiles hold the columns V reads on
+    ORDER2_ENTRIES, the sigma rows, and those the QRT initial conditions
+    read on the sweep's first-stage tiles, which hold the columns V's pair
+    rows read."""
     key = id(v)
     if key not in _READ_TILES:
         stage1 = needed(_pullback(v, _PAIR_ROWS.ravel()))
-        order1 = needed(np.concatenate([_pullback(v, _ORDER2_ENTRIES), _SIGMA_COLUMNS,
-                                        _pullback(_QRT_READS, _entries(stage1))]))
-        entries = _entries(order1)
-        reads = Reads(order1, stage1, entries, v[np.ix_(entries, _EXCESS_COLUMNS)],
-                      v[np.ix_(_ORDER2_ENTRIES, entries)], v[_PAIR_ROWS])
+        entries = needed(np.concatenate([_pullback(v, ORDER2_ENTRIES), _SIGMA_COLUMNS,
+                                         _pullback(_QRT_READS, stage1)]))
+        reads = Reads(entries, v[np.ix_(entries, _EXCESS_COLUMNS)],
+                      v[np.ix_(ORDER2_ENTRIES, entries)], v[_PAIR_ROWS])
         for array in reads:
             array.setflags(write=False)
         _READ_TILES[key] = reads
@@ -214,9 +203,10 @@ class PerturbativeState:
     """Stationary <Q> at orders g^0, g^1, g^2 (shape C + (255,) each).
 
     Order 0 is complete.  Orders 1 and 2 hold their values on the tiles
-    they are read on, `read_tiles(gen.V).order1_tiles` and `ORDER2_TILES`,
-    and zeros outside them; a full order is `gen.resolvent.solve` of the
-    `read_tiles(gen.V).source` of the order before it.
+    they are read on, those of `read_tiles(gen.V).order1_entries` and
+    `ORDER2_ENTRIES`, and zeros outside them; a full order is
+    `gen.resolvent.solve` of the `read_tiles(gen.V).source` of the order
+    before it on np.arange(255).
     """
 
     order0: np.ndarray
@@ -234,8 +224,8 @@ def perturbative_steady_state(gen: GeneratorSet) -> PerturbativeState:
     annihilates the ground pair: two ground-state atoms do not interact."""
     reads = read_tiles(gen.V)
     order0, excess = product_state(gen)
-    order1 = gen.resolvent.solve(reads.source(1, excess), reads.order1_tiles)
-    order2 = gen.resolvent.solve(reads.source(2, order1), ORDER2_TILES)
+    order1 = gen.resolvent.solve(reads.source(1, excess), reads.order1_entries)
+    order2 = gen.resolvent.solve(reads.source(2, order1), ORDER2_ENTRIES)
     return PerturbativeState(order0=order0, order1=order1, order2=order2)
 
 

@@ -38,6 +38,7 @@ from twoatom_cbs.liouvillian import (
     coupling_constant,
     helicity_projector,
 )
+from twoatom_cbs.resolvent import GROUP_OF
 from twoatom_cbs.spectrum import compute_spectrum, qrt_initial
 from twoatom_cbs.steady_state import (
     SIGMA_12_ROWS,
@@ -49,6 +50,15 @@ from twoatom_cbs.steady_state import (
 
 DEFAULT_SEPARATION = 100.0
 CONDITION_LIMIT = 1e12
+
+
+#: the tile (p, q) of each packed position n - 1, n = 16 l + m
+TILE = tuple(GROUP_OF[np.array(np.divmod(np.arange(1, N_TWO), N_SINGLE))])
+
+
+def tile_count(entries):
+    """How many tiles (p, q) the packed `entries` lie in."""
+    return np.unique(TILE[0][entries] * N_SINGLE + TILE[1][entries]).size
 
 
 def resolvent_solve(a, z, rhs):
@@ -76,7 +86,7 @@ def g0_full(gen, z, rhs):
     """G0(z) rhs in full, through the package's resolvent: the tile solve at
     z = 0, else the sweep read through every row."""
     if z == 0:
-        return gen.resolvent.solve(rhs)
+        return gen.resolvent.solve(rhs, np.arange(N_TWO - 1))
     return gen.resolvent.sweep(np.eye(N_TWO - 1), [z], rhs)[0]
 
 

@@ -11,10 +11,9 @@ from twoatom_cbs.basis import N_SINGLE, N_TWO, expand_two_atom_operator, sigma
 from twoatom_cbs.basis import expectation as basis_expectation
 from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
-from twoatom_cbs.resolvent import BLOCKS, GROUP_OF, needed
+from twoatom_cbs.resolvent import BLOCKS, GROUPS, needed
 from twoatom_cbs.spectrum import (
     _PAIR_ROWS,
-    SpectrumResult,
     check_sum_rule,
     compute_spectrum,
     default_nu_grid,
@@ -24,16 +23,16 @@ from twoatom_cbs.spectrum import (
 )
 from twoatom_cbs.steady_state import (
     L_SIGMA_21,
-    ORDER2_TILES,
+    ORDER2_ENTRIES,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     ResolventError,
-    intensities,
     perturbative_steady_state,
     read_tiles,
 )
 
 from conftest import (
+    TILE,
     dense_a,
     g0_full,
     generator,
@@ -42,8 +41,8 @@ from conftest import (
     long_double_sweep_reference,
     resolvent_solve,
     shifted_tilted_geometry,
-    spectrum_at,
     stationary,
+    tile_count,
 )
 
 
@@ -281,27 +280,26 @@ class TestDensities:
         # through V's pair rows, it equals the full sweep
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
         v_rows = gen.V[_PAIR_ROWS]
-        tiles = read_tiles(gen.V).stage1_tiles
-        # derived once per coupling array, and shared read-only
-        cached = read_tiles(gen.V)
-        assert np.array_equal(cached[1], tiles) and cached is read_tiles(gen.V)
-        assert np.array_equal(cached.pair_rows, v_rows)
-        assert not any(mask.flags.writeable for mask in cached)
         columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
-        l, m = np.divmod(columns + 1, N_SINGLE)
-        assert tiles[GROUP_OF[l], GROUP_OF[m]].all()
-        assert not tiles[0, 0]
-        for p, q in np.argwhere(tiles):
-            if p and q:
-                assert tiles[0, q] and tiles[p, 0]
-        assert tiles.sum() < 0.5 * tiles.size
+        entries = needed(columns)
+        # V's pair rows are derived once per coupling array, and shared
+        # read-only
+        cached = read_tiles(gen.V)
+        assert cached is read_tiles(gen.V)
+        assert np.array_equal(cached.pair_rows, v_rows)
+        assert not any(array.flags.writeable for array in cached)
+        p, q = TILE[0][entries], TILE[1][entries]
+        assert np.isin(columns, entries).all()
+        assert not np.any((p == 0) & (q == 0))
+        for p_, q_ in zip(p, q):
+            if p_ and q_:
+                assert np.any((p == 0) & (q == q_)) and np.any((p == p_) & (q == 0))
+        assert tile_count(entries) < 0.5 * len(GROUPS) ** 2
         z = -1j * np.array([0.0, 0.4, 7.0])
         rhs = np.stack([inhomogeneity(gen), gen.V @ inhomogeneity(gen)])
-        full = gen.resolvent.sweep(v_rows, z, rhs)
-        part = gen.resolvent.sweep(v_rows, z, rhs, tiles)
+        full = np.einsum("zkn,dpn->zkdp", gen.resolvent.sweep(np.eye(N_TWO - 1), z, rhs), v_rows)
+        part = gen.resolvent.sweep(v_rows, z, rhs)
         assert np.allclose(part, full, rtol=0.0, atol=1e-14 * np.abs(full).max())
-        with pytest.raises(ConfigurationError, match="outside the tile mask"):
-            gen.resolvent.sweep(gen.V[:1], z, rhs, tiles)
 
     @pytest.mark.parametrize("geom, count", [(Geometry.backscattering(100.0), 44),
                                              (shifted_tilted_geometry(), 72)],
@@ -311,19 +309,17 @@ class TestDensities:
         # tiles, at the non-zeros of the sigma rows, and at the entries
         # qrt_initial reads to form the first stage's tiles
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
-        l, m = np.divmod(np.arange(1, N_TWO), N_SINGLE)
-        tile = (GROUP_OF[l], GROUP_OF[m])
         eye = np.eye(N_SINGLE)
         tables = np.stack([np.kron(L_SIGMA_21, eye), np.kron(eye, L_SIGMA_21)])[:, 1:, 1:]
-        stage1 = np.flatnonzero(read_tiles(gen.V).stage1_tiles[tile])
-        read = [np.flatnonzero(np.any(gen.V[ORDER2_TILES[tile]], axis=0)),
+        stage1 = needed(np.flatnonzero(np.any(gen.V[_PAIR_ROWS], axis=(0, 1))))
+        read = [np.flatnonzero(np.any(gen.V[ORDER2_ENTRIES], axis=0)),
                 np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0)),
                 np.flatnonzero(np.any(tables[:, stage1], axis=(0, 1)))]
-        tiles = read_tiles(gen.V).order1_tiles
+        entries = read_tiles(gen.V).order1_entries
         for columns in read:
-            assert columns.size and tiles[tile][columns].all()
-        assert np.array_equal(tiles, needed(np.concatenate(read)))
-        assert tiles.sum() == count
+            assert columns.size and np.isin(columns, entries).all()
+        assert np.array_equal(entries, needed(np.concatenate(read)))
+        assert tile_count(entries) == count
 
     def test_non_finite_density_raises(self):
         # a broken input must fail the run, not be interpolated over

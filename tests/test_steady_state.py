@@ -25,7 +25,7 @@ from twoatom_cbs.steady_state import (
     _PAIR_ROWS,
     _POP2_ROW,
     L_SIGMA_21,
-    ORDER2_TILES,
+    ORDER2_ENTRIES,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     intensities,
@@ -35,6 +35,7 @@ from twoatom_cbs.steady_state import (
 )
 
 from conftest import (
+    TILE,
     dense_a,
     g0_full,
     generator,
@@ -44,11 +45,8 @@ from conftest import (
     resolvent_solve,
     shifted_tilted_geometry,
     stationary,
+    tile_count,
 )
-
-
-#: the tile of each packed position n - 1, as indices into a [p, q] mask
-_TILE = tuple(GROUP_OF[np.array(np.divmod(np.arange(1, N_TWO), N_SINGLE))])
 
 
 class TestResolvent:
@@ -71,7 +69,7 @@ class TestResolvent:
 
     def test_g0_at_zero_is_minus_a_inverse(self):
         gen = generator(2.0)
-        x = gen.resolvent.solve(inhomogeneity(gen))
+        x = gen.resolvent.solve(inhomogeneity(gen), np.arange(N_TWO - 1))
         assert np.allclose(dense_a(gen) @ x, -inhomogeneity(gen), atol=1e-12)
 
     @pytest.mark.parametrize("rabi", [0.5, 1.0, 20.0])
@@ -102,7 +100,7 @@ class TestResolvent:
         rng = np.random.default_rng(11)
         rhs = np.stack([inhomogeneity(stack),
                         rng.normal(size=(2, 255)) + 1j * rng.normal(size=(2, 255))], axis=-2)
-        got = stack.resolvent.solve(rhs)
+        got = stack.resolvent.solve(rhs, np.arange(N_TWO - 1))
         assert got.shape == (2, 2, 255)
         for c, r in enumerate(rabi):
             a = dense_a(assemble(DriveConfig(rabi=r, detuning=0.3), geom))
@@ -123,7 +121,7 @@ class TestResolvent:
         rhs = inhomogeneity(gen) if count == 1 else np.stack(
             [inhomogeneity(gen), gen.V @ inhomogeneity(gen)]
             + [rng.normal(size=255) + 1j * rng.normal(size=255) for _ in range(count - 2)])
-        got = gen.resolvent.solve(rhs)
+        got = gen.resolvent.solve(rhs, np.arange(N_TWO - 1))
         want = resolvent_solve(dense_a(gen), 0.0, rhs.T).T
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -193,29 +191,27 @@ class TestResolvent:
                 KroneckerResolvent(m)
 
     @pytest.mark.parametrize("z", [0.0, -0.5j])
-    @pytest.mark.parametrize("feeder", [(1, 0), (0, 1)])
-    def test_mask_without_feeders_is_rejected(self, feeder, z):
-        # the level-2 tile (1, 1) is fed by (1, 0) and (0, 1): without them
-        # its right-hand side would read their entries as zero, in the
-        # static solve (z = 0) and in the sweep alike
+    def test_level2_entries_are_solved_with_their_feeders(self, z):
+        # the level-2 tile (1, 1) is fed by (1, 0) and (0, 1): given only
+        # its entries, the static solve (z = 0) and the sweep alike solve
+        # those feeders too, and match the full solve on the tile
         gen = generator(1.0)
-        tiles = needed(np.arange(N_TWO - 1))
-        assert tiles.sum() == 80
-        tiles[feeder] = False
-        with pytest.raises(ConfigurationError, match=r"tile \(1, 1\) without its level-1 feeders"):
-            if z:
-                gen.resolvent.sweep(np.eye(N_TWO - 1), [z], inhomogeneity(gen), tiles)
-            else:
-                gen.resolvent.solve(inhomogeneity(gen), tiles)
+        tile = np.flatnonzero((TILE[0] == 1) & (TILE[1] == 1))
+        feeders = np.flatnonzero(((TILE[0] == 1) & (TILE[1] == 0)) | ((TILE[0] == 0) & (TILE[1] == 1)))
+        assert np.array_equal(needed(tile), np.union1d(tile, feeders))
+        rhs = inhomogeneity(gen)
+        full = g0_full(gen, z, rhs)[tile]
+        if z:
+            got = gen.resolvent.sweep(np.eye(N_TWO - 1)[tile], [z], rhs)[0]
+        else:
+            got = gen.resolvent.solve(rhs, tile)[tile]
+        assert np.allclose(got, full, rtol=0.0, atol=1e-14 * np.abs(full).max())
 
-    @pytest.mark.parametrize("mask", [np.ones((9, 9), dtype=int), np.ones((9, 9), dtype=np.uint8),
-                                      np.ones((3, 27), dtype=bool), np.ones(81, dtype=bool),
-                                      np.ones((9, 9, 1), dtype=bool), [[1] * 9] * 9],
-                             ids=["int", "uint8", "3x27", "flat", "9x9x1", "int-list"])
-    def test_mask_that_is_not_a_9x9_boolean_array_is_rejected(self, mask):
+    def test_sweep_of_rows_that_read_nothing_is_zero(self):
+        # rows with no non-zero column restrict the sweep to no tile at all
         gen = generator(1.0)
-        with pytest.raises(ConfigurationError, match="boolean array of shape"):
-            gen.resolvent.solve(inhomogeneity(gen), mask)
+        got = gen.resolvent.sweep(np.zeros((2, N_TWO - 1)), [0.0, -0.5j], inhomogeneity(gen))
+        assert got.shape == (2, 2) and not got.any()
 
     def test_broken_schur_basis_fails_the_sweep(self, monkeypatch):
         # a basis that leaves the coherence pairs untriangularized is caught
@@ -261,7 +257,7 @@ class TestPerturbativeExpansion:
         # all-orders solve must scale like |g|^3; compared on the
         # components where order 2 is solved
         cfg = DriveConfig(rabi=1.5, detuning=0.5)
-        solved = ORDER2_TILES[_TILE]
+        solved = ORDER2_ENTRIES
         errs = []
         for sep in (50.0, 100.0, 200.0):
             gen = assemble(cfg, Geometry.backscattering(sep))
@@ -312,11 +308,12 @@ class TestReadTiles:
         gen = assemble(DriveConfig(rabi=rabi, detuning=0.7), geom)
         state = perturbative_steady_state(gen)
         reads = read_tiles(gen.V)
-        full1 = gen.resolvent.solve(reads.source(1, product_state(gen)[1]))
-        full2 = gen.resolvent.solve(reads.source(2, full1))
-        for got, full, tiles in ((state.order1, full1, reads.order1_tiles),
-                                 (state.order2, full2, ORDER2_TILES)):
-            inside = tiles[_TILE]
+        everything = np.arange(N_TWO - 1)
+        full1 = gen.resolvent.solve(reads.source(1, product_state(gen)[1]), everything)
+        full2 = gen.resolvent.solve(reads.source(2, full1), everything)
+        for got, full, entries in ((state.order1, full1, reads.order1_entries),
+                                   (state.order2, full2, ORDER2_ENTRIES)):
+            inside = np.isin(everything, entries)
             assert got.shape == full.shape
             assert np.array_equal(got[..., inside], full[..., inside])
             assert not got[..., ~inside].any()
@@ -326,9 +323,9 @@ class TestReadTiles:
         # qrt_initial reads to form the detected coherence pairs
         read = np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
                                qrt_reads(_PAIR_ROWS.ravel())])
-        assert ORDER2_TILES[_TILE][read].all()
-        assert np.array_equal(ORDER2_TILES, needed(read))
-        assert ORDER2_TILES.sum() == 10
+        assert np.isin(read, ORDER2_ENTRIES).all()
+        assert np.array_equal(ORDER2_ENTRIES, needed(read))
+        assert tile_count(ORDER2_ENTRIES) == 10
 
 
 # bound on |got - reference| / L_inel per drive (Omega, delta) and geometry:
