@@ -196,8 +196,9 @@ class TestResolvent:
         # its entries, the static solve (z = 0) and the sweep alike solve
         # those feeders too, and match the full solve on the tile
         gen = generator(1.0)
-        tile = np.flatnonzero((TILE[0] == 1) & (TILE[1] == 1))
-        feeders = np.flatnonzero(((TILE[0] == 1) & (TILE[1] == 0)) | ((TILE[0] == 0) & (TILE[1] == 1)))
+        p, q = TILE
+        tile = np.flatnonzero((p == 1) & (q == 1))
+        feeders = np.flatnonzero(((p == 1) & (q == 0)) | ((p == 0) & (q == 1)))
         assert np.array_equal(needed(tile), np.union1d(tile, feeders))
         rhs = inhomogeneity(gen)
         full = g0_full(gen, z, rhs)[tile]
