@@ -24,7 +24,9 @@ twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err
 twoatom-cbs intensity-sweep --sweep-points 3 --output sweep.csv 2> sweep.err
 twoatom-cbs compare-oracles --s-values 0.5,2 --output oracles.csv 2> oracles.err
 twoatom-cbs cone --theta-points 5 --mc-samples 100 --output cone.csv 2> cone.err
-for err in spectrum.err sweep.err oracles.err cone.err; do
+# a short k_ell: the estimate reads orientations only, so no warning either
+twoatom-cbs cone --k-ell 8 --theta-max 0.01 --mc-samples 100 --output cone-short.csv 2> cone-short.err
+for err in spectrum.err sweep.err oracles.err cone.err cone-short.err; do
   [ ! -s "$err" ] || { cat "$err"; exit 1; }
 done
 
@@ -67,6 +69,12 @@ cmp exponent.csv plain.csv
 
 echo "== a cone profile that overflows is one configuration error"
 expect_one_line_error 1 cone.err cone --k-ell 1e200 --theta-points 3
+
+echo "== a grid that does not run from nu < 0 to nu > 0 is one configuration error"
+expect_one_line_error 1 grid.err spectrum --nu-min 0 --nu-max 10 --points 81
+
+echo "== a single Monte Carlo sample is one configuration error"
+expect_one_line_error 1 samples.err cone --mc-samples 1
 
 echo "== a negative seed is one configuration error, sampling or not"
 expect_one_line_error 1 seed.err cone --mc-samples 10 --seed -1

@@ -2,7 +2,8 @@
 """Angular profile of the interference contrast around exact backscattering.
 
 The cone narrows as 1/(k l); the Monte Carlo angular factor printed in
-the header cross-checks the analytic 2/15.
+the header, a mean of sin^4(theta)/4 over 200 000 random orientations,
+cross-checks the analytic 2/15.
 """
 
 import argparse

@@ -2,12 +2,12 @@
 
 Numerically exact stationary intensities and emission spectra in the
 helicity-preserving channel, perturbative at second order in the
-photon-exchange coupling, with closed-form oracles and disorder
+photon-exchange coupling, with closed-form oracles and orientation
 averaging.
 """
 
 from .basis import expectation, single_atom_basis, two_atom_basis_flat
-from .config_average import AverageResult, DisorderModel, cbs_cone, monte_carlo_average
+from .config_average import cbs_cone
 from .errors import ConfigurationError, ResolventError
 from .liouvillian import (
     DriveConfig,
@@ -33,9 +33,7 @@ from .steady_state import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AverageResult",
     "ConfigurationError",
-    "DisorderModel",
     "DriveConfig",
     "GeneratorSet",
     "Geometry",
@@ -51,7 +49,6 @@ __all__ = [
     "default_nu_grid",
     "expectation",
     "intensities",
-    "monte_carlo_average",
     "normalized_spectra",
     "perturbative_steady_state",
     "single_atom_basis",

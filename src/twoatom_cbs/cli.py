@@ -6,7 +6,9 @@ keys, its runner); flags, config-file checks and output headers derive
 from them. A mode accepts exactly the parameters its header echoes, plus
 `format` and `output`: `intensity-sweep` takes no `--rabi`,
 `compare-oracles` neither `--rabi` nor `--detuning`, and only `cone`, the
-one mode that draws random numbers, takes `--seed`. Configuration comes
+one mode that draws random numbers, takes `--seed`: its `--mc-samples`
+estimate of the angular factor 2/15 (0, the default, for none; at least 2
+otherwise) reads random orientations only. Configuration comes
 from an optional flat key=value file plus flag overrides. Both only give
 text, which `_coerce` alone turns into values, so both accept the same
 spellings (`points = 801.0` is rejected like `--points 801.0`); unknown
@@ -37,8 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config_average import (DisorderModel, angular_weight_evaluator, cbs_cone, check_seed,
-                             monte_carlo_average)
+from .config_average import angular_factor_estimate, cbs_cone, check_seed
 from .errors import ConfigurationError, ResolventError
 from .liouvillian import DriveConfig, Geometry, assemble
 from .oracles import alpha_closed_form
@@ -187,6 +188,8 @@ def run_spectrum(cfg):
     if not np.all(np.diff(nu_grid) > 0):
         raise ConfigurationError(
             f"grid of {cfg['points']} points from nu_min to nu_max is not strictly increasing")
+    if not cfg["nu_min"] < 0 < cfg["nu_max"]:
+        raise ConfigurationError("need nu_min < 0 < nu_max: the integrals fit C/nu^2 tails")
     gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
                    Geometry.backscattering(cfg["k0_r12"]))
     spec, ib = compute_spectrum(gen, nu_grid=nu_grid)
@@ -263,11 +266,8 @@ def run_cone(cfg):
     profile = cbs_cone(thetas, contrast0, cfg["k_ell"])
     results = {"contrast_at_zero": contrast0}
     if mc_samples > 0:
-        model = DisorderModel(mean_separation=cfg["k_ell"], samples=mc_samples,
-                              seed=cfg["seed"])
-        mc = monte_carlo_average(model, angular_weight_evaluator)
-        results["mc_angular_factor"] = mc.mean
-        results["mc_angular_stderr"] = mc.standard_error
+        results["mc_angular_factor"], results["mc_angular_stderr"] = angular_factor_estimate(
+            mc_samples, cfg["seed"])
     rows = np.column_stack([thetas, profile])
     return results, ("theta", "contrast"), rows
 

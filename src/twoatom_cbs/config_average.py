@@ -1,17 +1,13 @@
-"""Disorder average over pair orientation and separation, and the CBS cone.
+"""Orientation average of the pair geometry, and the CBS cone.
 
 All order-g^2 observables factorize into an atomic part times the
-geometric weight |g|^2 |Delta_{+1,+1}|^2 times a phase, so the default
-averaging path multiplies single-configuration results by analytic
-angular factors.  A Monte Carlo path over random configurations is kept
-as an independent cross-check.  It hands each evaluator the draws as made,
-(cos theta, azimuth, separation): the angular weight sin^4(theta)/4 reads
-cos theta alone, and an evaluator that needs the pair axis forms it with
-`unit_vectors`.
+geometric weight |g|^2 |Delta_{+1,+1}|^2 times a phase, so averaging
+multiplies single-configuration results by analytic angular factors.
+`angular_factor_estimate` is the Monte Carlo cross-check of the one factor
+the cone rests on, <sin^4(theta)>/4 = 2/15, over random orientations.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,126 +28,31 @@ def check_seed(seed):
         raise ConfigurationError(f"seed must be non-negative, not {seed}")
 
 
-@dataclass(frozen=True)
-class DisorderModel:
-    """Random pair geometry: isotropic orientation, uniform distance window.
+def angular_factor_estimate(samples, seed):
+    """Monte Carlo mean and standard error of sin^4(theta)/4 over isotropic
+    orientations: a cross-check of ANGULAR_FACTOR.
 
-    Parameters
-    ----------
-    mean_separation : float
-        Mean interatomic distance in units of 1/k0 (the mean free path
-        scale); must be much larger than the wavelength 2 pi.
-    width : float
-        Full width of the uniform distance window, one wavelength by
-        default.
-    samples : int
-        Monte Carlo sample count.
-    seed : int
-        RNG seed; fixed seed gives bit-identical averages.
+    Draws run in chunks of `_CHUNK` in a fixed layout, cos theta then an
+    azimuth then a separation per chunk; only cos theta enters the weight,
+    so the other two draws are skipped with `advance` and a seed fixes the
+    ensemble, and the bytes of the result.  Fewer than 2 samples or a
+    negative seed raise ConfigurationError.
     """
-
-    mean_separation: float
-    width: float = 2.0 * np.pi
-    samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("mean_separation", "width"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and positive, not {value}")
-        if self.mean_separation <= self.width / 2:
-            raise ConfigurationError(
-                f"distance window [{self.mean_separation - self.width / 2}, "
-                f"{self.mean_separation + self.width / 2}] reaches zero separation"
-            )
-        if self.mean_separation < 4.0 * np.pi:
-            warnings.warn(
-                f"mean separation {self.mean_separation:.3g}/k0 is not large "
-                "against the wavelength; the dilute-medium picture degrades",
-                # past this method and the dataclass's generated __init__
-                stacklevel=3,
-            )
-        if self.samples < 1:
-            raise ConfigurationError("at least one Monte Carlo sample required")
-        check_seed(self.seed)
-
-    def sample(self, rng, count):
-        """Draw `count` configurations as (cos_theta, phi, separation) arrays.
-
-        Orientations are uniform on the sphere (uniform cos theta and
-        azimuth phi), distances uniform over the window; the three are
-        drawn in that order.
-        """
-        cos_t = rng.uniform(-1.0, 1.0, size=count)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        r = rng.uniform(
-            self.mean_separation - self.width / 2,
-            self.mean_separation + self.width / 2,
-            size=count,
-        )
-        return cos_t, phi, r
-
-
-def unit_vectors(cos_t, phi):
-    """Pair axes n_hat, shape (..., 3), from polar cosines and azimuths."""
-    sin_t = np.sqrt(1.0 - cos_t**2)
-    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
-
-
-@dataclass(frozen=True)
-class AverageResult:
-    """Monte Carlo mean with its standard error."""
-
-    mean: np.ndarray | float
-    standard_error: np.ndarray | float
-    samples: int
-
-
-def monte_carlo_average(model: DisorderModel, evaluator) -> AverageResult:
-    """Average a per-configuration observable over the disorder ensemble.
-
-    Parameters
-    ----------
-    model : DisorderModel
-    evaluator : callable
-        Vectorized map (cos_theta (n,), phi (n,), separation (n,)) -> values
-        with leading axis n; scalar observables return shape (n,).  The
-        pair axis is `unit_vectors(cos_theta, phi)`.
-
-    Returns
-    -------
-    AverageResult
-        Mean and standard error over `model.samples` draws.  Summation
-        runs in fixed-size chunks in draw order, so a given seed yields
-        identical bytes on every run.
-    """
-    rng = np.random.default_rng(model.seed)
-    total = None
-    total_sq = None
-    remaining = model.samples
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        values = np.asarray(evaluator(*model.sample(rng, count)))
-        s = values.sum(axis=0)
-        s2 = (values * np.conj(values)).real.sum(axis=0)
-        if total is None:
-            total, total_sq = s, s2
-        else:
-            total = total + s
-            total_sq = total_sq + s2
-        remaining -= count
-    n = model.samples
-    mean = total / n
-    var = np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0)
-    stderr = np.sqrt(var / n)
-    return AverageResult(mean=mean, standard_error=stderr, samples=n)
-
-
-def angular_weight_evaluator(cos_t, phi, r):
-    """|Delta_{+1,+1}|^2 = sin^4(theta)/4 per configuration, for Monte Carlo cross-checks."""
-    s2 = 1.0 - cos_t * cos_t
-    return 0.25 * s2 * s2
+    if samples < 2:
+        raise ConfigurationError(f"need at least 2 Monte Carlo samples, not {samples}")
+    check_seed(seed)
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    for start in range(0, samples, _CHUNK):
+        count = min(_CHUNK, samples - start)
+        s2 = 1.0 - rng.uniform(-1.0, 1.0, size=count) ** 2
+        rng.bit_generator.advance(2 * count)
+        values = 0.25 * s2 * s2
+        total = total + values.sum()
+        total_sq = total_sq + (values * values).sum()
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean**2, 0.0)
+    return mean, np.sqrt(var / samples)
 
 
 def cbs_cone(theta_grid, contrast_at_zero, k_ell):

@@ -118,36 +118,38 @@ class SpectrumResult:
     def integrals(self):
         """Trapezoid integrals of both densities, with a 1/nu^2 tail estimate.
 
-        The grid must be strictly increasing with at least 2 points: the
-        densities themselves may be evaluated on any finite grid.
+        The grid must be strictly increasing with at least 2 points and run
+        from nu < 0 to nu > 0, as the tail model needs; the densities
+        themselves may be evaluated on any finite grid.
         """
         return self._integrals_and_tails()[0]
 
     def _integrals_and_tails(self):
         """(`integrals()`, `tail_estimates()`) from one fit of the tails."""
-        if len(self.nu_grid) < 2 or not np.all(np.diff(self.nu_grid) > 0):
+        nu = self.nu_grid
+        if len(nu) < 2 or not np.all(np.diff(nu) > 0) or not nu[0] < 0 < nu[-1]:
             raise ConfigurationError(
-                "integrals need a strictly increasing frequency grid of at least 2 points")
-        tl, tc = tails = self.tail_estimates()
-        return (np.trapezoid(self.ladder_density, self.nu_grid) + tl,
-                np.trapezoid(self.crossed_density, self.nu_grid) + tc), tails
+                "integrals need a strictly increasing frequency grid of at least 2 points "
+                "from nu < 0 to nu > 0")
+        k = max(3, len(nu) // 40)
+        integrals, tails = [], []
+        for dens in (self.ladder_density, self.crossed_density):
+            c_left = np.mean(dens[:k] * nu[:k] ** 2)
+            c_right = np.mean(dens[-k:] * nu[-k:] ** 2)
+            tails.append(c_left / abs(nu[0]) + c_right / abs(nu[-1]))
+            integrals.append(np.trapezoid(dens, nu) + tails[-1])
+        return tuple(integrals), tuple(tails)
 
     def tail_estimates(self):
         """Estimated mass beyond the grid assuming C/nu^2 far tails.
 
-        C is fitted on the outer few percent of the grid.  The model is
-        cruder than the densities: the ladder densities decay as nu^-4 and
-        the crossed ones at least as fast as nu^-5, so this overestimates
-        the tail mass (about 3x for the ladder at Omega = 0.1, delta = 5).
+        C is fitted on the outer few percent of the grid, which must be as
+        `integrals()` needs.  The model is cruder than the densities: the
+        ladder densities decay as nu^-4 and the crossed ones at least as
+        fast as nu^-5, so this overestimates the tail mass (about 3x for the
+        ladder at Omega = 0.1, delta = 5).
         """
-        nu = self.nu_grid
-        k = max(3, len(nu) // 40)
-        out = []
-        for dens in (self.ladder_density, self.crossed_density):
-            c_left = np.mean(dens[:k] * nu[:k] ** 2)
-            c_right = np.mean(dens[-k:] * nu[-k:] ** 2)
-            out.append(c_left / abs(nu[0]) + c_right / abs(nu[-1]))
-        return tuple(out)
+        return self._integrals_and_tails()[1]
 
 
 def default_nu_grid(cfg, points=2001):

@@ -13,8 +13,9 @@ dropped analytically; both refine every solve against residuals in
 extended precision.
 `apply_single_atom_generator` and `apply_interaction_generator` are the
 direct operator actions the generator tables are checked against, and the
-remaining helpers are the inverse basis expansion and closed forms of the
-disorder averages; the package itself has no use for any of them.
+remaining helpers are the inverse basis expansion, the analytic angular
+factors and the pair axes of given orientations; the package itself has no
+use for any of them.
 """
 
 from functools import lru_cache
@@ -24,8 +25,7 @@ import pytest
 
 from twoatom_cbs.basis import (N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, expand_single_atom_operator,
                                sigma, two_atom_basis_flat)
-from twoatom_cbs.config_average import (ANGULAR_FACTOR, THETA_SQ_COEFFICIENT, monte_carlo_average,
-                                         unit_vectors)
+from twoatom_cbs.config_average import ANGULAR_FACTOR, THETA_SQ_COEFFICIENT
 from twoatom_cbs.errors import ResolventError
 from twoatom_cbs.liouvillian import (
     _DIPOLE_COMPONENTS,
@@ -35,7 +35,6 @@ from twoatom_cbs.liouvillian import (
     Geometry,
     _unit_drive,
     assemble,
-    coupling_constant,
     helicity_projector,
 )
 from twoatom_cbs.resolvent import GROUP_OF
@@ -278,32 +277,10 @@ def angular_factor_analytic():
     return ANGULAR_FACTOR, THETA_SQ_COEFFICIENT
 
 
-def crossed_phase_evaluator(k_total):
-    """cos(k_total . r12) per configuration; k_total = k + k_L.
-
-    At exact backscattering k_total = 0 and the phase is identically 1.
-    """
-    k_total = np.asarray(k_total, dtype=float)
-
-    def evaluate(cos_t, phi, r):
-        return np.cos((unit_vectors(cos_t, phi) @ k_total) * r)
-
-    return evaluate
-
-
-def mean_coupling_sq(model, sampled=False):
-    """|g_bar|^2 of a DisorderModel, with g evaluated at the mean separation.
-
-    With sampled=True, returns the Monte Carlo mean of |g|^2 over
-    the distance window instead (the two differ at relative order
-    (width / mean_separation)^2).
-    """
-    if not sampled:
-        return abs(coupling_constant(model.mean_separation)) ** 2
-    result = monte_carlo_average(
-        model, lambda cos_t, phi, r: np.abs(coupling_constant(r)) ** 2
-    )
-    return result.mean
+def unit_vectors(cos_t, phi):
+    """Pair axes n_hat, shape (..., 3), from polar cosines and azimuths."""
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
 
 
 def shifted_tilted_geometry():

@@ -461,6 +461,10 @@ class TestExitCodes:
         ["intensity-sweep", "--k0-r12", "1e300"],
         # (k_ell theta)^2 overflows: no -inf rows
         ["cone", "--k-ell", "1e200", "--theta-points", "3"],
+        # the tail model needs a grid from nu < 0 to nu > 0: no division by zero
+        ["spectrum", "--nu-min", "0", "--nu-max", "10"],
+        # one sample has no standard error
+        ["cone", "--mc-samples", "1"],
     ])
     def test_out_of_range(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG

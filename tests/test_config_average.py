@@ -9,19 +9,16 @@ from scipy.integrate import quad
 from twoatom_cbs.config_average import (
     ANGULAR_FACTOR,
     THETA_SQ_COEFFICIENT,
-    DisorderModel,
-    angular_weight_evaluator,
+    angular_factor_estimate,
     cbs_cone,
     cone_half_width,
-    monte_carlo_average,
-    unit_vectors,
 )
 from twoatom_cbs.cli import main
 from twoatom_cbs.liouvillian import (ConfigurationError, DriveConfig, Geometry, assemble,
                                      coupling_constant, delta_plus_plus)
 from twoatom_cbs.steady_state import intensities, perturbative_steady_state
 
-from conftest import angular_factor_analytic, crossed_phase_evaluator, mean_coupling_sq
+from conftest import angular_factor_analytic, unit_vectors
 
 
 class TestAnalyticFactors:
@@ -76,104 +73,46 @@ class TestFactorisation:
 
 
 class TestDisorderModel:
-    def test_rejects_window_reaching_zero(self):
-        with pytest.raises(ConfigurationError):
-            DisorderModel(mean_separation=2.0, width=10.0)
-
-    @pytest.mark.parametrize("field", ["mean_separation", "width"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -5.0, 0.0])
-    def test_rejects_non_finite_or_non_positive_lengths(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive"):
-            DisorderModel(**{"mean_separation": 100.0, field: value})
-
     def test_rejects_zero_samples(self):
         with pytest.raises(ConfigurationError):
-            DisorderModel(mean_separation=100.0, samples=0)
-
-    def test_warns_for_dense_medium(self):
-        with pytest.warns(UserWarning, match="wavelength"):
-            DisorderModel(mean_separation=8.0)
-
-    def test_dense_medium_warning_names_its_caller(self):
-        # the warning points at the line that built the model, not at the
-        # dataclass's generated __init__
-        with pytest.warns(UserWarning, match="wavelength") as record:
-            DisorderModel(mean_separation=8.0)
-        assert [w.filename for w in record] == [__file__]
-
-    def test_mean_coupling_modes_agree(self):
-        model = DisorderModel(mean_separation=200.0, samples=50_000, seed=11)
-        analytic = mean_coupling_sq(model)
-        sampled = mean_coupling_sq(model, sampled=True)
-        assert analytic == pytest.approx(abs(coupling_constant(200.0)) ** 2)
-        # relative spread of order (width / separation)^2
-        assert sampled == pytest.approx(analytic, rel=5e-3)
+            angular_factor_estimate(0, 0)
 
 
 class TestMonteCarlo:
     def test_angular_factor_within_four_standard_errors(self):
-        model = DisorderModel(mean_separation=100.0, samples=1_000_000, seed=42)
-        result = monte_carlo_average(model, angular_weight_evaluator)
-        assert abs(result.mean - ANGULAR_FACTOR) < 4 * result.standard_error
-        assert result.standard_error < 5e-4
+        mean, stderr = angular_factor_estimate(1_000_000, 42)
+        assert abs(mean - ANGULAR_FACTOR) < 4 * stderr
+        assert stderr < 5e-4
 
     def test_deterministic_under_fixed_seed(self):
-        model = DisorderModel(mean_separation=100.0, samples=30_000, seed=7)
-        a = monte_carlo_average(model, angular_weight_evaluator)
-        b = monte_carlo_average(model, angular_weight_evaluator)
-        assert a.mean == b.mean
-        assert a.standard_error == b.standard_error
-
-    def test_crossed_phase_at_backscattering_is_exactly_one(self):
-        model = DisorderModel(mean_separation=100.0, samples=500, seed=1)
-        result = monte_carlo_average(model, crossed_phase_evaluator(np.zeros(3)))
-        assert result.mean == 1.0
-        assert result.standard_error == 0.0
-
-    def test_factorized_crossed_average(self):
-        # at theta = 0 the phase is 1, so the averaged crossed weight is
-        # just the angular factor: the factorization must close
-        model = DisorderModel(mean_separation=100.0, samples=100_000, seed=3)
-
-        def weighted(cos_t, phi, r):
-            return angular_weight_evaluator(cos_t, phi, r) * crossed_phase_evaluator(
-                np.zeros(3))(cos_t, phi, r)
-
-        combined = monte_carlo_average(model, weighted)
-        assert combined.mean == pytest.approx(ANGULAR_FACTOR, abs=1e-3)
+        assert angular_factor_estimate(30_000, 7) == angular_factor_estimate(30_000, 7)
 
     def test_ensemble_is_the_chunked_draw_stream(self, capsys):
         # 70 000 samples: one full chunk of 65 536, then a partial one of 4464.
-        # Each chunk draws cos theta, phi, then r; the weight from cos theta
+        # Each chunk draws cos theta, phi, then r; the estimate from cos theta
         # alone must match |Delta_{+1,+1}(n_hat)|^2 on the same draws.
-        model = DisorderModel(mean_separation=500.0, samples=70_000, seed=5)
-        rng = np.random.default_rng(model.seed)
-        lo, hi = model.mean_separation - model.width / 2, model.mean_separation + model.width / 2
+        rng = np.random.default_rng(5)
         weights = []
         for count in (1 << 16, 70_000 - (1 << 16)):
             cos_t = rng.uniform(-1.0, 1.0, size=count)
             phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            rng.uniform(lo, hi, size=count)
+            rng.uniform(500.0 - np.pi, 500.0 + np.pi, size=count)
             weights.append(np.abs(delta_plus_plus(unit_vectors(cos_t, phi))) ** 2)
         weights = np.concatenate(weights)
-        result = monte_carlo_average(model, angular_weight_evaluator)
-        assert result.mean == pytest.approx(weights.mean(), rel=2e-15, abs=0)
-        assert result.standard_error == pytest.approx(
-            weights.std() / np.sqrt(weights.size), rel=1e-14, abs=0)
+        mean, stderr = angular_factor_estimate(70_000, 5)
+        assert mean == pytest.approx(weights.mean(), rel=2e-15, abs=0)
+        assert stderr == pytest.approx(weights.std() / np.sqrt(weights.size), rel=1e-14, abs=0)
 
         code = main(["cone", "--k-ell", "500", "--theta-max", "0.002", "--theta-points", "3",
                      "--mc-samples", "70000", "--seed", "5"])
         assert code == 0
         header = dict(line[2:].split(" = ", 1) for line in capsys.readouterr().out.splitlines()
                       if line.startswith("# "))
-        assert float(header["mc_angular_factor"]) == result.mean
-        assert float(header["mc_angular_stderr"]) == result.standard_error
+        assert float(header["mc_angular_factor"]) == mean
+        assert float(header["mc_angular_stderr"]) == stderr
 
     def test_convergence_rate(self):
-        errs = []
-        for samples in (10_000, 160_000):
-            model = DisorderModel(mean_separation=100.0, samples=samples, seed=9)
-            errs.append(monte_carlo_average(model, angular_weight_evaluator).standard_error)
+        errs = [angular_factor_estimate(samples, 9)[1] for samples in (10_000, 160_000)]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 

@@ -12,7 +12,6 @@ from twoatom_cbs.basis import (
     expand_two_atom_operator,
     two_atom_basis_flat,
 )
-from twoatom_cbs.config_average import angular_weight_evaluator
 from twoatom_cbs.liouvillian import (
     E_PLUS,
     ConfigurationError,
@@ -201,8 +200,6 @@ class TestGeometryFactors:
         n_hats = np.array(n_hats)
         direct = [E_PLUS @ transverse_projector(n) @ E_PLUS for n in n_hats]
         assert np.allclose(delta_plus_plus(n_hats), direct, rtol=0, atol=1e-15)
-        assert np.allclose(angular_weight_evaluator(n_hats[:, 2], None, None), np.abs(direct) ** 2,
-                           rtol=0, atol=1e-15)
 
     def test_angular_weight(self):
         n_hat = np.array([1.0, 0.0, 0.0])

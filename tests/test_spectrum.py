@@ -348,9 +348,13 @@ class TestDensities:
         assert np.allclose(descending.ladder_density, ascending.ladder_density[::-1],
                            rtol=1e-12, atol=0.0)
         check_sum_rule(ascending, ib, tolerance=1.0)
+        # the C/nu^2 tail model needs nu < 0 at one end and nu > 0 at the other
+        one_sided = [inelastic_spectrum(gen, state, np.linspace(lo, hi, 31))
+                     for lo, hi in ((0.0, 3.0), (-3.0, 0.0), (1.0, 3.0))]
         for spec in (descending, replace(ascending, nu_grid=grid[:1],
                                          ladder_density=ascending.ladder_density[:1],
-                                         crossed_density=ascending.crossed_density[:1])):
+                                         crossed_density=ascending.crossed_density[:1]),
+                     *one_sided):
             with pytest.raises(ConfigurationError, match="strictly increasing"):
                 check_sum_rule(spec, ib)
 
