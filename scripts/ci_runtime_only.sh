@@ -24,7 +24,7 @@ twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err
 twoatom-cbs intensity-sweep --sweep-points 3 --output sweep.csv 2> sweep.err
 twoatom-cbs compare-oracles --s-values 0.5,2 --output oracles.csv 2> oracles.err
 twoatom-cbs cone --theta-points 5 --mc-samples 100 --output cone.csv 2> cone.err
-# a short k_ell: the estimate reads orientations only, so no warning either
+# k_ell = 8: the estimate draws no separations, so nothing warns of a dense medium
 twoatom-cbs cone --k-ell 8 --theta-max 0.01 --mc-samples 100 --output cone-short.csv 2> cone-short.err
 for err in spectrum.err sweep.err oracles.err cone.err cone-short.err; do
   [ ! -s "$err" ] || { cat "$err"; exit 1; }
