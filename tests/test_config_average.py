@@ -77,6 +77,16 @@ class TestDisorderModel:
         with pytest.raises(ConfigurationError):
             angular_factor_estimate(0, 0)
 
+    @pytest.mark.parametrize("samples, seed, match", [
+        # one sample has no spread, so no standard error
+        (1, 0, "at least 2 Monte Carlo samples"),
+        (-5, 0, "at least 2 Monte Carlo samples"),
+        (2, -1, "seed must be non-negative"),
+    ])
+    def test_rejects_too_few_samples_or_negative_seed(self, samples, seed, match):
+        with pytest.raises(ConfigurationError, match=match):
+            angular_factor_estimate(samples, seed)
+
 
 class TestMonteCarlo:
     def test_angular_factor_within_four_standard_errors(self):
@@ -108,6 +118,39 @@ class TestMonteCarlo:
         assert code == 0
         header = dict(line[2:].split(" = ", 1) for line in capsys.readouterr().out.splitlines()
                       if line.startswith("# "))
+        assert float(header["mc_angular_factor"]) == mean
+        assert float(header["mc_angular_stderr"]) == stderr
+
+    @pytest.mark.parametrize("samples", [2, 100, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                         (2 << 16) + 3])
+    def test_chunk_boundaries_follow_the_draw_stream(self, samples):
+        # every chunk of 65 536 draws cos theta, phi and r in turn, the last
+        # chunk only the remainder; past one chunk the skipped phi and r
+        # draws decide which cos theta the next chunk reads
+        rng = np.random.default_rng(3)
+        weights = []
+        for start in range(0, samples, 1 << 16):
+            count = min(1 << 16, samples - start)
+            cos_t = rng.uniform(-1.0, 1.0, size=count)
+            rng.uniform(0.0, 2.0 * np.pi, size=count)
+            rng.uniform(100.0 - np.pi, 100.0 + np.pi, size=count)
+            weights.append(0.25 * (1.0 - cos_t**2) ** 2)
+        weights = np.concatenate(weights)
+        mean, stderr = angular_factor_estimate(samples, 3)
+        assert mean == pytest.approx(weights.mean(), rel=1e-14, abs=0)
+        assert stderr == pytest.approx(weights.std() / np.sqrt(samples), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k_ell", ["1", "3", "8", "500"])
+    def test_cone_estimate_does_not_read_k_ell(self, k_ell, capsys):
+        # only orientations are drawn: any k l, a dense medium included, gives
+        # the same estimate, without a warning or an error
+        code = main(["cone", "--k-ell", k_ell, "--theta-max", "1e-4", "--theta-points", "3",
+                     "--mc-samples", "1000", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        header = dict(line[2:].split(" = ", 1) for line in captured.out.splitlines()
+                      if line.startswith("# "))
+        mean, stderr = angular_factor_estimate(1000, 3)
         assert float(header["mc_angular_factor"]) == mean
         assert float(header["mc_angular_stderr"]) == stderr
 

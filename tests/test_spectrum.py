@@ -358,6 +358,17 @@ class TestDensities:
             with pytest.raises(ConfigurationError, match="strictly increasing"):
                 check_sum_rule(spec, ib)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-3.0, 0.0), (1.0, 3.0)])
+    def test_tails_need_a_grid_across_zero(self, lo, hi):
+        # the C/nu^2 tails end at the grid's edges: an edge at nu = 0 would
+        # divide by zero, and two edges on one side fit no tail at all
+        gen, state, _ = stationary(1.0)
+        spec = inelastic_spectrum(gen, state, np.linspace(lo, hi, 31))
+        assert np.all(np.isfinite(spec.ladder_density))
+        for method in (spec.integrals, spec.tail_estimates):
+            with pytest.raises(ConfigurationError, match="from nu < 0 to nu > 0"):
+                method()
+
     def test_configuration_stacks_are_rejected(self):
         # spectra take one drive configuration; a stack fails before any solve
         stack = assemble(DriveConfig(rabi=[0.5, 1.0]), Geometry.backscattering(100.0))
