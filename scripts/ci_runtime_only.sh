@@ -18,6 +18,10 @@ cd "$work"
 echo "== no scipy installed"
 python -c 'import importlib.util, sys; sys.exit(importlib.util.find_spec("scipy") is not None)'
 
+echo "== the CLI does not load the test-only closed forms"
+# their exact rational weights need fractions, which nothing at run time uses
+python -c 'import sys, twoatom_cbs.cli; sys.exit("fractions" in sys.modules)'
+
 echo "== one small run of each mode, stderr empty"
 # a warning on stderr breaks the one-line promise
 twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err

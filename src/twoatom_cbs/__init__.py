@@ -2,8 +2,8 @@
 
 Numerically exact stationary intensities and emission spectra in the
 helicity-preserving channel, perturbative at second order in the
-photon-exchange coupling, with closed-form oracles and orientation
-averaging.
+photon-exchange coupling, with the closed-form enhancement factor
+(`oracles`) and orientation averaging.
 """
 
 from .basis import expectation, single_atom_basis, two_atom_basis_flat

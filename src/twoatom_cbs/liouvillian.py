@@ -116,7 +116,8 @@ class Geometry:
     """Atom positions (in 1/k0 units) and the detection direction.
 
     The laser propagates along +z, the quantization axis its positive
-    helicity is defined on, so its direction is not a field.
+    helicity is defined on, so its direction is not a field.  Each field is
+    a finite 3-vector, or ConfigurationError.
     """
 
     r1: np.ndarray
@@ -126,6 +127,8 @@ class Geometry:
     def __post_init__(self):
         for name in ("r1", "r2", "k_out_dir"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if getattr(self, name).shape != (3,):
+                raise ConfigurationError(f"{name} must be a 3-vector")
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} must be finite")
         if abs(np.linalg.norm(self.k_out_dir) - 1.0) > 1e-12:

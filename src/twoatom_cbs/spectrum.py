@@ -11,17 +11,18 @@ The densities read the correlator only at the two detected dipoles
 sigma_12^a, through the read-out rows `steady_state.SIGMA_12_ROWS` that the
 intensities use too.  Each row has a single non-zero, at a single-atom
 coherence: the packed entry (l, m) = (8, 0) of atom 1 and (0, 8) of atom 2
-(`_IDX_D`, both of weight `_EXTRACT` = 2).  Row 0 of each single-atom
-generator M_a vanishes (trace conservation), so atom 1's detected row of
-G0(z) = (z - A)^{-1} is supported on the entries (k, 0) alone, where it is
-the matching row of (z - B1)^{-1}, B1 = M1[1:, 1:]; likewise atom 2's with
-(0, k) and B2.  B_a is block diagonal under `resolvent.BLOCKS`, so both rows
-live on one 2x2 block, the detected coherence pair (`_PAIR_INDICES`, at the
-packed positions `_PAIR_ROWS`), all derived from the rows.
+(`steady_state.PAIR_ROWS[:, 0]`, both of weight `_EXTRACT` = 2).  Row 0 of
+each single-atom generator M_a vanishes (trace conservation), so atom 1's
+detected row of G0(z) = (z - A)^{-1} is supported on the entries (k, 0)
+alone, where it is the matching row of (z - B1)^{-1}, B1 = M1[1:, 1:];
+likewise atom 2's with (0, k) and B2.  B_a is block diagonal under `resolvent.BLOCKS`, so both rows
+live on one 2x2 block, the detected coherence pair
+(`steady_state.DETECTED_PAIR`, at the packed positions `PAIR_ROWS`).
 
 The sweep, `inelastic_spectrum(gen, state, nu_grid)`, derives all it reads
 from the stationary state: both atoms' QRT initial conditions
-<sigma_21^a B_n>_ss in one array (`qrt_initial`), and the source weights
+<sigma_21^a B_n>_ss in one array (`steady_state.qrt_initial`, beside the
+table that plans the tiles it reads), and the source weights
 <sigma_21^a>_ss and the elastic weight from the elastic read-out it shares
 with `steady_state.intensities`.  Its first stage reads
 V G0(z) [c_1^[1], c_2^[1]], over the connected initial conditions c_a^[k],
@@ -34,8 +35,9 @@ plus the level-1 feeders of those: 24 of the 80 tiles (84 entries) when the
 separation is transverse to the laser, 38 (136 entries) for the tests'
 shifted-tilted geometry.  The spectrum reads V only through
 `steady_state.read_tiles`, which holds the pair rows, derived once per
-coupling matrix.  The stationary state solves order 1 where `qrt_initial` reads it for those
-tiles and at the pairs, order 2 where it reads it for the pairs.  The
+coupling matrix.  The stationary state solves order 1 where `qrt_initial`
+reads it for those tiles and at the pairs, order 2 where it reads it for
+the pairs.  The
 second stage is read through the detected rows: the first rows of
 (z - a)^{-1}, in closed form for a the 2x2 pair blocks of M1 and M2,
 applied to V x_a + c_a^[2] at the pair positions.  A malformed grid
@@ -49,56 +51,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE
 from .errors import ConfigurationError, ResolventError
 from .liouvillian import GeneratorSet
 from .steady_state import (
-    _IDX_D,
-    _PAIR_INDICES,
-    _PAIR_ROWS,
-    L_SIGMA_21,
+    DETECTED_PAIR,
+    PAIR_ROWS,
     SIGMA_12_ROWS,
     IntensityBreakdown,
     PerturbativeState,
-    _elastic_readout,
+    elastic_readout,
     intensities,
     perturbative_steady_state,
+    qrt_initial,
     read_tiles,
+    require_one_configuration,
 )
 
-# the weight of each detected dipole's single non-zero, at _IDX_D
-_EXTRACT = SIGMA_12_ROWS[0][_IDX_D[0]].real
+# the weight of each detected dipole's single non-zero, at PAIR_ROWS[:, 0]
+_EXTRACT = SIGMA_12_ROWS[0][PAIR_ROWS[0, 0]].real
 # indexes the detected pair's blocks of M1 and M2 in the resolvent's m
-_PAIR_BLOCKS = (np.arange(2)[:, None, None], _PAIR_INDICES[:, :, None], _PAIR_INDICES[:, None, :])
-
-
-def _require_one_configuration(shape):
-    if shape != ():
-        raise ConfigurationError(
-            f"spectra take one drive configuration, not a stack of shape {shape}")
-
-
-def qrt_initial(state: PerturbativeState) -> np.ndarray:
-    """Initial conditions <sigma_21^a B_n>_ss of both atoms' two-time
-    correlators, as [atom, order, 255].
-
-    Each component is obtained by expanding the operator product
-    sigma_21^a B_n in the basis and reading the result off the stationary
-    state, order by order in g.  The expansion table is L (x) 1 (atom 1) or
-    1 (x) L (atom 2), L that of sigma_21, applied to the state as a 16x16
-    array F: (L (x) 1) f = vec(L F) and (1 (x) L) f = vec(F L^T), with the
-    trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.  The
-    state holds orders 1 and 2 only on the tiles that are read, so the
-    order-1 and order-2 components are exact where the sweep reads them: on
-    the stage-1 tiles and at the detected coherence pairs.  They are formed
-    in the precision of the state, complex or wider.
-    """
-    _require_one_configuration(state.order0.shape[:-1])
-    full = np.zeros((3, N_TWO), dtype=np.result_type(state.order0, complex))
-    full[0, 0] = TRACE_ELEMENT_VALUE
-    full[:, 1:] = [state.order0, state.order1, state.order2]
-    f = full.reshape(3, N_SINGLE, N_SINGLE)
-    return np.stack([L_SIGMA_21 @ f, f @ L_SIGMA_21.T]).reshape(2, 3, N_TWO)[..., 1:]
+_PAIR_BLOCKS = np.ix_(range(2), DETECTED_PAIR, DETECTED_PAIR)
 
 
 @dataclass(frozen=True)
@@ -177,7 +149,7 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     (ConfigurationError otherwise); a non-finite density raises
     ResolventError.
     """
-    _require_one_configuration(gen.cfg.shape)
+    require_one_configuration(gen.cfg.shape)
     nu_grid = np.asarray(nu_grid, dtype=float)
     if nu_grid.ndim != 1 or not nu_grid.size or not np.isfinite(nu_grid).all():
         raise ConfigurationError(
@@ -189,17 +161,18 @@ def inelastic_spectrum(gen: GeneratorSet, state: PerturbativeState,
     s0 = qrt_initial(state)  # [a, k, 255]
     # <sigma_21^a>_ss at order g^1: the detected transition is dark at
     # order g^0, and order g^2 does not enter the order-g^2 spectrum
-    dipoles, l_el, c_el = _elastic_readout(state, phase)
+    dipoles, l_el, c_el = elastic_readout(state, phase)
     weights = np.array(dipoles)[:, None]
     # the connected initial conditions c_a^[k] = s_a^[k](0) - w_a order(k-1)
     first = s0[:, 1] - weights * state.order0
-    second = (s0[:, 2] - weights * state.order1)[:, _PAIR_ROWS]  # [a, d, p]
+    second = (s0[:, 2] - weights * state.order1)[:, PAIR_ROWS]  # [a, d, p]
 
     z = -1j * nu_grid
     # stage 1: V x_a at the pair rows, x_a = G0(z) c_a^[1], as [nu, a, d, p]
     vx = gen.resolvent.sweep(reads.pair_rows, z, first)
-    # the rows _IDX_D of G0(z) are the first rows of (z - a_d)^{-1}, placed
-    # at _PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) / det(z - a_d), as [nu, d, p]
+    # the detected rows PAIR_ROWS[:, 0] of G0(z) are the first rows of
+    # (z - a_d)^{-1}, placed at PAIR_ROWS: (z - a_d[1, 1], a_d[0, 1]) /
+    # det(z - a_d), as [nu, d, p]
     shifted = z[:, None, None] - a[:, (0, 1), (0, 1)]  # [nu, d, diagonal]
     det = shifted[..., 0] * shifted[..., 1] - a[:, 0, 1] * a[:, 1, 0]
     row = np.stack([shifted[..., 1], np.broadcast_to(a[:, 0, 1], det.shape)], axis=-1) / det[..., None]
@@ -242,7 +215,10 @@ class SumRuleReport:
 
 def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
                    tolerance=1e-3) -> SumRuleReport:
-    """Verify that the density integrals reproduce the stationary intensities."""
+    """Verify that the density integrals of a raw spectrum reproduce the
+    stationary intensities; a normalized one raises ConfigurationError."""
+    if spec.normalized:
+        raise ConfigurationError("the sum rule needs a raw spectrum, not a normalized one")
     (lad, cro), (tail_l, tail_c) = spec._integrals_and_tails()
     scale = abs(ib.L_inel)
     report = SumRuleReport(
@@ -263,8 +239,11 @@ def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
 
 
 def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> SpectrumResult:
-    """Divide densities by the stationary inelastic ladder intensity; a
-    non-positive one raises ResolventError."""
+    """Divide the densities of a raw spectrum by the stationary inelastic
+    ladder intensity; a normalized spectrum raises ConfigurationError, a
+    non-positive intensity ResolventError."""
+    if spec.normalized:
+        raise ConfigurationError("the spectrum is normalized already")
     if ib.L_inel <= 0:
         raise ResolventError("normalization requires a positive inelastic ladder intensity")
     return replace(
@@ -278,7 +257,7 @@ def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> Spectrum
 
 def compute_spectrum(gen: GeneratorSet, nu_grid):
     """Convenience pipeline: steady state, densities on `nu_grid`, intensities."""
-    _require_one_configuration(gen.cfg.shape)
+    require_one_configuration(gen.cfg.shape)
     state = perturbative_steady_state(gen)
     spec = inelastic_spectrum(gen, state, nu_grid=nu_grid)
     return spec, intensities(state, gen)

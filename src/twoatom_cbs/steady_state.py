@@ -39,10 +39,14 @@ entries to the columns they read, through V or through the sigma_21 table
 of the QRT initial conditions.
 
 Every observable is read from one detected channel, the |1> <-> |2> dipole
-of each atom (the flipped-helicity light).  Each detected quantity X (x) Y is
-one packed read-out row np.kron(c_X, c_Y)[1:] of single-atom expansions, and
-its value at order g^k, k >= 1, is state.order(k) @ row.  The spectrum sweep
-reads through the same rows and the same elastic read-out.
+of each atom (the flipped-helicity light), and this module owns it for the
+spectrum too.  Each detected quantity X (x) Y is one packed read-out row
+np.kron(c_X, c_Y)[1:] of single-atom expansions, and its value at order
+g^k, k >= 1, is state.order(k) @ row.  The rows of G0 at the detected
+dipoles sigma_12^a live on one coherence pair of each atom (`DETECTED_PAIR`,
+at the packed positions `PAIR_ROWS`); the spectrum sweep reads through them,
+the elastic read-out (`elastic_readout`) and the QRT initial conditions
+(`qrt_initial`), whose reads the sigma_21 table `_QRT_READS` plans.
 
 A generator set assembled for a stack of drive configurations (shape C,
 see `liouvillian.DriveConfig`) goes through the same calls: each order is a
@@ -57,8 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import N_SINGLE, N_TWO, expand_single_atom_operator, sigma, single_atom_tables
-from .errors import ResolventError
+from .basis import (N_SINGLE, N_TWO, TRACE_ELEMENT_VALUE, expand_single_atom_operator, sigma,
+                    single_atom_tables)
+from .errors import ConfigurationError, ResolventError
 from .liouvillian import GeneratorSet
 from .resolvent import GROUP_OF, GROUPS, needed
 
@@ -76,12 +81,13 @@ _CROSS_ROW = np.kron(_S21, _S12)[1:]
 # The detected dipoles sigma_12^1, sigma_12^2: each read-out row holds one
 # non-zero at the packed position n - 1 of a single-atom coherence,
 # (l, m) = (h, 0) of atom 1 and (0, h) of atom 2, n = 16 l + m, so
-# h = l + m.  h heads its group of resolvent.GROUPS, the detected coherence
-# pair: per dipole, its single-atom indices and packed positions, the only
-# rows of G0 the spectrum sweep reads.
-_IDX_D = np.array([np.flatnonzero(row).item() for row in SIGMA_12_ROWS])
-_PAIR_INDICES = np.array([GROUPS[GROUP_OF[sum(divmod(i + 1, N_SINGLE))]] for i in _IDX_D])
-_PAIR_ROWS = np.stack([_PAIR_INDICES[0] * N_SINGLE, _PAIR_INDICES[1]]) - 1
+# h = l + m, the same for both atoms.
+(_H,) = {sum(divmod(np.flatnonzero(row).item() + 1, N_SINGLE)) for row in SIGMA_12_ROWS}
+#: the detected coherence pair, the group of resolvent.GROUPS holding h
+DETECTED_PAIR = np.array(GROUPS[GROUP_OF[_H]])
+#: [atom, pair]: its packed positions, the only rows of G0 the spectrum sweep
+#: reads; PAIR_ROWS[a, 0] is the non-zero of SIGMA_12_ROWS[a]
+PAIR_ROWS = np.stack([DETECTED_PAIR * N_SINGLE, DETECTED_PAIR]) - 1
 
 #: left multiplication table L of sigma_21: the QRT initial conditions
 #: <sigma_21^a B_n> are L (x) 1 (atom 1) and 1 (x) L (atom 2) of the state
@@ -94,6 +100,36 @@ _QRT_READS = (np.kron(_L_READS, np.eye(N_SINGLE, dtype=bool))
               | np.kron(np.eye(N_SINGLE, dtype=bool), _L_READS))[1:, 1:]
 
 
+def require_one_configuration(shape):
+    """Raise ConfigurationError unless `shape` is (), one drive configuration."""
+    if shape != ():
+        raise ConfigurationError(
+            f"spectra take one drive configuration, not a stack of shape {shape}")
+
+
+def qrt_initial(state: "PerturbativeState") -> np.ndarray:
+    """Initial conditions <sigma_21^a B_n>_ss of both atoms' two-time
+    correlators, as [atom, order, 255].
+
+    Each component is obtained by expanding the operator product
+    sigma_21^a B_n in the basis and reading the result off the stationary
+    state, order by order in g.  The expansion table is L (x) 1 (atom 1) or
+    1 (x) L (atom 2), L that of sigma_21, applied to the state as a 16x16
+    array F: (L (x) 1) f = vec(L F) and (1 (x) L) f = vec(F L^T), with the
+    trace entry F[0, 0] = 1/4 at order 0 and 0 at orders 1 and 2.  The
+    state holds orders 1 and 2 only on the tiles that are read, so the
+    order-1 and order-2 components are exact where the sweep reads them: on
+    the stage-1 tiles and at the detected coherence pairs.  They are formed
+    in the precision of the state, complex or wider.
+    """
+    require_one_configuration(state.order0.shape[:-1])
+    full = np.zeros((3, N_TWO), dtype=np.result_type(state.order0, complex))
+    full[0, 0] = TRACE_ELEMENT_VALUE
+    full[:, 1:] = [state.order0, state.order1, state.order2]
+    f = full.reshape(3, N_SINGLE, N_SINGLE)
+    return np.stack([L_SIGMA_21 @ f, f @ L_SIGMA_21.T]).reshape(2, 3, N_TWO)[..., 1:]
+
+
 def _pullback(table, entries):
     """Packed columns that the [entry, column] array `table` (V, or
     _QRT_READS) reads at the packed `entries`: its non-zero columns there."""
@@ -104,7 +140,7 @@ def _pullback(table, entries):
 #: reads: the intensities' ladder and crossed rows and the QRT pull-back of
 #: the detected coherence pairs
 ORDER2_ENTRIES = needed(np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
-                                        _pullback(_QRT_READS, _PAIR_ROWS.ravel())]))
+                                        _pullback(_QRT_READS, PAIR_ROWS.ravel())]))
 _SIGMA_COLUMNS = np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0))
 
 
@@ -156,11 +192,11 @@ def read_tiles(v):
     rows read."""
     key = id(v)
     if key not in _READ_TILES:
-        stage1 = needed(_pullback(v, _PAIR_ROWS.ravel()))
+        stage1 = needed(_pullback(v, PAIR_ROWS.ravel()))
         entries = needed(np.concatenate([_pullback(v, ORDER2_ENTRIES), _SIGMA_COLUMNS,
                                          _pullback(_QRT_READS, stage1)]))
         reads = Reads(entries, v[np.ix_(entries, _EXCESS_COLUMNS)],
-                      v[np.ix_(ORDER2_ENTRIES, entries)], v[_PAIR_ROWS])
+                      v[np.ix_(ORDER2_ENTRIES, entries)], v[PAIR_ROWS])
         for array in reads:
             array.setflags(write=False)
         _READ_TILES[key] = reads
@@ -284,7 +320,7 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     phase = gen.detection_phase
     l_tot = (state.order2 @ _POP2_ROW).real
     c_tot = 2.0 * ((state.order2 @ _CROSS_ROW) * phase).real
-    _, l_el, c_el = _elastic_readout(state, phase)
+    _, l_el, c_el = elastic_readout(state, phase)
     if np.any(l_tot <= 0):
         raise ResolventError(f"non-positive ladder intensity {np.min(l_tot)}")
     l_inel = l_tot - l_el
@@ -304,7 +340,7 @@ def intensities(state: PerturbativeState, gen: GeneratorSet) -> IntensityBreakdo
     )
 
 
-def _elastic_readout(state: PerturbativeState, phase):
+def elastic_readout(state: PerturbativeState, phase):
     """The order-g dipoles (<sigma_21^1>, <sigma_21^2>) and the elastic ladder
     and crossed intensities built from them, phase = exp(i k.r12)."""
     d21_1, d21_2 = (state.order1 @ row for row in SIGMA_21_ROWS)

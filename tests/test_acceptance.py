@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from twoatom_cbs.cli import run_intensity_sweep
-from twoatom_cbs.oracles import (
-    alpha_closed_form,
+from twoatom_cbs.oracles import alpha_closed_form
+from twoatom_cbs.spectrum import check_sum_rule, compute_spectrum
+
+from closed_forms import (
     line_positions,
     lorentzian_kernel,
     strong_field_integrals,
     strong_field_spectra,
     weak_field_spectra,
 )
-from twoatom_cbs.spectrum import check_sum_rule, compute_spectrum
-
 from conftest import generator, spectrum_at, stationary
 
 

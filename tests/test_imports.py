@@ -1,5 +1,6 @@
 """Every module of the package, the tests and the scripts reads each name it
-imports; a name listed in the module's `__all__` counts as read."""
+imports; a name listed in the module's `__all__` counts as read.  No module
+of the package imports a private (`_`-prefixed) name from a sibling."""
 
 import ast
 import pathlib
@@ -38,3 +39,24 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def private_sibling_imports(source):
+    """The private names `source` imports from a sibling module (a relative
+    import), in order of import: `_`-prefixed, but not dunder."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_private_sibling_imports_are_found():
+    source = ("from .a import _b, c\nfrom . import _d\nfrom os import _exit\n"
+              "from ..e import _f as f\nfrom . import __version__\n")
+    assert private_sibling_imports(source) == ["_b", "_d", "_f"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/twoatom_cbs").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_sibling_import(path):
+    assert private_sibling_imports(path.read_text()) == []

@@ -127,6 +127,17 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             Geometry(**fields)
 
+    @pytest.mark.parametrize("field", ["r1", "r2", "k_out_dir"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (2, 3)], ids=["2", "4", "2x3"])
+    def test_rejects_geometry_that_is_not_3_vectors(self, field, shape):
+        # rejected up front: a unit 2-vector detection direction would get as
+        # far as intensities, and an r2 of shape (2, 3) has a norm
+        fields = {"r1": np.zeros(3), "r2": np.array([100.0, 0.0, 0.0]),
+                  "k_out_dir": np.array([0.0, 0.0, -1.0])}
+        fields[field] = np.full(shape, 1.0 / np.sqrt(np.prod(shape)))
+        with pytest.raises(ConfigurationError, match=f"{field} must be a 3-vector"):
+            Geometry(**fields)
+
     @pytest.mark.parametrize("drive, message", [
         pytest.param({"rabi": 1e14}, "singular", id="rabi=1e14"),
         pytest.param({"rabi": 1.0, "detuning": 1e20}, "singular", id="detuning=1e20"),

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from twoatom_cbs.oracles import (
+from twoatom_cbs.oracles import alpha_closed_form, polynomials
+
+from closed_forms import (
     ALPHA_STRONG_FIELD_LIMIT,
     CROSSED_WEIGHTS,
     LADDER_WEIGHTS,
-    alpha_closed_form,
     elastic_closed_form,
     line_positions,
     lorentzian_kernel,
-    polynomials,
     scattering_amplitudes,
     strong_field_integrals,
     strong_field_spectra,

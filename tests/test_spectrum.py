@@ -13,21 +13,21 @@ from twoatom_cbs.errors import ConfigurationError
 from twoatom_cbs.liouvillian import DriveConfig, Geometry, assemble
 from twoatom_cbs.resolvent import BLOCKS, GROUPS, needed
 from twoatom_cbs.spectrum import (
-    _PAIR_ROWS,
     check_sum_rule,
     compute_spectrum,
     default_nu_grid,
     inelastic_spectrum,
     normalized_spectra,
-    qrt_initial,
 )
 from twoatom_cbs.steady_state import (
     L_SIGMA_21,
     ORDER2_ENTRIES,
+    PAIR_ROWS,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     ResolventError,
     perturbative_steady_state,
+    qrt_initial,
     read_tiles,
 )
 
@@ -255,10 +255,10 @@ class TestDensities:
         # exceptional point of the 4x4 Bloch block and Omega = 1 one of every
         # coherence pair, the detected one included
         gen = assemble(DriveConfig(rabi=rabi, detuning=detuning), geom)
-        assert _PAIR_ROWS.tolist() == [[127, 191], [7, 11]]
+        assert PAIR_ROWS.tolist() == [[127, 191], [7, 11]]
         for z in (0.0, -0.37j, -5j):
             g0 = np.linalg.inv(z * np.eye(N_TWO - 1) - dense_a(gen))
-            for atom, detected, pair_rows in zip((1, 2), DETECTED_ROWS, _PAIR_ROWS):
+            for atom, detected, pair_rows in zip((1, 2), DETECTED_ROWS, PAIR_ROWS):
                 index, = np.flatnonzero(detected)
                 assert index == pair_rows[0]
                 row = np.abs(g0[index])
@@ -279,7 +279,7 @@ class TestDensities:
         # feeders (0, q) and (p, 0) of every level-2 tile among them; read
         # through V's pair rows, it equals the full sweep
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
-        v_rows = gen.V[_PAIR_ROWS]
+        v_rows = gen.V[PAIR_ROWS]
         columns = np.flatnonzero(np.abs(v_rows).sum(axis=(0, 1)))
         entries = needed(columns)
         # V's pair rows are derived once per coupling array, and shared
@@ -311,7 +311,7 @@ class TestDensities:
         gen = assemble(DriveConfig(rabi=1.3, detuning=0.7), geom)
         eye = np.eye(N_SINGLE)
         tables = np.stack([np.kron(L_SIGMA_21, eye), np.kron(eye, L_SIGMA_21)])[:, 1:, 1:]
-        stage1 = needed(np.flatnonzero(np.any(gen.V[_PAIR_ROWS], axis=(0, 1))))
+        stage1 = needed(np.flatnonzero(np.any(gen.V[PAIR_ROWS], axis=(0, 1))))
         read = [np.flatnonzero(np.any(gen.V[ORDER2_ENTRIES], axis=0)),
                 np.flatnonzero(np.any(SIGMA_21_ROWS + SIGMA_12_ROWS, axis=0)),
                 np.flatnonzero(np.any(tables[:, stage1], axis=(0, 1)))]
@@ -435,3 +435,15 @@ class TestNormalization:
         bad = replace(ib, L_inel=-1.0)
         with pytest.raises(ResolventError, match="positive inelastic ladder"):
             normalized_spectra(spec, bad)
+
+    def test_normalized_spectrum_is_not_normalized_again(self, weak_point):
+        _, spec, ib = weak_point
+        with pytest.raises(ConfigurationError, match="normalized already"):
+            normalized_spectra(normalized_spectra(spec, ib), ib)
+
+    def test_sum_rule_rejects_a_normalized_spectrum(self, weak_point):
+        # a caller's error, not a numerical failure: the normalized ladder
+        # integrates to 1, not to L_inel
+        _, spec, ib = weak_point
+        with pytest.raises(ConfigurationError, match="raw spectrum"):
+            check_sum_rule(normalized_spectra(spec, ib), ib)

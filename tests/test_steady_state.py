@@ -22,10 +22,10 @@ from twoatom_cbs.resolvent import GROUP_OF, KroneckerResolvent, needed
 from twoatom_cbs.oracles import alpha_closed_form, polynomials
 from twoatom_cbs.steady_state import (
     _CROSS_ROW,
-    _PAIR_ROWS,
     _POP2_ROW,
     L_SIGMA_21,
     ORDER2_ENTRIES,
+    PAIR_ROWS,
     SIGMA_12_ROWS,
     SIGMA_21_ROWS,
     intensities,
@@ -323,7 +323,7 @@ class TestReadTiles:
         # the intensities' ladder and crossed rows, and the order-2 entries
         # qrt_initial reads to form the detected coherence pairs
         read = np.concatenate([np.flatnonzero(_POP2_ROW), np.flatnonzero(_CROSS_ROW),
-                               qrt_reads(_PAIR_ROWS.ravel())])
+                               qrt_reads(PAIR_ROWS.ravel())])
         assert np.isin(read, ORDER2_ENTRIES).all()
         assert np.array_equal(ORDER2_ENTRIES, needed(read))
         assert tile_count(ORDER2_ENTRIES) == 10
