@@ -25,12 +25,14 @@ python -c 'import sys, twoatom_cbs.cli; sys.exit("fractions" in sys.modules)'
 echo "== one small run of each mode, stderr empty"
 # a warning on stderr breaks the one-line promise
 twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err
+# normalization is the CLI's own output step
+twoatom-cbs spectrum --points 81 --normalize --output spectrum-normalized.csv 2> spectrum-normalized.err
 twoatom-cbs intensity-sweep --sweep-points 3 --output sweep.csv 2> sweep.err
 twoatom-cbs compare-oracles --s-values 0.5,2 --output oracles.csv 2> oracles.err
 twoatom-cbs cone --theta-points 5 --mc-samples 100 --output cone.csv 2> cone.err
 # k_ell = 8: the estimate draws no separations, so nothing warns of a dense medium
 twoatom-cbs cone --k-ell 8 --theta-max 0.01 --mc-samples 100 --output cone-short.csv 2> cone-short.err
-for err in spectrum.err sweep.err oracles.err cone.err cone-short.err; do
+for err in spectrum.err spectrum-normalized.err sweep.err oracles.err cone.err cone-short.err; do
   [ ! -s "$err" ] || { cat "$err"; exit 1; }
 done
 

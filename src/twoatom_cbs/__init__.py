@@ -21,7 +21,6 @@ from .spectrum import (
     check_sum_rule,
     compute_spectrum,
     default_nu_grid,
-    normalized_spectra,
 )
 from .steady_state import (
     IntensityBreakdown,
@@ -49,7 +48,6 @@ __all__ = [
     "default_nu_grid",
     "expectation",
     "intensities",
-    "normalized_spectra",
     "perturbative_steady_state",
     "single_atom_basis",
     "two_atom_basis_flat",

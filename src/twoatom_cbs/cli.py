@@ -43,7 +43,7 @@ from .config_average import angular_factor_estimate, cbs_cone, check_seed
 from .errors import ConfigurationError, ResolventError
 from .liouvillian import DriveConfig, Geometry, assemble
 from .oracles import alpha_closed_form
-from .spectrum import check_sum_rule, compute_spectrum, normalized_spectra
+from .spectrum import check_sum_rule, compute_spectrum
 from .steady_state import intensities, perturbative_steady_state
 
 EXIT_OK = 0
@@ -194,13 +194,12 @@ def run_spectrum(cfg):
                    Geometry.backscattering(cfg["k0_r12"]))
     spec, ib = compute_spectrum(gen, nu_grid=nu_grid)
     sum_rule = check_sum_rule(spec, ib)
-    # the integrals are the sum rule's, in the units of the densities written
-    scale = 1.0
-    if cfg["normalize"]:
-        spec = normalized_spectra(spec, ib)
-        scale = ib.L_inel
+    # the unit of the densities, elastic weight and integrals written
+    scale = ib.L_inel if cfg["normalize"] else 1.0
+    if scale <= 0:
+        raise ResolventError("normalization requires a positive inelastic ladder intensity")
     results = {
-        "elastic_weight": spec.elastic_weight,
+        "elastic_weight": spec.elastic_weight / scale,
         "L_inel": ib.L_inel,
         "C_inel": ib.C_inel,
         "alpha": ib.alpha,
@@ -209,7 +208,8 @@ def run_spectrum(cfg):
         "ladder_sum_rule_error": sum_rule.ladder_error,
         "crossed_sum_rule_error": sum_rule.crossed_error,
     }
-    rows = np.column_stack([spec.nu_grid, spec.ladder_density, spec.crossed_density])
+    rows = np.column_stack([spec.nu_grid, spec.ladder_density / scale,
+                            spec.crossed_density / scale])
     return results, ("nu", "ladder", "crossed"), rows
 
 

@@ -28,6 +28,11 @@ def check_seed(seed):
         raise ConfigurationError(f"seed must be non-negative, not {seed}")
 
 
+def _check_k_ell(k_ell):
+    if not (np.isfinite(k_ell) and k_ell > 0):
+        raise ConfigurationError(f"k_ell must be finite and positive, not {k_ell}")
+
+
 def angular_factor_estimate(samples, seed):
     """Monte Carlo mean and standard error of sin^4(theta)/4 over isotropic
     orientations: a cross-check of ANGULAR_FACTOR.
@@ -79,8 +84,7 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
         If any angle is outside the small-angle regime, k_ell is not finite
         and positive, or (k_ell theta)^2 is too large for a float.
     """
-    if not (np.isfinite(k_ell) and k_ell > 0):
-        raise ConfigurationError(f"k_ell must be finite and positive, not {k_ell}")
+    _check_k_ell(k_ell)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.abs(theta_grid) >= 1.0):
         raise ConfigurationError("cone profile is a small-angle expansion")
@@ -101,6 +105,7 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
 def cone_half_width(k_ell):
     """Angle where the quadratic crossed profile drops to half its peak.
 
-    Solves 2/15 - (k l theta)^2/35 = 1/15, giving sqrt(7/3)/(k l).
+    Solves 2/15 - (k l theta)^2/35 = 1/15, giving sqrt(7/3)/(k l) for a finite k_ell > 0.
     """
+    _check_k_ell(k_ell)
     return np.sqrt(7.0 / 3.0) / k_ell

@@ -144,9 +144,9 @@ class Geometry:
     def backscattering(cls, k0_r12):
         """Atoms separated by k0_r12 along x, transverse to the laser, detection
         at theta=0."""
-        if k0_r12 <= 0:
+        if not (np.ndim(k0_r12) == 0 and np.isfinite(k0_r12) and k0_r12 > 0):
             # a negative separation would silently flip the atoms
-            raise ConfigurationError("k0_r12 must be positive")
+            raise ConfigurationError("k0_r12 must be positive and finite")
         return cls(r1=np.zeros(3), r2=-k0_r12 * np.array([1.0, 0.0, 0.0]))
 
     @property

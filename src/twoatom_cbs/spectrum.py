@@ -47,7 +47,7 @@ being interpolated over.  Spectra take one drive configuration: a generator
 set or state assembled for a stack of them raises ConfigurationError.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,14 @@ _PAIR_BLOCKS = np.ix_(range(2), DETECTED_PAIR, DETECTED_PAIR)
 class SpectrumResult:
     """Inelastic spectral densities on a frequency grid plus elastic weight.
 
-    nu_grid in units of gamma; densities in 1/gamma.  `normalized` marks
-    densities divided by the stationary inelastic ladder intensity.
+    nu_grid in units of gamma; densities in 1/gamma, raw: `cli`'s
+    `--normalize` divides its output by the inelastic ladder intensity.
     """
 
     nu_grid: np.ndarray
     ladder_density: np.ndarray
     crossed_density: np.ndarray
     elastic_weight: float
-    normalized: bool = False
 
     def integrals(self):
         """Trapezoid integrals of both densities, with a 1/nu^2 tail estimate.
@@ -97,7 +96,7 @@ class SpectrumResult:
         return self._integrals_and_tails()[0]
 
     def _integrals_and_tails(self):
-        """(`integrals()`, `tail_estimates()`) from one fit of the tails."""
+        """(`integrals()`, their C/nu^2 tail estimates) from one fit of the tails."""
         nu = self.nu_grid
         if len(nu) < 2 or not np.all(np.diff(nu) > 0) or not nu[0] < 0 < nu[-1]:
             raise ConfigurationError(
@@ -112,21 +111,11 @@ class SpectrumResult:
             integrals.append(np.trapezoid(dens, nu) + tails[-1])
         return tuple(integrals), tuple(tails)
 
-    def tail_estimates(self):
-        """Estimated mass beyond the grid assuming C/nu^2 far tails.
-
-        C is fitted on the outer few percent of the grid, which must be as
-        `integrals()` needs.  The model is cruder than the densities: the
-        ladder densities decay as nu^-4 and the crossed ones at least as
-        fast as nu^-5, so this overestimates the tail mass (about 3x for the
-        ladder at Omega = 0.1, delta = 5).
-        """
-        return self._integrals_and_tails()[1]
-
 
 def default_nu_grid(cfg, points=2001):
     """Uniform grid covering all seven strong-field resonances, 10 gamma
-    (the frequency unit) beyond the outermost."""
+    (the frequency unit) beyond the outermost, for one drive configuration."""
+    require_one_configuration(cfg.shape)
     omega_mod = np.hypot(cfg.rabi, cfg.detuning)
     half = 2.5 * omega_mod + 10.0
     return np.linspace(-half, half, points)
@@ -215,10 +204,9 @@ class SumRuleReport:
 
 def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
                    tolerance=1e-3) -> SumRuleReport:
-    """Verify that the density integrals of a raw spectrum reproduce the
-    stationary intensities; a normalized one raises ConfigurationError."""
-    if spec.normalized:
-        raise ConfigurationError("the sum rule needs a raw spectrum, not a normalized one")
+    """Verify that the density integrals of a spectrum reproduce the stationary
+    intensities.  The report's C/nu^2 tails overestimate the mass beyond the
+    grid (3x for the ladder at Omega = 0.1, delta = 5): the densities decay faster."""
     (lad, cro), (tail_l, tail_c) = spec._integrals_and_tails()
     scale = abs(ib.L_inel)
     report = SumRuleReport(
@@ -236,23 +224,6 @@ def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
             f"crossed {report.crossed_error:.2e} (tol {tolerance:.1e})"
         )
     return report
-
-
-def normalized_spectra(spec: SpectrumResult, ib: IntensityBreakdown) -> SpectrumResult:
-    """Divide the densities of a raw spectrum by the stationary inelastic
-    ladder intensity; a normalized spectrum raises ConfigurationError, a
-    non-positive intensity ResolventError."""
-    if spec.normalized:
-        raise ConfigurationError("the spectrum is normalized already")
-    if ib.L_inel <= 0:
-        raise ResolventError("normalization requires a positive inelastic ladder intensity")
-    return replace(
-        spec,
-        ladder_density=spec.ladder_density / ib.L_inel,
-        crossed_density=spec.crossed_density / ib.L_inel,
-        elastic_weight=spec.elastic_weight / ib.L_inel,
-        normalized=True,
-    )
 
 
 def compute_spectrum(gen: GeneratorSet, nu_grid):

@@ -226,6 +226,25 @@ class TestRuns:
                 else:
                     assert type(value) is float and value == float(header[key]), key
 
+    def test_normalize_divides_the_output_by_the_ladder_intensity(self, capsys):
+        # --normalize writes the raw run's densities, elastic weight and
+        # integrals divided by L_inel, and nothing else changes
+        argv = ["spectrum", "--rabi", "0.1", "--nu-min", "-25", "--nu-max", "25",
+                "--points", "1201", "--format", "json"]
+        raw = json.loads(self.run(argv, capsys)[1])
+        norm = json.loads(self.run(argv + ["--normalize"], capsys)[1])
+        scale = raw["metadata"]["L_inel"]
+        assert norm["metadata"]["L_inel"] == scale
+        assert len(norm["rows"]) == len(raw["rows"]) == 1201
+        for (nu, lad, cro), row in zip(raw["rows"], norm["rows"]):
+            assert row == [nu, lad / scale, cro / scale]
+        for key in ("elastic_weight", "ladder_integral", "crossed_integral"):
+            assert norm["metadata"][key] == raw["metadata"][key] / scale, key
+        # in these units the ladder integrates to 1, the crossed to C_inel/L_inel
+        meta = norm["metadata"]
+        assert meta["ladder_integral"] == pytest.approx(1.0, abs=2e-4)
+        assert meta["crossed_integral"] == pytest.approx(meta["C_inel"] / scale, abs=2e-4)
+
     @pytest.mark.parametrize("mode", list(NON_DEFAULT_ARGS))
     def test_reproducible_from_own_header(self, mode, tmp_path, capsys):
         headers = []

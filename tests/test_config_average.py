@@ -174,6 +174,8 @@ class TestCone:
     def test_rejects_invalid_k_ell(self, k_ell):
         with pytest.raises(ConfigurationError, match="k_ell must be finite and positive"):
             cbs_cone(np.array([0.0, 0.01]), 1.0, k_ell)
+        with pytest.raises(ConfigurationError, match="k_ell must be finite and positive"):
+            cone_half_width(k_ell)
 
     def test_rejects_large_angles(self):
         with pytest.raises(ConfigurationError):

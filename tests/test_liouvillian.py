@@ -106,7 +106,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cfg.rabi[0, 0] = 7.0  # validated values stay as checked
 
-    @pytest.mark.parametrize("k0_r12", [-100.0, 0.0])
+    @pytest.mark.parametrize("k0_r12", [-100.0, 0.0, np.inf, np.nan, np.array([1.0, 2.0])])
     def test_backscattering_rejects_nonpositive_separation(self, k0_r12):
         with pytest.raises(ConfigurationError, match="k0_r12 must be positive"):
             Geometry.backscattering(k0_r12)
