@@ -65,6 +65,12 @@ echo "== a usage error is one configuration error"
 expect_one_line_error 1 usage.err spectrum --points abc
 expect_one_line_error 1 usage.err spectrum --bogus 1
 
+echo "== a flag the mode does not take is one configuration error"
+# the drive grid is always logarithmic, and the cone's contrast does not
+# depend on the separation
+expect_one_line_error 1 usage.err intensity-sweep --sweep-scale linear
+expect_one_line_error 1 usage.err cone --k0-r12 5
+
 echo "== an inelastic fraction below what double resolves is one numerical failure"
 expect_one_line_error 2 inelastic.err intensity-sweep --sweep-min 1e-9 --sweep-max 1e-8 --sweep-points 3
 

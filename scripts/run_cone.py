@@ -6,7 +6,6 @@ the header, a mean of sin^4(theta)/4 over 200 000 random orientations,
 cross-checks the analytic 2/15.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -15,29 +14,27 @@ from twoatom_cbs.config_average import cone_half_width
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
+RABI = 0.5
+K_ELL = 1000.0
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--rabi", type=float, default=0.5)
-    ap.add_argument("--k-ell", type=float, default=1000.0)
-    args = ap.parse_args()
-
     OUT.mkdir(exist_ok=True)
     # stay inside the quadratic profile's validity (it crosses zero near
     # 1.4 half widths)
-    theta_max = 1.4 * cone_half_width(args.k_ell)
-    out = OUT / f"cone_kl{args.k_ell:g}.csv"
+    theta_max = 1.4 * cone_half_width(K_ELL)
+    out = OUT / f"cone_kl{K_ELL:g}.csv"
     code = cli_main([
         "cone",
-        "--rabi", str(args.rabi),
-        "--k-ell", str(args.k_ell),
+        "--rabi", str(RABI),
+        "--k-ell", str(K_ELL),
         "--theta-max", f"{theta_max:.6g}",
         "--theta-points", "101",
         "--mc-samples", "200000",
         "--output", str(out),
     ])
     if code == 0:
-        print(f"wrote {out} (half width {cone_half_width(args.k_ell):.3e} rad)")
+        print(f"wrote {out} (half width {cone_half_width(K_ELL):.3e} rad)")
     return code
 
 

@@ -6,7 +6,6 @@ crossed components: the inelastic crossed term turns negative over a
 window of Rabi frequencies with its minimum near Omega = delta.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -14,20 +13,18 @@ from twoatom_cbs.cli import main as cli_main
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
+DETUNING = 20.0
+POINTS = 41
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--detuning", type=float, default=20.0)
-    ap.add_argument("--points", type=int, default=41)
-    args = ap.parse_args()
-
     OUT.mkdir(exist_ok=True)
-    out = OUT / f"sweep_delta{args.detuning:g}.csv"
+    out = OUT / f"sweep_delta{DETUNING:g}.csv"
     code = cli_main([
         "intensity-sweep",
-        "--detuning", str(args.detuning),
+        "--detuning", str(DETUNING),
         "--sweep-min", "1", "--sweep-max", "100",
-        "--sweep-points", str(args.points),
+        "--sweep-points", str(POINTS),
         "--output", str(out),
     ])
     if code == 0:

@@ -4,20 +4,22 @@ Each parameter is declared once in `_PARAMS` (type, default, choices) and
 each mode once in `_MODES` (its parameters in header order, its result
 keys, its runner); flags, config-file checks and output headers derive
 from them. A mode accepts exactly the parameters its header echoes, plus
-`format` and `output`: `intensity-sweep` takes no `--rabi`,
-`compare-oracles` neither `--rabi` nor `--detuning`, and only `cone`, the
-one mode that draws random numbers, takes `--seed`: its `--mc-samples`
-estimate of the angular factor 2/15 (0, the default, for none; at least 2
-otherwise) reads random orientations only. Configuration comes
-from an optional flat key=value file plus flag overrides. Both only give
-text, which `_coerce` alone turns into values, so both accept the same
-spellings (`points = 801.0` is rejected like `--points 801.0`); unknown
-keys and a key repeated in a file are rejected, and a flag's value may begin
-with '-' (`--nu-min -1e1`).  In a file, '#' starts a comment where it opens
-a line or follows whitespace, so `output = run#1.csv` keeps its '#'.
-Output is CSV (its '#' header a config file with floats written exactly, so
-that a replay reads the same values) or JSON (native values in its metadata),
-deterministic byte for byte under a fixed configuration.
+`format` and `output`: `intensity-sweep` takes no `--rabi` and no
+`--sweep-scale` (its grid is logarithmic), `compare-oracles` neither
+`--rabi` nor `--detuning`, `cone` no `--k0-r12` (the separation cancels in
+its contrast C_tot/L_tot), and only `cone`, the one mode that draws random
+numbers, takes `--seed`: its `--mc-samples` estimate of the angular factor
+2/15 (0, the default, for none; at least 2 otherwise) reads random
+orientations only. Configuration comes from an optional flat key=value
+file plus flag overrides. Both only give text, which `_coerce` alone turns
+into values, so both accept the same spellings (`points = 801.0` is
+rejected like `--points 801.0`); unknown keys and a key repeated in a file
+are rejected, and a flag's value may begin with '-' (`--nu-min -1e1`).  In
+a file, '#' starts a comment where it opens a line or follows whitespace,
+so `output = run#1.csv` keeps its '#'. Output is CSV (its '#' header a
+config file with floats written exactly, so that a replay reads the same
+values) or JSON (native values in its metadata), deterministic byte for
+byte under a fixed configuration.
 
 Exit codes: 0 success, 1 invalid configuration (including usage errors and
 an unwritable output path; each is one line on stderr), 2 numerical failure
@@ -81,7 +83,6 @@ _PARAMS = {
     "sweep_min": _Param(float, 1.0),
     "sweep_max": _Param(float, 100.0),
     "sweep_points": _Param(int, 25),
-    "sweep_scale": _Param(str, "log", ("log", "linear")),
     "s_values": _Param(FloatList, FloatList("0.1,1,10")),
     "k_ell": _Param(float, 100.0),
     # k l theta = 2 stays inside the quadratic profile's validity range
@@ -218,8 +219,7 @@ def run_intensity_sweep(cfg):
     lo, hi, n = cfg["sweep_min"], cfg["sweep_max"], cfg["sweep_points"]
     if not (0 < lo < hi) or n < 2:
         raise ConfigurationError("need 0 < sweep_min < sweep_max and sweep_points >= 2")
-    spacing = np.geomspace if cfg["sweep_scale"] == "log" else np.linspace
-    rabi = spacing(lo, hi, n)
+    rabi = np.geomspace(lo, hi, n)
     gen = assemble(DriveConfig(rabi=rabi, detuning=cfg["detuning"]), geometry)
     ib = intensities(perturbative_steady_state(gen), gen)
     rows = np.column_stack([rabi, np.full(n, cfg["detuning"]), ib.L_el, ib.C_el,
@@ -258,8 +258,9 @@ def run_cone(cfg):
     if mc_samples < 0:
         raise ConfigurationError("need mc_samples >= 0")
     check_seed(cfg["seed"])
+    # C_tot and L_tot share the weight |g|^2 |Delta_{+1,+1}|^2: the separation cancels
     gen = assemble(DriveConfig(rabi=cfg["rabi"], detuning=cfg["detuning"]),
-                   Geometry.backscattering(cfg["k0_r12"]))
+                   Geometry.backscattering(_PARAMS["k0_r12"].default))
     ib = intensities(perturbative_steady_state(gen), gen)
     contrast0 = ib.C_tot / ib.L_tot
     thetas = np.linspace(0.0, theta_max, n)
@@ -285,14 +286,14 @@ _MODES = {
          "crossed_integral", "ladder_sum_rule_error", "crossed_sum_rule_error"),
         run_spectrum),
     "intensity-sweep": _Mode(
-        ("detuning", "k0_r12", "sweep_min", "sweep_max", "sweep_points", "sweep_scale"),
+        ("detuning", "k0_r12", "sweep_min", "sweep_max", "sweep_points"),
         (), run_intensity_sweep),
     "compare-oracles": _Mode(
         ("k0_r12", "s_values"), ("max_alpha_rel_err", "max_elastic_rel_err"),
         run_compare_oracles),
     "cone": _Mode(
-        ("rabi", "detuning", "k0_r12", "k_ell", "theta_max", "theta_points", "mc_samples",
-         "seed"), ("contrast_at_zero", "mc_angular_factor", "mc_angular_stderr"), run_cone),
+        ("rabi", "detuning", "k_ell", "theta_max", "theta_points", "mc_samples", "seed"),
+        ("contrast_at_zero", "mc_angular_factor", "mc_angular_stderr"), run_cone),
 }
 
 

@@ -29,7 +29,7 @@ def check_seed(seed):
 
 
 def _check_k_ell(k_ell):
-    if not (np.isfinite(k_ell) and k_ell > 0):
+    if not (np.ndim(k_ell) == 0 and np.isfinite(k_ell) and k_ell > 0):
         raise ConfigurationError(f"k_ell must be finite and positive, not {k_ell}")
 
 
@@ -75,14 +75,14 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
     contrast_at_zero : float
         C_tot/L_tot of the single-configuration calculation at theta=0.
     k_ell : float
-        Product of wavenumber and mean separation; sets the cone width
+        Product of wavenumber and mean separation, a scalar; sets the cone width
         proportional to 1/(k l).
 
     Raises
     ------
     ConfigurationError
-        If any angle is outside the small-angle regime, k_ell is not finite
-        and positive, or (k_ell theta)^2 is too large for a float.
+        If any angle is outside the small-angle regime, k_ell is not a finite
+        positive scalar, or (k_ell theta)^2 is too large for a float.
     """
     _check_k_ell(k_ell)
     theta_grid = np.asarray(theta_grid, dtype=float)
@@ -105,7 +105,7 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
 def cone_half_width(k_ell):
     """Angle where the quadratic crossed profile drops to half its peak.
 
-    Solves 2/15 - (k l theta)^2/35 = 1/15, giving sqrt(7/3)/(k l) for a finite k_ell > 0.
+    Solves 2/15 - (k l theta)^2/35 = 1/15, giving sqrt(7/3)/(k l) for a scalar k_ell > 0.
     """
     _check_k_ell(k_ell)
     return np.sqrt(7.0 / 3.0) / k_ell

@@ -185,7 +185,7 @@ def transverse_projector(n_hat):
     """Projector 1 - n n^T onto the plane transverse to the unit vector n."""
     n_hat = np.asarray(n_hat, dtype=float)
     if abs(np.linalg.norm(n_hat) - 1.0) > 1e-12:
-        raise ValueError("n_hat must be a unit vector")
+        raise ConfigurationError("n_hat must be a unit vector")
     return np.eye(3) - np.outer(n_hat, n_hat)
 
 

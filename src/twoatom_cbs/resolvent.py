@@ -88,8 +88,8 @@ _LOWER = np.tril(GROUP_OF[:, None] == GROUP_OF[None, :], -1)
 # 2-core VM, in process, medians of 30 interleaved rounds at blocks of
 # 32/64/128: the four spectra-wide grids (1002 points) took 9.7/8.4/7.8 ms
 # and six 81-point spectra 9.1/8.6/8.0 ms, while the resident memory after
-# a 521-point spectrum was 35.6/36.0/36.6 MB (35.1 MB with the tile sweep
-# this replaced): larger blocks leave more of glibc's heap behind
+# a 521-point spectrum was 35.6/36.0/36.6 MB: larger blocks leave more of
+# glibc's heap behind
 _BLOCK = 64
 # a Schur basis is accepted when T_a's lower triangle and the residual
 # ||Q_a T_a Q_a^H - B_a|| stay below this many eps ||B_a|| (Frobenius).

@@ -114,8 +114,10 @@ class SpectrumResult:
 
 def default_nu_grid(cfg, points=2001):
     """Uniform grid covering all seven strong-field resonances, 10 gamma
-    (the frequency unit) beyond the outermost, for one drive configuration."""
+    (the frequency unit) beyond the outermost, for one configuration and points >= 2."""
     require_one_configuration(cfg.shape)
+    if not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise ConfigurationError(f"points must be an integer of at least 2, not {points!r}")
     omega_mod = np.hypot(cfg.rabi, cfg.detuning)
     half = 2.5 * omega_mod + 10.0
     return np.linspace(-half, half, points)
@@ -207,6 +209,8 @@ def check_sum_rule(spec: SpectrumResult, ib: IntensityBreakdown,
     """Verify that the density integrals of a spectrum reproduce the stationary
     intensities.  The report's C/nu^2 tails overestimate the mass beyond the
     grid (3x for the ladder at Omega = 0.1, delta = 5): the densities decay faster."""
+    if not (np.ndim(tolerance) == 0 and np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigurationError(f"tolerance must be finite and positive, not {tolerance!r}")
     (lad, cro), (tail_l, tail_c) = spec._integrals_and_tails()
     scale = abs(ib.L_inel)
     report = SumRuleReport(

@@ -364,7 +364,6 @@ def test_criterion_11_intensity_crossings():
         "rabi": 1.0, "detuning": 20.0, "k0_r12": 100.0,
         "format": "csv", "output": "",
         "sweep_min": 2.0, "sweep_max": 80.0, "sweep_points": 17,
-        "sweep_scale": "log",
     }
     _, columns, rows = run_intensity_sweep(cfg)
     rabi = rows[:, columns.index("rabi")]

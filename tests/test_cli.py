@@ -31,10 +31,9 @@ NON_DEFAULT_ARGS = {
     "spectrum": ["--rabi", "0.15", "--detuning", "0.3", "--k0-r12", "80",
                  "--nu-min", "-12", "--nu-max", "12", "--points", "121", "--normalize"],
     "intensity-sweep": ["--detuning", "2", "--k0-r12", "80", "--sweep-min", "0.5",
-                        "--sweep-max", "3", "--sweep-points", "3",
-                        "--sweep-scale", "linear"],
+                        "--sweep-max", "3", "--sweep-points", "3"],
     "compare-oracles": ["--k0-r12", "80", "--s-values", "0.5,2"],
-    "cone": ["--rabi", "0.5", "--detuning", "1", "--k0-r12", "80", "--k-ell", "50",
+    "cone": ["--rabi", "0.5", "--detuning", "1", "--k-ell", "50",
              "--theta-max", "0.01", "--theta-points", "5", "--mc-samples", "100",
              "--seed", "6"],
 }
@@ -456,8 +455,6 @@ class TestExitCodes:
         # the flags take text, but the help still lists the choices
         if "--help" in argv:
             assert "--format {csv,json}" in out
-        if argv[0] == "intensity-sweep":
-            assert "--sweep-scale {log,linear}" in out
 
     @pytest.mark.parametrize("line", ["rabi = fast", "points = 2.5", "normalize = 1"])
     def test_malformed_file_value(self, line, tmp_path, capsys):
@@ -467,8 +464,8 @@ class TestExitCodes:
         assert "is not a valid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["cone", "--k0-r12", "-100"],
-        ["cone", "--k0-r12", "0"],
+        ["compare-oracles", "--k0-r12", "-100"],
+        ["compare-oracles", "--k0-r12", "0"],
         ["cone", "--mc-samples", "-5"],
         ["cone", "--k-ell", "nan", "--mc-samples", "0"],
         ["cone", "--k-ell", "-5", "--mc-samples", "0"],
@@ -484,12 +481,28 @@ class TestExitCodes:
         ["spectrum", "--nu-min", "0", "--nu-max", "10"],
         # one sample has no standard error
         ["cone", "--mc-samples", "1"],
+        # the sweep is always logarithmic, and the contrast does not depend
+        # on the separation
+        ["intensity-sweep", "--sweep-scale", "linear"],
+        ["cone", "--k0-r12", "5"],
     ])
     def test_out_of_range(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode, line", [("intensity-sweep", "sweep_scale = log"),
+                                            ("cone", "k0_r12 = 100.0")])
+    def test_config_naming_a_key_the_mode_lacks_is_rejected(self, mode, line, tmp_path, capsys):
+        # intensity-sweep has no sweep scale and cone no separation: a header
+        # that names either replays as one configuration error
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mode = {mode}\n{line}\n")
+        assert main([mode, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown configuration keys")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, plain", [
         (["spectrum", "--nu-min", "-1e1", "--nu-max", "1e1"],

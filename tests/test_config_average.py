@@ -170,7 +170,7 @@ class TestCone:
         profile = cbs_cone(np.array([theta_half]), 1.0, 100.0)
         assert profile[0] == pytest.approx(0.5, rel=1e-10)
 
-    @pytest.mark.parametrize("k_ell", [np.nan, np.inf, -5.0, 0.0])
+    @pytest.mark.parametrize("k_ell", [np.nan, np.inf, -5.0, 0.0, np.array([1.0, 2.0])])
     def test_rejects_invalid_k_ell(self, k_ell):
         with pytest.raises(ConfigurationError, match="k_ell must be finite and positive"):
             cbs_cone(np.array([0.0, 0.01]), 1.0, k_ell)

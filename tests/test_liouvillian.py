@@ -191,6 +191,10 @@ class TestGeometryFactors:
         assert np.allclose(p @ n_hat, 0.0, atol=1e-12)
         assert np.allclose(p @ p, p, atol=1e-12)
 
+    def test_transverse_projector_rejects_non_unit_vector(self):
+        with pytest.raises(ConfigurationError, match="unit vector"):
+            transverse_projector([1.0, 1.0, 0.0])
+
     @given(unit_vectors)
     @settings(max_examples=30, deadline=None)
     def test_helicity_projector_hermitian(self, n_hat):

@@ -148,6 +148,12 @@ class TestDensities:
         omega_mod = np.hypot(10.0, 5.0)
         assert grid[0] < -2 * omega_mod and grid[-1] > 2 * omega_mod
 
+    @pytest.mark.parametrize("points", [-1, 0, 1, 2.5])
+    def test_default_grid_needs_two_integer_points(self, points):
+        # fewer points cannot cover the seven resonances
+        with pytest.raises(ConfigurationError, match="points must be an integer of at least 2"):
+            default_nu_grid(DriveConfig(rabi=1.0), points=points)
+
     def test_elastic_weight_is_stationary_elastic_intensity(self):
         gen, state, ib = stationary(1.0)
         spec = inelastic_spectrum(gen, state, [0.0, 1.0])
@@ -407,6 +413,13 @@ class TestSumRules:
         broken = replace(spec, ladder_density=2 * spec.ladder_density)
         with pytest.raises(ResolventError):
             check_sum_rule(broken, ib)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, weak_point, tolerance):
+        # a caller's error, not the numerical failure of a violated sum rule
+        _, spec, ib = weak_point
+        with pytest.raises(ConfigurationError, match="tolerance must be finite and positive"):
+            check_sum_rule(spec, ib, tolerance=tolerance)
 
     def test_tail_estimates_bound_the_missing_mass(self, strong_point):
         # the truncated trapezoid slightly undershoots the stationary
