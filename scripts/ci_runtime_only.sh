@@ -28,7 +28,7 @@ twoatom-cbs spectrum --points 81 --output spectrum.csv 2> spectrum.err
 # normalization is the CLI's own output step
 twoatom-cbs spectrum --points 81 --normalize --output spectrum-normalized.csv 2> spectrum-normalized.err
 twoatom-cbs intensity-sweep --sweep-points 3 --output sweep.csv 2> sweep.err
-twoatom-cbs compare-oracles --s-values 0.5,2 --output oracles.csv 2> oracles.err
+twoatom-cbs compare-oracles --output oracles.csv 2> oracles.err
 twoatom-cbs cone --theta-points 5 --mc-samples 100 --output cone.csv 2> cone.err
 # k_ell = 8: the estimate draws no separations, so nothing warns of a dense medium
 twoatom-cbs cone --k-ell 8 --theta-max 0.01 --mc-samples 100 --output cone-short.csv 2> cone-short.err
@@ -66,10 +66,11 @@ expect_one_line_error 1 usage.err spectrum --points abc
 expect_one_line_error 1 usage.err spectrum --bogus 1
 
 echo "== a flag the mode does not take is one configuration error"
-# the drive grid is always logarithmic, and the cone's contrast does not
-# depend on the separation
+# the drive grid is always logarithmic, the cone's contrast does not
+# depend on the separation, and the oracle comparison runs at s = 0.1, 1, 10
 expect_one_line_error 1 usage.err intensity-sweep --sweep-scale linear
 expect_one_line_error 1 usage.err cone --k0-r12 5
+expect_one_line_error 1 usage.err compare-oracles --s-values 0.5,2
 
 echo "== an inelastic fraction below what double resolves is one numerical failure"
 expect_one_line_error 2 inelastic.err intensity-sweep --sweep-min 1e-9 --sweep-max 1e-8 --sweep-points 3

@@ -81,12 +81,13 @@ def cbs_cone(theta_grid, contrast_at_zero, k_ell):
     Raises
     ------
     ConfigurationError
-        If any angle is outside the small-angle regime, k_ell is not a finite
-        positive scalar, or (k_ell theta)^2 is too large for a float.
+        If any angle is not finite and below 1 rad in magnitude (the
+        small-angle regime), k_ell is not a finite positive scalar, or
+        (k_ell theta)^2 is too large for a float.
     """
     _check_k_ell(k_ell)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if np.any(np.abs(theta_grid) >= 1.0):
+    if not np.all(np.abs(theta_grid) < 1.0):
         raise ConfigurationError("cone profile is a small-angle expansion")
     with np.errstate(over="ignore"):
         x_sq = (k_ell * theta_grid) ** 2

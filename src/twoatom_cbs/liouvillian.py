@@ -181,31 +181,40 @@ def coupling_constant(k0_r12):
     return g[()] if g.ndim == 0 else g
 
 
-def transverse_projector(n_hat):
-    """Projector 1 - n n^T onto the plane transverse to the unit vector n."""
+def _unit_vectors(n_hat):
+    """n_hat as a float array of unit vectors along its last axis (..., 3), or
+    ConfigurationError."""
     n_hat = np.asarray(n_hat, dtype=float)
-    if abs(np.linalg.norm(n_hat) - 1.0) > 1e-12:
-        raise ConfigurationError("n_hat must be a unit vector")
-    return np.eye(3) - np.outer(n_hat, n_hat)
+    if n_hat.shape[-1:] != (3,) or not np.all(
+            np.abs(np.linalg.norm(n_hat, axis=-1) - 1.0) <= 1e-12):
+        raise ConfigurationError("n_hat must be a unit vector of shape (..., 3)")
+    return n_hat
+
+
+def transverse_projector(n_hat):
+    """Projector 1 - n n^T onto the plane transverse to the unit vector n, for
+    n_hat (..., 3)."""
+    n_hat = _unit_vectors(n_hat)
+    return np.eye(3) - n_hat[..., :, None] * n_hat[..., None, :]
 
 
 def helicity_projector(n_hat):
     """Transverse projector in the helicity basis: P[i, j] = e_qi^* . Delta . e_qj.
 
-    Rows/columns ordered by HELICITY = (-1, 0, +1).
+    Rows/columns ordered by HELICITY = (-1, 0, +1); n_hat (..., 3).
     """
     delta = transverse_projector(n_hat)
-    out = np.empty((3, 3), dtype=complex)
+    out = np.empty(delta.shape, dtype=complex)
     for i, q in enumerate(HELICITY):
         for j, qp in enumerate(HELICITY):
-            out[i, j] = _HELICITY_VECS[q].conj() @ delta @ _HELICITY_VECS[qp]
+            out[..., i, j] = _HELICITY_VECS[q].conj() @ delta @ _HELICITY_VECS[qp]
     return out
 
 
 def delta_plus_plus(n_hat):
     """Tensor element e_{+1} . Delta . e_{+1} of the transverse projector (no conjugation)
     for unit vectors n_hat (..., 3); e_{+1} . e_{+1} = 0 reduces it to -(n_hat . e_{+1})^2."""
-    return -(np.asarray(n_hat) @ E_PLUS) ** 2
+    return -(_unit_vectors(n_hat) @ E_PLUS) ** 2
 
 
 def angular_weight(n_hat, g):

@@ -32,7 +32,7 @@ NON_DEFAULT_ARGS = {
                  "--nu-min", "-12", "--nu-max", "12", "--points", "121", "--normalize"],
     "intensity-sweep": ["--detuning", "2", "--k0-r12", "80", "--sweep-min", "0.5",
                         "--sweep-max", "3", "--sweep-points", "3"],
-    "compare-oracles": ["--k0-r12", "80", "--s-values", "0.5,2"],
+    "compare-oracles": ["--k0-r12", "80"],
     "cone": ["--rabi", "0.5", "--detuning", "1", "--k-ell", "50",
              "--theta-max", "0.01", "--theta-points", "5", "--mc-samples", "100",
              "--seed", "6"],
@@ -65,8 +65,8 @@ class TestConfigParsing:
     def test_repeated_key_rejected(self, tmp_path, capsys):
         # the second value does not silently win: one line naming both lines
         path = tmp_path / "run.cfg"
-        path.write_text("s_values = 0.5\n# s = 2 instead\ns_values = 2\n")
-        with pytest.raises(ConfigurationError, match=r"run.cfg:3: key 's_values' is already "
+        path.write_text("k0_r12 = 80\n# 90 instead\nk0_r12 = 90\n")
+        with pytest.raises(ConfigurationError, match=r"run.cfg:3: key 'k0_r12' is already "
                                                      r"given on line 1"):
             read_config_file(path)
         assert main(["compare-oracles", "--config", str(path)]) == EXIT_CONFIG
@@ -114,8 +114,7 @@ class TestConfigParsing:
         ("spectrum", "points", "abc", "configuration error: points = 'abc' is not a valid int"),
         ("spectrum", "format", "xml",
          "configuration error: format = 'xml' is not one of ('csv', 'json')"),
-        ("compare-oracles", "s_values", "0.5,2", "# s_values = 0.5,2.0"),
-        ("compare-oracles", "s_values", "1,inf", "configuration error: s_values must be finite"),
+        ("spectrum", "rabi", "inf", "configuration error: rabi must be finite"),
     ])
     def test_flags_and_files_agree(self, mode, key, text, expected, echo_only, tmp_path,
                                    capsys):
@@ -207,7 +206,7 @@ class TestRuns:
         first_csv = [float(tok) for tok in data_lines[1].split(",")]
         assert np.allclose(doc["rows"][0], first_csv)
         # metadata holds native values, each float equal to the CSV header's
-        oracles = ["compare-oracles", "--s-values", "0.5,2"]
+        oracles = ["compare-oracles"]
         for argv, csv_out in ((base, csv_out), (oracles, self.run(oracles, capsys)[1])):
             meta = json.loads(self.run(argv + ["--format", "json"], capsys)[1])["metadata"]
             header = dict(l[2:].split(" = ", 1) for l in csv_out.splitlines()
@@ -216,8 +215,6 @@ class TestRuns:
             for key, value in meta.items():
                 if key in ("mode", "version"):
                     assert value == header[key]
-                elif key == "s_values":
-                    assert value == [0.5, 2.0] and header[key] == "0.5,2.0"
                 elif key == "points":
                     assert type(value) is int and value == int(header[key])
                 elif key == "normalize":
@@ -293,12 +290,15 @@ class TestRuns:
         assert len(record) == 1
 
     def test_compare_oracles_reports_tiny_errors(self, capsys):
-        code, out = self.run(["compare-oracles", "--s-values", "0.5,5"], capsys)
+        code, out = self.run(["compare-oracles"], capsys)
         assert code == EXIT_OK
         header = {k.strip(): v for k, v in
                   (l.lstrip("#").split("=", 1) for l in out.splitlines()
                    if l.startswith("#") and "=" in l)}
         assert float(header["max_alpha_rel_err"]) < 1e-6
+        # weak, saturating and strong drive
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.1, 1.0, 10.0]
 
     def test_cone_profile_decreases(self, capsys):
         code, out = self.run(["cone", "--rabi", "0.5", "--theta-max", "0.005",
@@ -332,9 +332,6 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent.cfg"]) == EXIT_CONFIG
-
-    def test_bad_s_values(self, capsys):
-        assert main(["compare-oracles", "--s-values", "1,banana"]) == EXIT_CONFIG
 
     def test_unknown_file_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -382,22 +379,6 @@ class TestExitCodes:
         assert err.startswith("numerical failure: inelastic fraction L_inel/L_tot = ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
-    def test_normalization_failure_is_one_line(self, monkeypatch, capsys):
-        # a non-positive inelastic ladder intensity cannot normalize a spectrum
-        real = cli.compute_spectrum
-
-        def no_inelastic_ladder(gen, nu_grid):
-            spec, ib = real(gen, nu_grid=nu_grid)
-            return spec, replace(ib, L_inel=0.0)
-
-        # the sum rule, checked first, has no scale at L_inel = 0
-        monkeypatch.setattr(cli, "check_sum_rule", lambda spec, ib: None)
-        monkeypatch.setattr(cli, "compute_spectrum", no_inelastic_ladder)
-        assert main(["spectrum", "--points", "81", "--normalize"]) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == (
-            "numerical failure: normalization requires a positive inelastic ladder "
-            "intensity\n")
-
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--points", "abc"], "points = 'abc' is not a valid int"),
         (["compare-oracles", "--rabi", "7"], "unrecognized arguments: --rabi 7"),
@@ -424,7 +405,7 @@ class TestExitCodes:
         (["spectrum", "--nu-min", "nan"], "nu_min must be finite"),
         (["spectrum", "--nu-min=-1e308", "--nu-max=1e308"], "nu_max - nu_min overflows"),
         (["intensity-sweep", "--sweep-max=inf"], "sweep_max must be finite"),
-        (["compare-oracles", "--s-values", "1,inf"], "s_values must be finite"),
+        (["compare-oracles", "--k0-r12", "inf"], "k0_r12 must be finite"),
         # finite limits too close for the points: equal or unordered grid points
         (["spectrum", "--nu-min", "1", "--nu-max", "1.0000000000000002", "--points", "5"],
          "grid of 5 points from nu_min to nu_max is not strictly increasing"),
@@ -485,6 +466,8 @@ class TestExitCodes:
         # on the separation
         ["intensity-sweep", "--sweep-scale", "linear"],
         ["cone", "--k0-r12", "5"],
+        # compare-oracles runs at the fixed saturations s = 0.1, 1 and 10
+        ["compare-oracles", "--s-values", "0.5,2"],
     ])
     def test_out_of_range(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -493,10 +476,12 @@ class TestExitCodes:
         assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("mode, line", [("intensity-sweep", "sweep_scale = log"),
-                                            ("cone", "k0_r12 = 100.0")])
+                                            ("cone", "k0_r12 = 100.0"),
+                                            ("compare-oracles", "s_values = 0.5")])
     def test_config_naming_a_key_the_mode_lacks_is_rejected(self, mode, line, tmp_path, capsys):
-        # intensity-sweep has no sweep scale and cone no separation: a header
-        # that names either replays as one configuration error
+        # intensity-sweep has no sweep scale, cone no separation and
+        # compare-oracles no saturation grid: a header that names any of them
+        # replays as one configuration error
         path = tmp_path / "run.cfg"
         path.write_text(f"mode = {mode}\n{line}\n")
         assert main([mode, "--config", str(path)]) == EXIT_CONFIG
@@ -519,7 +504,7 @@ class TestExitCodes:
         assert outputs[0] == outputs[1] and outputs[0].err == ""
 
     def test_unwritable_output(self, capsys):
-        argv = ["compare-oracles", "--s-values", "1", "--output", "/nonexistent/x.csv"]
+        argv = ["compare-oracles", "--output", "/nonexistent/x.csv"]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("cannot write output:") and err.count("\n") == 1

@@ -181,6 +181,12 @@ class TestCone:
         with pytest.raises(ConfigurationError):
             cbs_cone(np.array([1.5]), 1.0, 100.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_rejects_non_finite_angle(self, theta):
+        # a non-finite angle is outside the expansion, not an overflow
+        with pytest.raises(ConfigurationError, match="small-angle expansion"):
+            cbs_cone(np.array([0.0, theta]), 1.0, 10.0)
+
     def test_warns_past_validity(self):
         with pytest.warns(UserWarning, match="validity"):
             cbs_cone(np.array([0.5]), 1.0, 100.0)

@@ -195,6 +195,24 @@ class TestGeometryFactors:
         with pytest.raises(ConfigurationError, match="unit vector"):
             transverse_projector([1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("factor", [
+        transverse_projector, delta_plus_plus, lambda n_hat: angular_weight(n_hat, 0.01)],
+        ids=["transverse_projector", "delta_plus_plus", "angular_weight"])
+    @pytest.mark.parametrize("n_hat", [
+        [2.0, 0.0, 0.0], [1.0, 0.0], [np.nan, 0.0, 0.0], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]],
+        ids=["norm-2", "2-vector", "nan", "stack-with-norm-2"])
+    def test_geometry_factors_need_unit_3_vectors(self, factor, n_hat):
+        # one check for all three, over any leading axes
+        with pytest.raises(ConfigurationError, match=r"unit vector of shape \(\.\.\., 3\)"):
+            factor(n_hat)
+
+    @given(st.lists(unit_vectors, min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_projectors_take_stacks(self, n_hats):
+        n_hats = np.array(n_hats)
+        for projector in (transverse_projector, helicity_projector):
+            assert np.array_equal(projector(n_hats), [projector(n) for n in n_hats])
+
     @given(unit_vectors)
     @settings(max_examples=30, deadline=None)
     def test_helicity_projector_hermitian(self, n_hat):
